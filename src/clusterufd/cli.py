@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 verified/holds, 1 refuted (a witness was found), 2
-inconclusive (budget or missing certificate), 3 input error.  With --json
+inconclusive (budget or missing certificate), 3 input error, 4 internal
+error (a bug, such as two independent computations disagreeing; its JSON
+verdict is "internal-error").  With --json
 every command emits a single object carrying "schema_version" and
 "verdict"; reports contain no timestamps or floats, so identical
 invocations produce byte-identical output.
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .cluster import (ExchangeMatrix, Seed, builtin_seed,
@@ -61,14 +64,15 @@ class _Report:
             print(f"verdict: {verdict}")
 
 
-def _emit_error(command: str, as_json: bool, message: str) -> int:
+def _emit_error(command: str, as_json: bool, message: str,
+                verdict: str = "error", code: int = 3) -> int:
     if as_json:
         body = {"schema_version": SCHEMA_VERSION, "command": command,
-                "verdict": "error", "error": message}
+                "verdict": verdict, "error": message}
         print(json.dumps(body, sort_keys=True, indent=2))
     else:
-        print(f"error: {message}", file=sys.stderr)
-    return 3
+        print(f"{verdict}: {message}", file=sys.stderr)
+    return code
 
 
 def _field_of(args) -> Optional[FieldTag]:
@@ -502,6 +506,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args, report)
     except (ValueError, ParseError) as exc:
         return _emit_error(args.command, args.json, str(exc))
+    except Exception as exc:
+        # anything else is a bug (ConsistencyError, LaurentViolation, an
+        # escaped BudgetExceeded, ...); exit 1 would read as "refuted"
+        code = _emit_error(args.command, args.json,
+                           f"{type(exc).__name__}: {exc}",
+                           verdict="internal-error", code=4)
+        traceback.print_exc()
+        return code
 
 
 def entrypoint():

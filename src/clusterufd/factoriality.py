@@ -20,8 +20,6 @@ from itertools import combinations
 from math import gcd
 from typing import Mapping, Optional, Sequence, Union
 
-import sympy
-
 from .cluster import ExchangeMatrix, exchange_polynomial, structure_report
 from .fields import FieldTag, GaussianRational
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, GroebnerBudget, Ideal,
@@ -274,7 +272,11 @@ class FactorSearchResult:
     exhausted: bool
 
 
+# sympy is imported inside the factor-oracle helpers only: it is the slowest
+# import by far, and no other path needs it.
+
 def _to_sympy(f: Polynomial, symbols):
+    import sympy
     total = sympy.Integer(0)
     for exp, c in f.terms.items():
         if isinstance(c, GaussianRational):
@@ -290,6 +292,7 @@ def _to_sympy(f: Polynomial, symbols):
     return total
 
 def _coeff_from_sympy(c_expr, fld: FieldTag):
+    import sympy
     re_part, im_part = c_expr.as_real_imag()
     re_rat = sympy.Rational(re_part)
     im_rat = sympy.Rational(im_part)
@@ -323,6 +326,7 @@ def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResul
         raise ValueError("factor search needs a nonconstant polynomial")
     if f.total_degree() > max_degree:
         return FactorSearchResult(None, exhausted=False)
+    import sympy
     fld = f.field
     symbols = sympy.symbols(f"x1:{f.m + 1}")
     expr = _to_sympy(f, symbols)
@@ -352,6 +356,7 @@ def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResul
 
 
 def _sympy_factor_to_poly(expr, symbols, m: int, fld: FieldTag) -> Polynomial:
+    import sympy
     poly = sympy.Poly(expr, *symbols)
     terms = {}
     for exp, coeff in poly.terms():

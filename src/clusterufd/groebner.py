@@ -1,15 +1,20 @@
 """Groebner bases via Buchberger's algorithm, with ideal operations.
 
-The kernel is deliberately plain: normal selection strategy (smallest lcm
-degree first), the coprime-leading-term and chain criteria, full tail
-reduction, and reduced monic output sorted by descending leading term, so
-identical inputs always produce identical bases.  A work budget bounds the
-number of S-pair reductions and the basis size; exceeding it raises
-``BudgetExceeded`` rather than silently truncating.
+The kernel is deliberately plain: the normal selection strategy, with
+S-pairs kept in a heap keyed by (lcm degree, i, j) so the smallest lcm
+degree goes first and ties go to the lowest index pair; the
+coprime-leading-term and chain criteria; full tail reduction; and reduced
+monic output sorted by descending leading term, so identical inputs always
+produce identical bases.  A work budget bounds the number of S-pair
+reductions and the basis size; exceeding it raises ``BudgetExceeded``
+rather than silently truncating.  The sequence of S-pair reductions is part
+of that budget contract: a given input needs the same number of reductions
+on every run, so a budget that suffices once always suffices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
@@ -55,58 +60,81 @@ class _Work:
 
 
 def _reduce_full(terms: dict, reducers: Sequence[tuple], order: MonomialOrder) -> dict:
-    """Fully reduce a term dict modulo reducers [(lt_exp, lt_coeff, terms)]."""
+    """Fully reduce a term dict modulo monic reducers [(lt_exp, terms)].
+
+    The result lists its terms in descending order, so its first key is the
+    leading exponent.  Each exponent's order key is computed once.
+    """
     key = order.key
     rem = dict(terms)
+    keys = {exp: key(exp) for exp in rem}
     out: dict = {}
     while rem:
-        exp = max(rem, key=key)
+        exp = max(rem, key=keys.__getitem__)
         coeff = rem.pop(exp)
-        for lt_exp, lt_coeff, g_terms in reducers:
+        for lt_exp, g_terms in reducers:
             if ev_divides(lt_exp, exp):
                 shift = ev_sub(exp, lt_exp)
-                factor = coeff / lt_coeff
                 for e2, c2 in g_terms.items():
                     if e2 == lt_exp:
                         continue
                     tgt = ev_add(shift, e2)
                     if tgt in rem:
-                        s = rem[tgt] - factor * c2
+                        s = rem[tgt] - coeff * c2
                         if s:
                             rem[tgt] = s
                         else:
                             del rem[tgt]
                     else:
-                        rem[tgt] = -factor * c2
+                        rem[tgt] = -coeff * c2
+                        if tgt not in keys:
+                            keys[tgt] = key(tgt)
                 break
         else:
             out[exp] = coeff
     return out
 
 
-def _prep(polys: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
-    reducers = []
-    for g in polys:
-        lt_exp, lt_coeff = g.leading(order)
-        reducers.append((lt_exp, lt_coeff, g.terms))
-    return reducers
+def _monic(terms: dict, lt_coeff, field: FieldTag) -> dict:
+    scale = field.one() / lt_coeff
+    return {e: c * scale for e, c in terms.items()}
 
 
 def normal_form(p: Polynomial, basis: "GroebnerBasis") -> Polynomial:
     """The fully reduced remainder of p modulo the basis (unique when reduced)."""
     if p.is_zero:
         return p
-    out = _reduce_full(p.terms, _prep(basis.polys, basis.order), basis.order)
+    out = _reduce_full(p.terms, basis._reducers(), basis.order)
     return Polynomial._raw(p.m, p.field, out)
+
+
+def _s_terms(f: tuple, g: tuple, lcm) -> dict:
+    """Terms of the S-polynomial of two monic reducers (lt_exp, terms)
+    whose leading exponents have least common multiple ``lcm``."""
+    f_exp, f_terms = f
+    g_exp, g_terms = g
+    f_shift, g_shift = ev_sub(lcm, f_exp), ev_sub(lcm, g_exp)
+    out = {ev_add(f_shift, e): c for e, c in f_terms.items()}
+    for e, c in g_terms.items():
+        tgt = ev_add(g_shift, e)
+        if tgt in out:
+            s = out[tgt] - c
+            if s:
+                out[tgt] = s
+            else:
+                del out[tgt]
+        else:
+            out[tgt] = -c
+    return out
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     f_exp, f_coeff = f.leading(order)
     g_exp, g_coeff = g.leading(order)
-    lcm = ev_max(f_exp, g_exp)
-    mf = Polynomial.monomial(f.field.one() / f_coeff, ev_sub(lcm, f_exp), f.m, f.field)
-    mg = Polynomial.monomial(g.field.one() / g_coeff, ev_sub(lcm, g_exp), g.m, g.field)
-    return mf * f - mg * g
+    terms = _s_terms((f_exp, _monic(f.terms, f_coeff, f.field)),
+                     (g_exp, _monic(g.terms, g_coeff, g.field)),
+                     ev_max(f_exp, g_exp))
+    return Polynomial._raw(f.m, f.field, terms)
 
 
 def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
@@ -117,90 +145,103 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     m = generators[0].m
     key = order.key
 
-    basis: list[Polynomial] = []
-    lead: list[tuple] = []  # (lt_exp, lt_coeff)
+    reducers: list[tuple] = []  # (lt_exp, monic terms), one per basis element
     seen = set()
     for g in generators:
         if g.is_zero:
             continue
         lt_exp, lt_coeff = g.leading(order)
-        g = g * (field.one() / lt_coeff)
+        g = Polynomial._raw(m, field, _monic(g.terms, lt_coeff, field))
         if g not in seen:
             seen.add(g)
-            basis.append(g)
-            lead.append(g.leading(order))
+            reducers.append((lt_exp, g.terms))
 
-    if not basis:
+    if not reducers:
         raise ValueError("cannot compute a basis for the zero ideal")
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # Normal strategy: pop the pair with the smallest (lcm degree, i, j).
+    # ``pairs`` mirrors the queue for the chain criterion's membership tests.
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple] = []
 
-    def lcm_of(i, j):
-        return ev_max(lead[i][0], lead[j][0])
+    def add_pair(i, j):
+        lcm = ev_max(reducers[i][0], reducers[j][0])
+        pairs.add((i, j))
+        heappush(queue, (sum(lcm), i, j, lcm))
 
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(lcm_of(*ij)), ij))
+    for j in range(len(reducers)):
+        for i in range(j):
+            add_pair(i, j)
+
+    while queue:
+        _, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
-        lcm = lcm_of(i, j)
+        lead_i, lead_j = reducers[i][0], reducers[j][0]
         # coprime leading terms: S-polynomial reduces to zero
-        if all(min(a, b) == 0 for a, b in zip(lead[i][0], lead[j][0])):
+        if not any(a and b for a, b in zip(lead_i, lead_j)):
             continue
         # chain criterion
         skip = False
-        for k in range(len(basis)):
+        for k in range(len(reducers)):
             if k in (i, j):
                 continue
-            if (ev_divides(lead[k][0], lcm)
+            if (ev_divides(reducers[k][0], lcm)
                     and (min(i, k), max(i, k)) not in pairs
                     and (min(j, k), max(j, k)) not in pairs):
                 skip = True
                 break
         if skip:
             continue
-        work.spend_reduction(len(basis))
-        s = s_polynomial(basis[i], basis[j], order)
-        if s.is_zero:
+        work.spend_reduction(len(reducers))
+        s = _s_terms(reducers[i], reducers[j], lcm)
+        if not s:
             continue
-        reduced = _reduce_full(s.terms, _prep(basis, order), order)
+        reduced = _reduce_full(s, reducers, order)
         if not reduced:
             continue
-        h = Polynomial._raw(m, field, reduced)
-        lt_exp, lt_coeff = h.leading(order)
-        h = h * (field.one() / lt_coeff)
-        new_index = len(basis)
-        basis.append(h)
-        lead.append(h.leading(order))
+        lt_exp = next(iter(reduced))
+        new_index = len(reducers)
+        reducers.append((lt_exp, _monic(reduced, reduced[lt_exp], field)))
         for k in range(new_index):
-            pairs.add((k, new_index))
+            add_pair(k, new_index)
 
     # minimalize: drop elements whose leading term another one divides
     keep = []
-    for i, g in enumerate(basis):
-        lt = lead[i][0]
-        if any(ev_divides(lead[j][0], lt) for j in keep if j != i):
+    for i, (lt, _) in enumerate(reducers):
+        if any(ev_divides(reducers[j][0], lt) for j in keep if j != i):
             continue
-        keep = [j for j in keep if not ev_divides(lt, lead[j][0])]
+        keep = [j for j in keep if not ev_divides(lt, reducers[j][0])]
         keep.append(i)
-    minimal = [basis[i] for i in keep]
 
-    # inter-reduce tails
+    # inter-reduce tails; the leading terms survive, so sort by them
     reduced_basis = []
-    for g in minimal:
-        others = [h for h in minimal if h is not g]
-        terms = _reduce_full(g.terms, _prep(others, order), order) if others else dict(g.terms)
+    for i in sorted(keep, key=lambda i: key(reducers[i][0]), reverse=True):
+        others = [reducers[j] for j in keep if j != i]
+        terms = reducers[i][1]
+        terms = _reduce_full(terms, others, order) if others else dict(terms)
         reduced_basis.append(Polynomial._raw(m, field, terms))
-    reduced_basis.sort(key=lambda g: key(g.leading(order)[0]), reverse=True)
     return GroebnerBasis(tuple(reduced_basis), order)
 
 
 class GroebnerBasis:
     """A reduced, monic Groebner basis together with its monomial order."""
 
-    __slots__ = ("polys", "order")
+    __slots__ = ("polys", "order", "_reducer_cache")
 
     def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder):
         self.polys = polys
         self.order = order
+        self._reducer_cache = None
+
+    def _reducers(self) -> list[tuple]:
+        """(lt_exp, monic terms) per element, computed once."""
+        if self._reducer_cache is None:
+            self._reducer_cache = []
+            for g in self.polys:
+                lt_exp, lt_coeff = g.leading(self.order)
+                self._reducer_cache.append(
+                    (lt_exp, _monic(g.terms, lt_coeff, g.field)))
+        return self._reducer_cache
 
     def __iter__(self):
         return iter(self.polys)

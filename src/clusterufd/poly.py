@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldTag, GaussianRational
@@ -20,24 +21,24 @@ Exponent = tuple[int, ...]
 # -- exponent-vector helpers ------------------------------------------------
 
 def ev_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def ev_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def ev_max(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def ev_min(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def ev_divides(a: Exponent, b: Exponent) -> bool:
     """True when the monomial x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def ev_degree(a: Exponent) -> int:
@@ -69,18 +70,22 @@ class MonomialOrder:
             raise ValueError("permutation must list the positions 0..m-1")
         if self.kind == "block" and not 0 < self.block < self.m:
             raise ValueError("block size must satisfy 0 < block < m")
+        # the identity permutation needs no reordering of exponents
+        identity = self.permutation == tuple(range(self.m))
+        object.__setattr__(self, "_pick",
+                           None if identity else itemgetter(*self.permutation))
 
     @staticmethod
     def _grevlex_key(pe: Sequence[int]):
-        return (sum(pe), tuple(-e for e in reversed(pe)))
+        return (sum(pe), tuple(map(neg, reversed(pe))))
 
     def key(self, exp: Exponent):
         """A sort key; larger key means larger monomial."""
-        pe = [exp[p] for p in self.permutation]
-        if self.kind == "lex":
-            return tuple(pe)
+        pe = exp if self._pick is None else self._pick(exp)
         if self.kind == "grevlex":
             return self._grevlex_key(pe)
+        if self.kind == "lex":
+            return tuple(pe)
         return (self._grevlex_key(pe[: self.block]),
                 self._grevlex_key(pe[self.block:]))
 

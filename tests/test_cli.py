@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clusterufd
+from clusterufd import cli
 from clusterufd.cli import main
+from clusterufd.factoriality import ConsistencyError
+from clusterufd.groebner import BudgetExceeded
 
 STUCK_SEED = {
     "n": 4, "m": 4,
@@ -301,3 +308,55 @@ class TestContract:
         code, body = run_json(capsys, "verdict", "--builtin", "A:2",
                               "--budget", "0")
         assert code == 3
+
+
+class TestInternalErrors:
+    """A bug must exit 4, never 1, which would read as "refuted"."""
+
+    @staticmethod
+    def broken(exc):
+        def raise_(*args, **kwargs):
+            raise exc
+        return raise_
+
+    def test_consistency_error_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ufd_verdict", self.broken(
+            ConsistencyError("certificate contradicts a direct check")))
+        code, body = run_json(capsys, "verdict", "--builtin", "A:2")
+        assert code == 4
+        assert body["verdict"] == "internal-error"
+        assert body["schema_version"] == 1 and body["command"] == "verdict"
+        assert body["error"] == ("ConsistencyError: certificate contradicts "
+                                 "a direct check")
+
+    def test_escaped_budget_exceeded_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "inductive_prover",
+                            self.broken(BudgetExceeded(7, 3)))
+        code, out, err = run(capsys, "prove-ufd", "--builtin", "A:2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal-error: BudgetExceeded:")
+
+
+SYMPY_PROBE = """
+import json, sys
+from clusterufd.cli import main
+code = main(["verdict", "--builtin", "A:3", "--json"])
+before = "sympy" in sys.modules
+main(["normal-form", "--builtin", "A:2", "--expr", "x1 + x2 + 1", "--json"])
+print(json.dumps([code, before, "sympy" in sys.modules]))
+"""
+
+
+def test_sympy_is_imported_only_by_the_factor_oracle():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clusterufd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SYMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 1          # A:3 is refuted by coincident f_1 = f_3
+    assert before is False    # the verdict never touched sympy
+    assert after is True      # x1 + x2 + 1 is no binomial: the oracle ran

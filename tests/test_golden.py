@@ -1,0 +1,56 @@
+"""Byte-identical --json output for the README examples and the cross-check
+verdicts, against reports frozen in ``golden_cli.json``.
+
+Reduced Groebner bases are canonical and the reports carry no timings, so
+any change to these bytes is a behavior change.  The frozen reports were
+recorded with the linear-scan pair selection that predates the heap-ordered
+queue.  Seed-file cases name an entry of the file's "seeds" table, which is
+written to a temporary file before the run.  After an intended output
+change, rewrite the reports with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from clusterufd.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+
+with open(GOLDEN, encoding="utf-8") as fh:
+    RECORD = json.load(fh)
+
+
+def run_case(argv: list[str], workdir: str) -> tuple[int, str]:
+    argv = list(argv)
+    if "--seed" in argv:
+        k = argv.index("--seed") + 1
+        path = os.path.join(workdir, argv[k] + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(RECORD["seeds"][argv[k]], fh)
+        argv[k] = path
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", RECORD["cases"],
+                         ids=[" ".join(c["argv"]) for c in RECORD["cases"]])
+def test_json_report_is_byte_identical(case, tmp_path):
+    code, stdout = run_case(case["argv"], str(tmp_path))
+    assert code == case["exit"]
+    assert stdout == case["stdout"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        for case in RECORD["cases"]:
+            case["exit"], case["stdout"] = run_case(case["argv"], workdir)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(RECORD, fh, indent=1, sort_keys=True, ensure_ascii=False)

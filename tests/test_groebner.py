@@ -12,6 +12,8 @@ import random
 import pytest
 
 from conftest import random_polynomial
+from clusterufd.cluster import builtin_matrix
+from clusterufd.factoriality import ExchangeIdeals
 from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_polynomial
 from clusterufd.poly import Polynomial, ev_divides, grevlex_order, lex_order
@@ -234,3 +236,49 @@ class TestBudget:
         gens = [P("x1^2 - x2"), P("x1^3 - x1")]
         gb = buchberger(gens, lex_order(2), GroebnerBudget())
         assert len(gb) == 3
+
+
+class TestReductionSequence:
+    """The S-pair reduction count is part of the budget contract.
+
+    Each count N was found with the linear-scan pair selection that predates
+    the heap-ordered queue, as the smallest ``max_reductions`` that lets the
+    run finish.  A different pair order would change N, so a budget of N
+    must succeed and N - 1 must raise.
+    """
+
+    @staticmethod
+    def product_gens(name, field, multi_index):
+        ideals = ExchangeIdeals(builtin_matrix(name), field)
+        active = [i for i, a in enumerate(multi_index, start=1) if a]
+        product = ideals.power_ideal(active[0], multi_index[active[0] - 1])
+        for i in active[1:]:
+            product = ideal_product(product, ideals.power_ideal(i, multi_index[i - 1]))
+        return product.generators
+
+    @staticmethod
+    def assert_pinned(run, n):
+        run(GroebnerBudget(max_reductions=n))
+        with pytest.raises(BudgetExceeded) as err:
+            run(GroebnerBudget(max_reductions=n - 1))
+        assert err.value.reductions == n
+
+    @pytest.mark.parametrize("name, field, multi_index, n", [
+        ("A:4", Q, (1, 2, 1, 0), 24),
+        ("A:4", FieldTag.QI, (2, 1, 0, 0), 9),
+        ("E:6", Q, (1, 1, 1, 0, 0, 0), 14),
+        ("E:6", Q, (0, 0, 2, 1, 0, 0), 7),
+    ])
+    def test_product_ideal_basis(self, name, field, multi_index, n):
+        gens = self.product_gens(name, field, multi_index)
+        self.assert_pinned(lambda b: Ideal(gens).groebner_basis(budget=b), n)
+
+    @pytest.mark.parametrize("name, left, right, n", [
+        ("E:6", (3, 2), (4, 1), 18),
+        ("E:6", (1, 1), (2, 2), 20),
+        ("A:4", (1, 2), (2, 2), 28),
+    ])
+    def test_intersection(self, name, left, right, n):
+        ideals = ExchangeIdeals(builtin_matrix(name), Q)
+        lhs, rhs = ideals.power_ideal(*left), ideals.power_ideal(*right)
+        self.assert_pinned(lambda b: ideal_intersection(lhs, rhs, b), n)

@@ -180,6 +180,34 @@ class TestOrders:
         assert key((1, 0, 0)) > key((0, 9, 9))
         assert key((2, 0, 1)) > key((1, 5, 5))
 
+    @staticmethod
+    def reference_key(order, exp):
+        """The order key written out from its definition, as a list."""
+        def grevlex(pe):
+            return (sum(pe), tuple(-e for e in reversed(pe)))
+        pe = [exp[p] for p in order.permutation]
+        if order.kind == "lex":
+            return tuple(pe)
+        if order.kind == "grevlex":
+            return grevlex(pe)
+        return (grevlex(pe[:order.block]), grevlex(pe[order.block:]))
+
+    def test_key_matches_reference_definition(self):
+        rng = random.Random(41)
+        for m in range(1, 6):
+            for _ in range(20):
+                perm = list(range(m))
+                rng.shuffle(perm)
+                orders = [grevlex_order(m), lex_order(m), grevlex_order(m, perm),
+                          lex_order(m, perm)]
+                if m > 1:
+                    block = rng.randint(1, m - 1)
+                    orders += [elimination_order(m, block),
+                               elimination_order(m, block, perm)]
+                exp = tuple(rng.randint(0, 4) for _ in range(m))
+                for order in orders:
+                    assert order.key(exp) == self.reference_key(order, exp)
+
     def test_leading_term(self):
         p = P("x1^3 + x1*x2^3")
         assert p.leading(grevlex_order(2))[0] == (1, 3)
