@@ -13,12 +13,12 @@ from .cluster import (EnumerationResult, ExchangeMatrix, LaurentViolation,
 from .factoriality import (CoincidentExchangePolynomials, ConjectureOutcome,
                            ConsistencyError, ExchangeIdeals,
                            FactorSearchResult, FreeIndex, FreeVariable,
-                           Inconclusive, NonCoprimeExchangePolynomials,
-                           NormalFormResult, NotUFD, ProverResult,
-                           ReducibleExchangePolynomial, SinkSourceSplit,
-                           SupportCertificate, UFD, algebra_membership,
-                           binomial_irreducible, binomial_witness_factors,
-                           brute_force_factor, check_assumptions,
+                           Inconclusive, NormalFormResult, NotUFD,
+                           ProverResult, ReducibleExchangePolynomial,
+                           SinkSourceSplit, SupportCertificate, UFD,
+                           algebra_membership, binomial_irreducible,
+                           binomial_witness_factors, brute_force_factor,
+                           check_assumptions,
                            conjecture_check, necessary_conditions,
                            inductive_prover, multi_indices_of_weight,
                            normal_form_element, power_membership_linear,

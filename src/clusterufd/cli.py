@@ -22,9 +22,9 @@ from .cluster import (ExchangeMatrix, Seed, builtin_seed,
                       structure_report, verify_laurent_property)
 from .factoriality import (CoincidentExchangePolynomials, ConjectureOutcome,
                            ExchangeIdeals, FreeIndex, FreeVariable,
-                           Inconclusive, NonCoprimeExchangePolynomials, NotUFD,
-                           ReducibleExchangePolynomial, SinkSourceSplit,
-                           SupportCertificate, UFD, algebra_membership,
+                           Inconclusive, NotUFD, ReducibleExchangePolynomial,
+                           SinkSourceSplit, SupportCertificate, UFD,
+                           algebra_membership, certificate_size_limit,
                            check_assumptions, conjecture_check,
                            necessary_conditions, inductive_prover,
                            multi_indices_of_weight, normal_form_element,
@@ -104,9 +104,6 @@ def _witness_dict(witness) -> dict:
     if isinstance(witness, ReducibleExchangePolynomial):
         return {"reducible": {"index": witness.index,
                               "factors": [str(g) for g in witness.factors]}}
-    if isinstance(witness, NonCoprimeExchangePolynomials):
-        return {"noncoprime": {"i": witness.i, "j": witness.j,
-                               "scalar": str(witness.scalar)}}
     raise TypeError(f"unknown witness {witness!r}")
 
 
@@ -116,8 +113,6 @@ def _witness_text(witness) -> str:
     if isinstance(witness, ReducibleExchangePolynomial):
         g, h = witness.factors
         return f"f_{witness.index} factors as ({g}) * ({h})"
-    if isinstance(witness, NonCoprimeExchangePolynomials):
-        return f"f_{witness.i} = {witness.scalar} * f_{witness.j}"
     return str(witness)
 
 
@@ -142,7 +137,7 @@ def _certificate_list(certificate: SupportCertificate) -> list[dict]:
 
 def _require_certificate(ideals: ExchangeIdeals):
     """A verified certificate, or a reason string why none is available."""
-    problem = check_assumptions(ideals)
+    problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
     if problem is not None:
         return None, problem
     result = inductive_prover(ideals)
@@ -299,7 +294,7 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
         report.text(_witness_text(witness))
         report.emit("NotUFD")
         return 1
-    problem = check_assumptions(ideals)
+    problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
     if problem is not None:
         report.set("reason", problem)
         report.text(problem)
@@ -314,12 +309,14 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
     problems = result.certificate.verify(seed.matrix, ideals)
     if problems:
         raise RuntimeError(f"certificate failed verification: {problems}")
-    report.set("certificate", _certificate_list(result.certificate))
-    report.set("supports", len(result.certificate))
-    report.text(f"certificate covers {len(result.certificate)} supports:")
-    for entry in _certificate_list(result.certificate):
-        rest = {k: v for k, v in entry.items() if k != "support"}
-        report.text(f"  {entry['support']}: {rest}")
+    entries = _certificate_list(result.certificate)
+    report.set("certificate", entries)
+    report.set("supports", len(entries))
+    if not report.as_json:
+        report.text(f"certificate covers {len(entries)} supports:")
+        for entry in entries:
+            rest = {k: v for k, v in entry.items() if k != "support"}
+            report.text(f"  {entry['support']}: {rest}")
     report.emit("certified")
     return 0
 

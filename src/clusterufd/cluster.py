@@ -94,7 +94,7 @@ def find_skew_symmetrizer(principal: Sequence[Sequence[int]]):
 class ExchangeMatrix:
     """An m x n integer exchange matrix with skew-symmetrizable principal part."""
 
-    __slots__ = ("rows", "n", "m", "_hash")
+    __slots__ = ("rows", "n", "m", "_hash", "_adjacency")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(entry for entry in row) for row in rows)
@@ -120,6 +120,7 @@ class ExchangeMatrix:
         self.n = n
         self.m = m
         self._hash = None
+        self._adjacency = None
 
     @classmethod
     def _raw(cls, rows: tuple, n: int, m: int) -> "ExchangeMatrix":
@@ -128,6 +129,7 @@ class ExchangeMatrix:
         self.n = n
         self.m = m
         self._hash = None
+        self._adjacency = None
         return self
 
     def entry(self, i: int, j: int) -> int:
@@ -160,18 +162,31 @@ class ExchangeMatrix:
             new_rows.append(tuple(new_row))
         return ExchangeMatrix._raw(tuple(new_rows), self.n, self.m)
 
+    def _compute_adjacency(self):
+        """(neighbors of rows 1..m, source flags, sink flags of columns 1..n).
+
+        Computed on first use and cached: a matrix never changes after
+        construction, and each mutation builds a new one with an empty cache.
+        """
+        n, rows = self.n, self.rows
+        neighbors = tuple(tuple(j + 1 for j in range(n) if row[j] != 0 and j != i)
+                          for i, row in enumerate(rows))
+        sources = tuple(all(row[j] <= 0 for row in rows) for j in range(n))
+        sinks = tuple(all(row[j] >= 0 for row in rows) for j in range(n))
+        self._adjacency = (neighbors, sources, sinks)
+        return self._adjacency
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Mutable indices j with b_ij != 0, for any row index i in 1..m."""
-        row = self.rows[i - 1]
-        return tuple(j + 1 for j in range(self.n) if row[j] != 0 and j != i - 1)
+        return (self._adjacency or self._compute_adjacency())[0][i - 1]
 
     def is_source(self, i: int) -> bool:
         """No arrow points into i: column i is non-positive (all m rows)."""
-        return all(row[i - 1] <= 0 for row in self.rows)
+        return (self._adjacency or self._compute_adjacency())[1][i - 1]
 
     def is_sink(self, i: int) -> bool:
         """No arrow points out of i: column i is non-negative (all m rows)."""
-        return all(row[i - 1] >= 0 for row in self.rows)
+        return (self._adjacency or self._compute_adjacency())[2][i - 1]
 
     def __eq__(self, other):
         if not isinstance(other, ExchangeMatrix):

@@ -392,38 +392,16 @@ class CoincidentExchangePolynomials:
     value: Polynomial
 
 
-@dataclass(frozen=True)
-class NonCoprimeExchangePolynomials:
-    """f_i and f_j are proportional without being equal."""
-
-    i: int
-    j: int
-    scalar: object
-
-
-NotUFDWitness = Union[ReducibleExchangePolynomial, CoincidentExchangePolynomials,
-                      NonCoprimeExchangePolynomials]
-
-
-def _scalar_multiple(f: Polynomial, g: Polynomial):
-    """The scalar c with f = c * g, or None."""
-    if set(f.terms) != set(g.terms):
-        return None
-    ratio = None
-    for exp, c in f.terms.items():
-        r = c / g.terms[exp]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+NotUFDWitness = Union[ReducibleExchangePolynomial, CoincidentExchangePolynomials]
 
 
 def necessary_conditions(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
-    """The cheap refutations: reducible, coincident or proportional f_i.
+    """The cheap refutations: reducible or coincident f_i.
 
     Checked in a fixed order (irreducibility by ascending index, then pair
     coincidences in ascending (i, j)) so the reported witness is stable.
+    Every f_i is a binomial with both coefficients one, so proportional
+    exchange polynomials are equal and the coincidence check covers them.
     """
     if ideals.m < 2:
         raise ValueError("single-variable seeds are outside the supported scope")
@@ -444,10 +422,6 @@ def necessary_conditions(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
     for i, j in combinations(range(1, ideals.n + 1), 2):
         if polys[i - 1] == polys[j - 1]:
             return CoincidentExchangePolynomials(i, j, polys[i - 1])
-    for i, j in combinations(range(1, ideals.n + 1), 2):
-        scalar = _scalar_multiple(polys[i - 1], polys[j - 1])
-        if scalar is not None:
-            return NonCoprimeExchangePolynomials(i, j, scalar)
     return None
 
 
@@ -623,17 +597,30 @@ class ProverResult:
     stuck_supports: tuple[tuple[int, ...], ...]
 
 
+# The certificate lists all 2^n - 1 supports, so the search is capped here.
+MAX_CERTIFICATE_N = 16
+
+
+def certificate_size_limit(n: int) -> Optional[str]:
+    """Why no certificate is searched for on n mutable indices, or None."""
+    if n > MAX_CERTIFICATE_N:
+        return (f"certificate search enumerates 2^{n} supports; n = {n} is "
+                f"past the limit n <= {MAX_CERTIFICATE_N}")
+    return None
+
+
 def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
     """Search for a justification per support, in a fixed deterministic order.
 
     Assumes the standing assumptions (connected, acyclic, coprime
     irreducible exchange polynomials) were already verified by the caller.
+    Raises ``ValueError`` past ``MAX_CERTIFICATE_N`` mutable indices.
     """
     matrix = ideals.matrix
     n = ideals.n
-    if n > 16:
-        raise ValueError(f"certificate search enumerates 2^{n} supports; "
-                         f"n = {n} is past the supported size")
+    too_large = certificate_size_limit(n)
+    if too_large is not None:
+        raise ValueError(too_large)
     entries = {}
     stuck = []
     for size in range(1, n + 1):
@@ -740,6 +727,9 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
         if note:
             reason = f"{reason}; {note}"
         return Inconclusive(reason, (), bound)
+    too_large = certificate_size_limit(ideals.n)
+    if too_large is not None:
+        return Inconclusive(too_large, (), 0)
     result = inductive_prover(ideals)
     if result.certificate is None:
         bound, note = _verified_weight_bound(ideals, degree_bound, budget,

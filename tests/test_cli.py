@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON schema, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 import clusterufd
 from clusterufd import cli
 from clusterufd.cli import main
-from clusterufd.factoriality import ConsistencyError
+from clusterufd.cluster import builtin_matrix
+from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
+                                     ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
 
 STUCK_SEED = {
@@ -360,3 +363,107 @@ def test_sympy_is_imported_only_by_the_factor_oracle():
     assert code == 1          # A:3 is refuted by coincident f_1 = f_3
     assert before is False    # the verdict never touched sympy
     assert after is True      # x1 + x2 + 1 is no binomial: the oracle ran
+
+
+# sha256 of stdout, recorded before the adjacency cache and the single
+# certificate rendering; the certificate path must keep them byte-identical.
+PROVE_UFD_STDOUT_SHA256 = {
+    ("A:14", "--json"):
+        "aa439f8b00b9f63ece95d0aea33fcfe47e27b741de1b3ca3ea097ac6acd66d8e",
+    ("A:14",):
+        "e752db5b375f7c5d05abd180dfa493f3f3028d949e925b8d53fd52125127764f",
+    ("E:8",):
+        "7c561e71228575a8775538cddba60171ff623ed356f74fb88556c6d143564f9e",
+}
+
+# sha256 of repr(list(certificate.entries.items())), insertion order
+# included, so both the justifications and the search order are pinned.
+CERTIFICATE_ENTRIES_SHA256 = {
+    "A:1": "7aba7d71df40383fb24feac7dc30ec30c9230347dd949f07f792b4a169b1ce84",
+    "A:2": "ed0130466c561a6879f9eaf8f383260850255bb845dafa9ecdb8ec82b8093795",
+    "A:3": "1636b0d44407c19e71e3965ca32a855b208d8d2d63f5f1deb22873379425cee9",
+    "A:4": "28939f656b881b982a5ec6997160868a5f7614238c460e3102356b0939cfa9b8",
+    "A:5": "2ddcd629a4b1394036042bbb6f2cf80cbebe5e755963eb590546ebd43efc64f5",
+    "A:6": "8a62a26d278480b01e67b47f0723a24a4bb9bcd20687e0b6f3a54389addf3166",
+    "A:7": "ea15fa163b576130c0fff236c6a547e95ac46114aa0cb24451328e0287f12c54",
+    "A:8": "06c8cda1d5ef0c1520f0fa17f2da69dfd53d87dc73df0df665dd5059fd80aeaa",
+    "A:9": "ed44cfd05d7bd535f8b6440308cf9a07c1d29350817de795473d90971ea9cad7",
+    "A:10": "a1ef9473ecc5196089aa629fab3df7dab4d41ab64accf21ea38eaf8032168e92",
+    "A:11": "8f28c73918101c7df0e3f0ad45473cae6727f439f96c46c648202c9cae1b7a56",
+    "A:12": "b0d680dc1650d1f8943fc1b5e8cf40644f0236727fdef2db18c6045b0f6ac2f0",
+    "D:4": "6134655053a3a41f11d17a4b7de675208e0f676366f8172ad39fc1c48cdcf159",
+    "D:5": "f0791c0266da964d038f55fdcbee4ca81aebc0e7aa3b7e39e891a45b7e03211f",
+    "D:6": "187bd9cee388a66b3cc016057035bdb7fa87e9061623c54be63ece8f1b0af94c",
+    "D:7": "828a926a832a12fcdf230a5da9806e15fc4b563c1171f64e72f3816bd78c761d",
+    "D:8": "73a02cc68e1d714732506051b0b71547173144119f175cf58c2f58311bd8648a",
+    "D:9": "68bc9fc3ffda5b297fe026bce65ad2c39d94880bf29bcc760b536bbd915eb85c",
+    "D:10": "9fc36654b3cce6fbdcae60fc606844fc1101e4ea9841915d58a5d311ca2389a8",
+    "D:11": "674fb8eedcfafbc65262515142fccb6faf94a5ccc9df5e8764f258f778a8bc0a",
+    "D:12": "4b35935c7135ee9d8955f8226a94b0320a62ddd5ca1e20c40bb8525b14222628",
+    "E:6": "7a203f2f311a89f41989504db46e71ddc9b9e467b2f84a2509d6099a6240ad7b",
+    "E:7": "91e97cd1028d41fe1208f4e602bcd2a793053673bae0a7762fa542db6481ae6e",
+    "E:8": "8a6ce15f72e3b25d7087fcf1671cb3d5ae92502507ed430f78237ff8e7c55d48",
+    "kronecker": "ed0130466c561a6879f9eaf8f383260850255bb845dafa9ecdb8ec82b8093795",
+    "rank2:1,4": "ed0130466c561a6879f9eaf8f383260850255bb845dafa9ecdb8ec82b8093795",
+    "rank2:2,3": "ed0130466c561a6879f9eaf8f383260850255bb845dafa9ecdb8ec82b8093795",
+}
+
+
+class TestCertificatePins:
+    @pytest.mark.parametrize("argv", sorted(PROVE_UFD_STDOUT_SHA256))
+    def test_prove_ufd_stdout(self, capsys, argv):
+        code, out, _ = run(capsys, "prove-ufd", "--builtin", *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == PROVE_UFD_STDOUT_SHA256[argv]
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_ENTRIES_SHA256))
+    def test_certificate_entries(self, name):
+        result = inductive_prover(ExchangeIdeals(builtin_matrix(name)))
+        text = repr(list(result.certificate.entries.items()))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == CERTIFICATE_ENTRIES_SHA256[name]
+
+    def test_cyclic_stuck_supports(self):
+        result = inductive_prover(ExchangeIdeals(builtin_matrix("cyclicA3")))
+        assert result.certificate is None
+        assert result.stuck_supports == ((1, 2), (1, 3), (2, 3), (1, 2, 3))
+
+
+class TestSizeLimit:
+    """Past MAX_CERTIFICATE_N the answer is Inconclusive, not an input error."""
+
+    @pytest.mark.parametrize("command, verdict", [("verdict", "Inconclusive"),
+                                                  ("prove-ufd", "inconclusive")])
+    def test_past_the_limit_is_inconclusive(self, capsys, command, verdict):
+        n = MAX_CERTIFICATE_N + 1
+        code, body = run_json(capsys, command, "--builtin", f"A:{n}")
+        assert code == 2
+        assert body["verdict"] == verdict
+        assert f"2^{n}" in body["reason"]
+        assert f"n <= {MAX_CERTIFICATE_N}" in body["reason"]
+        if command == "verdict":
+            assert body["verified_bound"] == 0
+            assert body["stuck_supports"] == []
+
+    def test_member_past_the_limit_is_inconclusive(self, capsys):
+        code, body = run_json(capsys, "member", "--builtin", "A:17",
+                              "--expr", "x1")
+        assert code == 2
+        assert "2^17" in body["reason"]
+
+
+SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("script", ["reproduce_dynkin_table.py",
+                                    "counterexample_walkthrough.py"])
+def test_script_runs(script):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clusterufd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS_DIR, script)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

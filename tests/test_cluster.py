@@ -425,3 +425,59 @@ class TestHypersurface:
     def test_too_small(self):
         with pytest.raises(ValueError):
             hypersurface_relation(1)
+
+
+def _adjacency_from_rows(mat: ExchangeMatrix):
+    """Neighbors of every row and source/sink flags, straight from the rows."""
+    rows, n = mat.rows, mat.n
+    neighbors = [tuple(j + 1 for j in range(n) if j != i and row[j] != 0)
+                 for i, row in enumerate(rows)]
+    sources = [all(row[j] <= 0 for row in rows) for j in range(n)]
+    sinks = [all(row[j] >= 0 for row in rows) for j in range(n)]
+    return neighbors, sources, sinks
+
+
+def _adjacency_from_methods(mat: ExchangeMatrix):
+    return ([mat.neighbors(i) for i in range(1, mat.m + 1)],
+            [mat.is_source(j) for j in range(1, mat.n + 1)],
+            [mat.is_sink(j) for j in range(1, mat.n + 1)])
+
+
+ADJACENCY_BUILTINS = ("A:1", "A:2", "A:5", "D:4", "D:7", "E:6", "E:7", "E:8",
+                      "kronecker", "cyclicA3", "rank2:1,4", "rank2:2,3")
+
+
+class TestAdjacencyCache:
+    @pytest.mark.parametrize("name", ADJACENCY_BUILTINS)
+    def test_builtins_match_rows(self, name):
+        mat = builtin_matrix(name)
+        assert _adjacency_from_methods(mat) == _adjacency_from_rows(mat)
+
+    def test_mutation_sequences_match_rows(self):
+        rng = random.Random(211)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            mat = ExchangeMatrix(
+                random_skew_symmetrizable(rng, n, frozen=rng.randint(0, 3)))
+            for _ in range(8):
+                mat = mat.mutate(rng.randint(1, n))
+                assert _adjacency_from_methods(mat) == _adjacency_from_rows(mat)
+
+    def test_mutated_matrix_has_its_own_cache(self):
+        mat = linear_a_matrix(3)
+        assert mat.is_source(1) and mat.neighbors(1) == (2,)
+        mutated = mat.mutate(1)
+        assert mutated._adjacency is None
+        assert mutated.is_sink(1) and not mutated.is_source(1)
+        assert mutated._adjacency is not mat._adjacency
+        assert mat.is_source(1)                 # the parent's cache is intact
+        assert _adjacency_from_methods(mutated) == _adjacency_from_rows(mutated)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        warm = builtin_matrix("E:6")
+        warm.neighbors(1)
+        cold = builtin_matrix("E:6")
+        assert warm._adjacency is not None and cold._adjacency is None
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert len({warm, cold}) == 1

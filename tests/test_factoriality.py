@@ -12,6 +12,7 @@ from clusterufd.groebner import GroebnerBudget, ideal_membership, normal_form
 from clusterufd.parse import parse_expression, parse_polynomial
 from clusterufd.poly import Polynomial
 from clusterufd.factoriality import (
+    MAX_CERTIFICATE_N,
     CoincidentExchangePolynomials,
     ConjectureOutcome,
     ExchangeIdeals,
@@ -440,6 +441,14 @@ class TestVerdict:
         assert isinstance(verdict, Inconclusive)
         assert verdict.stuck_supports == ((2, 3),)
         assert verdict.verified_bound == 2
+
+    def test_past_size_limit_is_inconclusive(self):
+        n = MAX_CERTIFICATE_N + 1
+        verdict = ufd_verdict(ideals_for(f"A:{n}"))
+        assert isinstance(verdict, Inconclusive)
+        assert f"2^{n} supports" in verdict.reason
+        assert verdict.stuck_supports == ()
+        assert verdict.verified_bound == 0
 
     def test_budget_shortens_cross_check_but_keeps_verdict(self):
         verdict = ufd_verdict(ideals_for("A:4"), degree_bound=2,
