@@ -18,8 +18,8 @@ from .factoriality import (CoincidentExchangePolynomials, ConjectureOutcome,
                            SinkSourceSplit, SupportCertificate, UFD,
                            algebra_membership, binomial_irreducible,
                            binomial_witness_factors, brute_force_factor,
-                           check_assumptions,
-                           conjecture_check, necessary_conditions,
+                           check_assumptions, conjecture_check,
+                           conjecture_sweep, necessary_conditions,
                            inductive_prover, multi_indices_of_weight,
                            normal_form_element, power_membership_linear,
                            ufd_verdict)

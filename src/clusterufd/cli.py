@@ -20,15 +20,14 @@ from .cluster import (ExchangeMatrix, Seed, builtin_seed,
                       enumerate_cluster_variables, exchange_polynomial,
                       hypersurface_relation_check, load_seed_file,
                       structure_report, verify_laurent_property)
-from .factoriality import (CoincidentExchangePolynomials, ConjectureOutcome,
-                           ExchangeIdeals, FreeIndex, FreeVariable,
-                           Inconclusive, NotUFD, ReducibleExchangePolynomial,
-                           SinkSourceSplit, SupportCertificate, UFD,
-                           algebra_membership, certificate_size_limit,
-                           check_assumptions, conjecture_check,
+from .factoriality import (CoincidentExchangePolynomials, ExchangeIdeals,
+                           FreeIndex, FreeVariable, Inconclusive, NotUFD,
+                           ReducibleExchangePolynomial, SinkSourceSplit,
+                           SupportCertificate, UFD, algebra_membership,
+                           certificate_size_limit, check_assumptions,
+                           conjecture_check, conjecture_sweep,
                            necessary_conditions, inductive_prover,
-                           multi_indices_of_weight, normal_form_element,
-                           ufd_verdict)
+                           normal_form_element, ufd_verdict)
 from .fields import FieldTag
 from .groebner import DEFAULT_BUDGET, GroebnerBudget
 from .parse import ParseError, parse_expression, parse_polynomial
@@ -251,21 +250,13 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
         except ValueError:
             raise ValueError(f"--index must be comma-separated integers, "
                              f"got {args.index!r}")
-        outcome = conjecture_check(ideals, a, budget,
-                                   override_assumptions=args.override_assumptions)
-        return _finish_conjecture(report, [outcome])
-    outcomes = []
-    for weight in range(1, args.max_total_degree + 1):
-        for a in multi_indices_of_weight(ideals.n, weight):
-            outcome = conjecture_check(ideals, a, budget,
-                                       override_assumptions=args.override_assumptions)
-            outcomes.append(outcome)
-            if outcome.status != "holds":
-                return _finish_conjecture(report, outcomes)
-    return _finish_conjecture(report, outcomes)
-
-
-def _finish_conjecture(report: _Report, outcomes: list[ConjectureOutcome]) -> int:
+        outcomes = [conjecture_check(ideals, a, budget,
+                                     override_assumptions=args.override_assumptions)]
+    elif args.max_total_degree < 1:
+        raise ValueError("--max-total-degree must be positive")
+    else:
+        outcomes = conjecture_sweep(ideals, args.max_total_degree, budget,
+                                    override_assumptions=args.override_assumptions)
     last = outcomes[-1]
     report.set("checked", len(outcomes))
     report.set("multi_index", list(last.multi_index))

@@ -503,6 +503,23 @@ def multi_indices_of_weight(n: int, weight: int):
             yield (first,) + rest
 
 
+def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
+                     budget: GroebnerBudget = DEFAULT_BUDGET,
+                     override_assumptions: bool = False) -> list[ConjectureOutcome]:
+    """``conjecture_check`` at every multi-index of weight 1..degree_bound,
+    in order, stopping after the first outcome that does not hold.  The
+    standing assumptions do not depend on the multi-index, so unless
+    overridden they are checked at the first one only."""
+    outcomes = []
+    for weight in range(1, degree_bound + 1):
+        for a in multi_indices_of_weight(ideals.n, weight):
+            outcomes.append(conjecture_check(ideals, a, budget,
+                                             override_assumptions or bool(outcomes)))
+            if outcomes[-1].status != "holds":
+                return outcomes
+    return outcomes
+
+
 # -- the inductive certificate search ---------------------------------------
 
 @dataclass(frozen=True)
@@ -687,81 +704,70 @@ class Inconclusive:
 UFDVerdict = Union[NotUFD, UFD, Inconclusive]
 
 
-def _verified_weight_bound(ideals: ExchangeIdeals, degree_bound: int,
-                           budget: GroebnerBudget,
-                           override_assumptions: bool) -> tuple[int, str]:
+def _swept_bound(ideals: ExchangeIdeals, degree_bound: int,
+                 budget: GroebnerBudget) -> tuple[int, Optional[ConjectureOutcome]]:
     """Largest weight L <= degree_bound with every |a| <= L conjecture check
-    passing, plus a note describing any early stop."""
-    for weight in range(1, degree_bound + 1):
-        for a in multi_indices_of_weight(ideals.n, weight):
-            outcome = conjecture_check(ideals, a, budget, override_assumptions)
-            if outcome.status == "fails":
-                return weight - 1, (f"ideal equality fails at {a} "
-                                    f"(witness {outcome.witness})")
-            if outcome.status == "inconclusive":
-                return weight - 1, f"budget exhausted at {a}"
-    return degree_bound, ""
+    passing, plus the outcome that stopped the sweep early, if any.  The
+    caller has already checked the standing assumptions."""
+    outcomes = conjecture_sweep(ideals, degree_bound, budget,
+                                override_assumptions=True)
+    if outcomes and outcomes[-1].status != "holds":
+        return sum(outcomes[-1].multi_index) - 1, outcomes[-1]
+    return degree_bound, None
+
+
+def _inconclusive(ideals: ExchangeIdeals, reason: str,
+                  stuck: tuple[tuple[int, ...], ...], degree_bound: int,
+                  budget: GroebnerBudget) -> Inconclusive:
+    """Inconclusive, recording how far the direct weight sweep got."""
+    bound, stop = _swept_bound(ideals, degree_bound, budget)
+    if stop is not None and stop.status == "fails":
+        reason += (f"; ideal equality fails at {stop.multi_index} "
+                   f"(witness {stop.witness})")
+    elif stop is not None:
+        reason += f"; budget exhausted at {stop.multi_index}"
+    return Inconclusive(reason, stuck, bound)
 
 
 def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
                 budget: GroebnerBudget = DEFAULT_BUDGET) -> UFDVerdict:
-    """Necessary conditions, then certificate search, then cross-validation.
+    """Necessary conditions, standing assumptions, certificate search, then
+    cross-validation.
 
     A passing bounded search never upgrades to a UFD verdict on its own:
     only a complete verified certificate does.  Conversely a certificate
     that contradicts a direct Groebner check raises ``ConsistencyError``.
     """
-    matrix = ideals.matrix
-    if matrix.m < 2:
-        raise ValueError("single-variable seeds are outside the supported scope")
-    report = structure_report(matrix)
-    if not report.connected:
-        raise ValueError("the exchange matrix must be connected")
+    if degree_bound < 0:
+        raise ValueError("the cross-check degree bound must be non-negative")
     witness = necessary_conditions(ideals)
     if witness is not None:
         return NotUFD(witness)
-    if not report.acyclic:
-        bound, note = _verified_weight_bound(ideals, degree_bound, budget,
-                                             override_assumptions=True)
-        reason = "the principal quiver has an oriented cycle; the certificate search needs an acyclic seed"
-        if note:
-            reason = f"{reason}; {note}"
-        return Inconclusive(reason, (), bound)
+    reason = check_assumptions(ideals)
+    if reason == "the principal quiver has an oriented cycle":
+        reason += "; the certificate search needs an acyclic seed"
     too_large = certificate_size_limit(ideals.n)
     if too_large is not None:
-        return Inconclusive(too_large, (), 0)
+        return Inconclusive(reason or too_large, (), 0)
+    if reason is not None:
+        return _inconclusive(ideals, reason, (), degree_bound, budget)
     result = inductive_prover(ideals)
     if result.certificate is None:
-        bound, note = _verified_weight_bound(ideals, degree_bound, budget,
-                                             override_assumptions=False)
-        reason = "no applicable lemma for some supports"
-        if note:
-            reason = f"{reason}; {note}"
-        return Inconclusive(reason, result.stuck_supports, bound)
-    problems = result.certificate.verify(matrix, ideals)
+        return _inconclusive(ideals, "no applicable lemma for some supports",
+                             result.stuck_supports, degree_bound, budget)
+    problems = result.certificate.verify(ideals.matrix, ideals)
     if problems:
         raise ConsistencyError(f"freshly built certificate fails to verify: {problems}")
     if ideals.n > 8:
         logger.info("skipping conjecture cross-check for n = %d > 8", ideals.n)
         return UFD(result.certificate, 0, notes="cross-check skipped (n > 8)")
-    notes = ""
-    checked = 0
-    for weight in range(1, degree_bound + 1):
-        stop = False
-        for a in multi_indices_of_weight(ideals.n, weight):
-            outcome = conjecture_check(ideals, a, budget)
-            if outcome.status == "fails":
-                raise ConsistencyError(
-                    f"certificate contradicts a direct check at {a}: "
-                    f"witness {outcome.witness}")
-            if outcome.status == "inconclusive":
-                notes = f"cross-check stopped by budget at {a}"
-                stop = True
-                break
-        if stop:
-            break
-        checked = weight
-    return UFD(result.certificate, checked, notes=notes)
+    bound, stop = _swept_bound(ideals, degree_bound, budget)
+    if stop is not None and stop.status == "fails":
+        raise ConsistencyError(
+            f"certificate contradicts a direct check at {stop.multi_index}: "
+            f"witness {stop.witness}")
+    notes = "" if stop is None else f"cross-check stopped by budget at {stop.multi_index}"
+    return UFD(result.certificate, bound, notes=notes)
 
 
 # -- membership and normal forms under a verified certificate ----------------

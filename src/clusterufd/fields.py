@@ -194,6 +194,3 @@ class FieldTag(Enum):
         if isinstance(value, GaussianRational):
             return not value.im and value.re.denominator == 1
         return value.denominator == 1
-
-    def scalar_str(self, value: FieldElement) -> str:
-        return str(value)

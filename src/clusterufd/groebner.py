@@ -249,9 +249,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.polys)
 
-    def contains(self, p: Polynomial) -> bool:
-        return normal_form(p, self).is_zero
-
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].total_degree() == 0
 

@@ -41,10 +41,6 @@ def ev_divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
 
-def ev_degree(a: Exponent) -> int:
-    return sum(a)
-
-
 # -- monomial orders --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -432,10 +428,6 @@ class LaurentPolynomial:
         raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "LaurentPolynomial":
-        return cls(p, (0,) * p.m)
 
     @classmethod
     def zero(cls, m: int, field: FieldTag) -> "LaurentPolynomial":

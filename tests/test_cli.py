@@ -467,3 +467,78 @@ def test_script_runs(script):
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS_DIR, script)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+DISCONNECTED_SEEDS = {
+    "A2+A2": {"n": 4, "m": 4, "matrix": [[0, 1, 0, 0], [-1, 0, 0, 0],
+                                         [0, 0, 0, 1], [0, 0, -1, 0]]},
+    "frozen A1+A1": {"n": 2, "m": 4, "matrix": [[0, 0], [0, 0], [1, 0], [0, 1]]},
+}
+
+
+@pytest.fixture(params=sorted(DISCONNECTED_SEEDS))
+def disconnected_seed_file(request, tmp_path):
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps(DISCONNECTED_SEEDS[request.param]))
+    return str(path)
+
+
+class TestDisconnected:
+    """A disconnected seed without a zero column is inconclusive everywhere."""
+
+    def test_verdict_sweeps_anyway(self, capsys, disconnected_seed_file):
+        code, body = run_json(capsys, "verdict", "--seed",
+                              disconnected_seed_file, "--bound", "2")
+        assert code == 2
+        assert body["verdict"] == "Inconclusive"
+        assert body["reason"].startswith("the exchange matrix is not connected")
+        assert body["stuck_supports"] == []
+        assert body["verified_bound"] == 2
+
+    @pytest.mark.parametrize("argv", [("prove-ufd",),
+                                      ("member", "--expr", "(x2 + 1)/x1"),
+                                      ("normal-form", "--expr", "x1 + x2 + 1")])
+    def test_certificate_commands(self, capsys, disconnected_seed_file, argv):
+        code, body = run_json(capsys, argv[0], "--seed", disconnected_seed_file,
+                              *argv[1:])
+        assert code == 2
+        assert body["verdict"] == "inconclusive"
+        assert body["reason"].startswith("the exchange matrix is not connected")
+
+    def test_zero_column_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 2, "m": 3,
+                                    "matrix": [[0, 0], [0, 0], [1, 0]]}))
+        for command in ("verdict", "prove-ufd"):
+            code, body = run_json(capsys, command, "--seed", str(path))
+            assert code == 3
+            assert "column 2 is zero" in body["error"]
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_non_positive_max_total_degree(self, capsys, degree):
+        code, body = run_json(capsys, "check-conjecture", "--builtin", "A:2",
+                              "--max-total-degree", degree)
+        assert code == 3
+        assert body["verdict"] == "error"
+        assert "--max-total-degree" in body["error"]
+
+    def test_negative_bound_is_an_input_error(self, capsys):
+        code, body = run_json(capsys, "verdict", "--builtin", "cyclicA3",
+                              "--bound", "-2")
+        assert code == 3
+        assert body["verdict"] == "error"
+        assert "bound" in body["error"]
+
+    def test_zero_bound_means_no_cross_check(self, capsys):
+        code, body = run_json(capsys, "verdict", "--builtin", "cyclicA3",
+                              "--bound", "0")
+        assert code == 2
+        assert body["reason"] == ("the principal quiver has an oriented cycle; "
+                                  "the certificate search needs an acyclic seed")
+        assert body["verified_bound"] == 0
+        code, body = run_json(capsys, "verdict", "--builtin", "A:2",
+                              "--bound", "0")
+        assert code == 0
+        assert body["cross_checked_bound"] == 0

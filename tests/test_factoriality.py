@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_polynomial
+from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
 from clusterufd.groebner import GroebnerBudget, ideal_membership, normal_form
@@ -30,6 +31,7 @@ from clusterufd.factoriality import (
     brute_force_factor,
     check_assumptions,
     conjecture_check,
+    conjecture_sweep,
     necessary_conditions,
     inductive_prover,
     multi_indices_of_weight,
@@ -546,3 +548,87 @@ class TestNormalFormElement:
         with pytest.raises(ValueError) as err:
             normal_form_element(ideals, P("x1 + x1*x2", 2), cert)
         assert "x1 divides" in str(err.value)
+
+
+# -- the weight sweep and the verdict's stage order ---------------------------
+
+DISCONNECTED_ROWS = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+def cyclic_path_rows(n: int) -> list[list[int]]:
+    """The oriented 3-cycle 1 -> 2 -> 3 -> 1 with a path 3 - 4 - ... - n."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in [(0, 1), (1, 2), (2, 0)] + [(k - 1, k) for k in range(3, n)]:
+        rows[i][j], rows[j][i] = 1, -1
+    return rows
+
+
+class TestConjectureSweep:
+    def test_weight_order_and_outcomes(self):
+        ideals = ideals_for("A:2")
+        outcomes = conjecture_sweep(ideals, 3)
+        expected = [a for w in (1, 2, 3) for a in multi_indices_of_weight(2, w)]
+        assert [o.multi_index for o in outcomes] == expected
+        assert outcomes == [conjecture_check(ideals, a) for a in expected]
+
+    def test_stops_after_first_outcome_that_does_not_hold(self):
+        outcomes = conjecture_sweep(ideals_for("cyclicA3"), 3,
+                                    override_assumptions=True)
+        assert [o.status for o in outcomes] == ["holds"] * 4 + ["fails"]
+        assert outcomes[-1].multi_index == (0, 1, 1)
+        budgeted = conjecture_sweep(ideals_for("A:4"), 2,
+                                    GroebnerBudget(max_reductions=3))
+        assert budgeted[-1].status == "inconclusive"
+        assert all(o.status == "holds" for o in budgeted[:-1])
+
+    def test_assumptions_checked_at_first_index_only(self, monkeypatch):
+        calls = []
+        original = factoriality.check_assumptions
+        monkeypatch.setattr(factoriality, "check_assumptions",
+                            lambda ideals: calls.append(ideals) or original(ideals))
+        assert len(conjecture_sweep(ideals_for("A:2"), 3)) == 9
+        assert len(calls) == 1
+
+    def test_empty_and_gated(self):
+        assert conjecture_sweep(ideals_for("A:2"), 0) == []
+        with pytest.raises(ValueError, match="override_assumptions"):
+            conjecture_sweep(ideals_for("cyclicA3"), 1)
+
+
+class TestVerdictStages:
+    def test_disconnected_is_inconclusive(self):
+        ideals = ExchangeIdeals(ExchangeMatrix(DISCONNECTED_ROWS))
+        verdict = ufd_verdict(ideals, degree_bound=2)
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.reason.startswith("the exchange matrix is not connected")
+        assert verdict.stuck_supports == ()
+        swept = conjecture_sweep(ideals, 2, override_assumptions=True)
+        assert all(o.status == "holds" for o in swept)
+        assert verdict.verified_bound == 2
+
+    def test_negative_degree_bound_rejected(self):
+        with pytest.raises(ValueError, match="degree bound"):
+            ufd_verdict(ideals_for("A:2"), degree_bound=-1)
+        verdict = ufd_verdict(ideals_for("A:2"), degree_bound=0)
+        assert isinstance(verdict, UFD)
+        assert verdict.cross_checked_bound == 0
+
+    @pytest.mark.parametrize("name", ["A:2", "cyclicA3"])
+    def test_assumptions_checked_once(self, monkeypatch, name):
+        calls = []
+        original = factoriality.check_assumptions
+        monkeypatch.setattr(factoriality, "check_assumptions",
+                            lambda ideals: calls.append(ideals) or original(ideals))
+        ufd_verdict(ideals_for(name), degree_bound=2)
+        assert len(calls) == 1
+
+    def test_cyclic_past_size_limit_never_sweeps(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept past the size limit")
+
+        monkeypatch.setattr(factoriality, "conjecture_sweep", no_sweep)
+        n = MAX_CERTIFICATE_N + 1
+        verdict = ufd_verdict(ExchangeIdeals(ExchangeMatrix(cyclic_path_rows(n))))
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.reason.startswith("the principal quiver has an oriented cycle")
+        assert verdict.verified_bound == 0
