@@ -135,7 +135,11 @@ def _certificate_list(certificate: SupportCertificate) -> list[dict]:
 
 
 def _require_certificate(ideals: ExchangeIdeals):
-    """A verified certificate, or a reason string why none is available."""
+    """A verified certificate, or a reason string why none is available.
+
+    A zero column is an input error here, as in ``verdict`` and ``prove-ufd``.
+    """
+    necessary_conditions(ideals)
     problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
     if problem is not None:
         return None, problem

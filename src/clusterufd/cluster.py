@@ -13,7 +13,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .fields import FieldTag
@@ -327,14 +329,10 @@ class Seed:
         if not 1 <= k <= self.matrix.n:
             raise ValueError(f"mutation index {k} outside 1..{self.matrix.n}")
         col = self.matrix.column(k)
-        pos = LaurentPolynomial.one(self.matrix.m, self.field)
-        neg = pos
-        for i, b in enumerate(col):
-            if b > 0:
-                pos = pos * self.cluster[i] ** b
-            elif b < 0:
-                neg = neg * self.cluster[i] ** (-b)
-        total = pos + neg
+        pos = [self.cluster[i] ** b for i, b in enumerate(col) if b > 0]
+        neg = [self.cluster[i] ** -b for i, b in enumerate(col) if b < 0]
+        one = LaurentPolynomial.one(self.matrix.m, self.field)
+        total = (reduce(mul, pos) if pos else one) + (reduce(mul, neg) if neg else one)
         new_entry = self._divide_laurent(total, self.cluster[k - 1])
         if any(new_entry.den[p] for p in range(self.matrix.n, self.matrix.m)):
             raise LaurentViolation(
@@ -400,6 +398,8 @@ def enumerate_cluster_variables(seed: Seed, max_seeds: int = 10_000,
 
     Seeds are deduplicated by their unordered set of mutable entries, not by
     mutation path, so finite types terminate with ``complete=True``.
+    Mutation is an involution, so a seed found here is never mutated again
+    in the direction it was reached by: that neighbour is its parent.
     """
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -407,10 +407,14 @@ def enumerate_cluster_variables(seed: Seed, max_seeds: int = 10_000,
     visited = {seed.dedup_key()}
     variables = set(seed.mutable_entries())
     expanded = 0
+    start_depth = len(seed.history)
     while queue and expanded < max_seeds:
         current = queue.popleft() if strategy == "bfs" else queue.pop()
         expanded += 1
+        back = current.history[-1] if len(current.history) > start_depth else None
         for k in range(1, seed.matrix.n + 1):
+            if k == back:
+                continue
             neighbor = current.mutate(k)
             key = neighbor.dedup_key()
             if key not in visited:

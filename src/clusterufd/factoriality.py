@@ -28,6 +28,8 @@ from .poly import (LaurentPolynomial, Polynomial, divide_exact, grevlex_order)
 
 logger = logging.getLogger("clusterufd")
 
+_UNCHECKED = object()
+
 
 class ConsistencyError(RuntimeError):
     """Two independent computations disagreed; this is always a bug."""
@@ -53,6 +55,7 @@ class ExchangeIdeals:
         self._f_powers: dict[tuple[int, int], Polynomial] = {}
         self._ideals: dict[int, Ideal] = {}
         self._power_ideals: dict[tuple[int, int], Ideal] = {}
+        self._necessary = _UNCHECKED  # necessary_conditions' answer, once known
 
     def exchange_poly(self, i: int) -> Polynomial:
         if not 1 <= i <= self.n:
@@ -402,7 +405,15 @@ def necessary_conditions(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
     coincidences in ascending (i, j)) so the reported witness is stable.
     Every f_i is a binomial with both coefficients one, so proportional
     exchange polynomials are equal and the coincidence check covers them.
+    The answer is kept on ``ideals``, so the checks run once however many
+    stages ask.
     """
+    if ideals._necessary is _UNCHECKED:
+        ideals._necessary = _necessary_witness(ideals)
+    return ideals._necessary
+
+
+def _necessary_witness(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
     if ideals.m < 2:
         raise ValueError("single-variable seeds are outside the supported scope")
     polys = [ideals.exchange_poly(i) for i in range(1, ideals.n + 1)]

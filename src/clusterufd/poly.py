@@ -285,10 +285,13 @@ class Polynomial:
                                        {e: v * c for e, v in self.terms.items()})
             return NotImplemented
         self._check_compatible(other)
+        if _over_integers(self, other):
+            return Polynomial._raw(self.m, self.field,
+                                   _integer_product(self.terms, other.terms))
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 if exp in out:
                     s = out[exp] + c1 * c2
                     if s:
@@ -304,12 +307,18 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        out = Polynomial.one(self.m, self.field)
+        if not k:
+            return Polynomial.one(self.m, self.field)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
         return out
 
@@ -353,12 +362,74 @@ class Polynomial:
         return acc
 
 
+# -- the integer kernel ------------------------------------------------------
+#
+# Over Q, cluster variables and exchange polynomials have integer
+# coefficients, so products and exact quotients of them can run on plain
+# ints.  Stored coefficients stay Fractions; only the inner loops change.
+
+def _over_integers(p: Polynomial, q: Polynomial) -> bool:
+    """True when both operands live over Q and every coefficient is an integer."""
+    return (p.field is FieldTag.Q
+            and all(c.denominator == 1 for c in p.terms.values())
+            and all(c.denominator == 1 for c in q.terms.values()))
+
+
+def _integer_product(t1: dict, t2: dict) -> dict:
+    """The terms of the product of two integral term dicts over Q."""
+    acc: dict = {}
+    get = acc.get
+    ints2 = [(e, c.numerator) for e, c in t2.items()]
+    for e1, c1 in t1.items():
+        c1 = c1.numerator
+        for e2, c2 in ints2:
+            exp = tuple(map(add, e1, e2))
+            acc[exp] = get(exp, 0) + c1 * c2
+    return {e: Fraction(c) for e, c in acc.items() if c}
+
+
+def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
+                    q_coeff, key, integral: bool) -> Optional[bool]:
+    """Divide ``rem`` by q in place, writing quotient terms into ``quot``.
+
+    True when ``rem`` is used up (exact), False when a term would land in
+    the remainder (not exact).  With ``integral`` the coefficients are ints
+    and the step stops, returning None, at the first quotient coefficient
+    that is not an integer.
+    """
+    while rem:
+        exp = max(rem, key=key)
+        if not ev_divides(q_exp, exp):
+            return False
+        if integral:
+            factor, r = divmod(rem[exp], q_coeff)
+            if r:
+                return None
+        else:
+            factor = rem[exp] / q_coeff
+        shift = ev_sub(exp, q_exp)
+        quot[shift] = factor
+        for e2, c2 in q_terms:
+            tgt = ev_add(shift, e2)
+            if tgt in rem:
+                s = rem[tgt] - factor * c2
+                if s:
+                    rem[tgt] = s
+                else:
+                    del rem[tgt]
+            else:
+                rem[tgt] = -factor * c2
+    return True
+
+
 def divide_exact(p: Polynomial, q: Polynomial,
                  order: Optional[MonomialOrder] = None) -> Optional[Polynomial]:
     """The quotient p/q when q divides p exactly, else None.
 
     Single-divisor multivariate division: whenever a term would land in the
-    remainder the division cannot be exact, so we stop early.
+    remainder the division cannot be exact, so we stop early.  Over Q with
+    integral operands the steps run on ints until a quotient coefficient
+    is not an integer, then continue on Fractions.
     """
     p._check_compatible(q)
     if q.is_zero:
@@ -369,26 +440,25 @@ def divide_exact(p: Polynomial, q: Polynomial,
         order = grevlex_order(p.m)
     key = order.key
     q_exp, q_coeff = q.leading(order)
-    q_terms = q.terms
-    rem = dict(p.terms)
     quot: dict = {}
-    while rem:
-        exp = max(rem, key=key)
-        if not ev_divides(q_exp, exp):
+    if _over_integers(p, q):
+        rem = {e: c.numerator for e, c in p.terms.items()}
+        q_ints = [(e, c.numerator) for e, c in q.terms.items()]
+        done = _division_steps(rem, quot, q_exp, q_ints, q_coeff.numerator,
+                               key, integral=True)
+        if done is False:
             return None
-        shift = ev_sub(exp, q_exp)
-        factor = rem[exp] / q_coeff
-        quot[shift] = factor
-        for e2, c2 in q_terms.items():
-            tgt = ev_add(shift, e2)
-            if tgt in rem:
-                s = rem[tgt] - factor * c2
-                if s:
-                    rem[tgt] = s
-                else:
-                    del rem[tgt]
-            else:
-                rem[tgt] = -factor * c2
+        if done:
+            return Polynomial._raw(p.m, p.field,
+                                   {e: Fraction(c) for e, c in quot.items()})
+        # a quotient coefficient is not an integer: go on over Fractions
+        rem = {e: Fraction(c) for e, c in rem.items()}
+        quot = {e: Fraction(c) for e, c in quot.items()}
+    else:
+        rem = dict(p.terms)
+    if not _division_steps(rem, quot, q_exp, q.terms.items(), q_coeff, key,
+                           integral=False):
+        return None
     return Polynomial._raw(p.m, p.field, quot)
 
 
@@ -551,6 +621,8 @@ class LaurentPolynomial:
             raise ValueError("Laurent powers take integer exponents")
         if k < 0:
             return self.inverse() ** (-k)
+        if k == 1:
+            return self
         return LaurentPolynomial(self.num ** k,
                                  tuple(e * k for e in self.den))
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import clusterufd
-from clusterufd import cli
+from clusterufd import cli, factoriality
 from clusterufd.cli import main
 from clusterufd.cluster import builtin_matrix
 from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
@@ -542,3 +542,37 @@ class TestSweepBounds:
                               "--bound", "0")
         assert code == 0
         assert body["cross_checked_bound"] == 0
+
+
+class TestNecessaryConditionsOnce:
+    """Every command that needs the necessary conditions runs them once, and
+    a zero column is an input error in all four certificate commands."""
+
+    @pytest.mark.parametrize("argv", [("verdict", "--builtin", "E:6"),
+                                      ("prove-ufd", "--builtin", "E:6"),
+                                      ("member", "--builtin", "A:4",
+                                       "--expr", "(x2 + 1)/x1"),
+                                      ("verdict", "--builtin", "A:3")])
+    def test_checks_run_once(self, capsys, monkeypatch, argv):
+        calls = []
+        witness = factoriality._necessary_witness
+
+        def counted(ideals):
+            calls.append(ideals)
+            return witness(ideals)
+
+        monkeypatch.setattr(factoriality, "_necessary_witness", counted)
+        code, _ = run_json(capsys, *argv)
+        assert code in (0, 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [("member", "--expr", "x1"),
+                                      ("normal-form", "--expr", "x1 + 1")])
+    def test_zero_column_in_member_and_normal_form(self, capsys, tmp_path, argv):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 2, "m": 3,
+                                    "matrix": [[0, 0], [0, 0], [1, 0]]}))
+        code, body = run_json(capsys, argv[0], "--seed", str(path), *argv[1:])
+        assert code == 3
+        assert body["verdict"] == "error"
+        assert "column 2 is zero" in body["error"]

@@ -481,3 +481,45 @@ class TestAdjacencyCache:
         assert warm == cold
         assert hash(warm) == hash(cold)
         assert len({warm, cold}) == 1
+
+
+class TestMutationWork:
+    """Enumeration does only the mutations and products its answer needs."""
+
+    def test_enumerate_a6_work_counts(self, monkeypatch):
+        counts = {"mutate": 0, "mul": 0}
+        mutate, mul = Seed.mutate, Polynomial.__mul__
+
+        def counted_mutate(seed, k):
+            counts["mutate"] += 1
+            return mutate(seed, k)
+
+        def counted_mul(a, b):
+            counts["mul"] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Seed, "mutate", counted_mutate)
+        monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted_mul)
+        result = enumerate_cluster_variables(builtin_seed("A:6"))
+        assert (result.count, result.seeds_seen, result.complete) == (27, 429, True)
+        # 429 seeds, each mutated in its 6 directions except the one back
+        # to its parent (2,574 mutations and 14,850 products before)
+        assert counts == {"mutate": 2146, "mul": 822}
+
+    @pytest.mark.parametrize("name, path, max_seeds", [
+        ("A:4", (2, 3, 1), 10_000),
+        ("D:4", (3,), 10_000),
+        ("kronecker", (1,), 4),
+        ("kronecker", (2, 1), 7),
+        ("rank2:1,4", (2,), 5),
+    ])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+    def test_start_history_does_not_matter(self, name, path, max_seeds, strategy):
+        walked = builtin_seed(name).mutate_sequence(path)
+        fresh = Seed(walked.matrix, walked.cluster, walked.field)
+        assert walked.history == path and fresh.history == ()
+        a = enumerate_cluster_variables(walked, max_seeds, strategy)
+        b = enumerate_cluster_variables(fresh, max_seeds, strategy)
+        assert (a.variables, a.seeds_seen, a.complete) \
+            == (b.variables, b.seeds_seen, b.complete)

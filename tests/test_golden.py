@@ -1,5 +1,6 @@
-"""Byte-identical --json output for the README examples and the cross-check
-verdicts, against reports frozen in ``golden_cli.json``.
+"""Byte-identical --json output for the README examples, the cross-check
+verdicts and the enumeration, Laurent-check and mutation commands, against
+reports frozen in ``golden_cli.json``.
 
 Reduced Groebner bases are canonical and the reports carry no timings, so
 any change to these bytes is a behavior change.  The frozen reports were

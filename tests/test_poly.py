@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent, random_polynomial
@@ -430,3 +430,151 @@ class TestRenderParse:
         with pytest.raises(ParseError) as err:
             parse_expression("x1 + y", 2, Q)
         assert err.value.position == "x1 + y".index("y") + 1
+
+
+# -- exact powering and the integer kernel -----------------------------------
+
+def fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Schoolbook product on the stored field elements, as an oracle."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = ev_add(e1, e2)
+            out[exp] = out.get(exp, p.field.zero()) + c1 * c2
+    return Polynomial(p.m, p.field, out)
+
+
+def fraction_divide(p: Polynomial, q: Polynomial):
+    """Single-divisor grevlex division on the stored field elements, as an
+    oracle: the quotient when the remainder is zero, else None."""
+    key = grevlex_order(p.m).key
+    q_exp = max(q.terms, key=key)
+    rem, quot = dict(p.terms), {}
+    while rem:
+        exp = max(rem, key=key)
+        if not ev_divides(q_exp, exp):
+            return None
+        shift = ev_sub(exp, q_exp)
+        factor = rem[exp] / q.terms[q_exp]
+        quot[shift] = factor
+        for e2, c2 in q.terms.items():
+            tgt = ev_add(shift, e2)
+            rem[tgt] = rem.get(tgt, p.field.zero()) - factor * c2
+            if not rem[tgt]:
+                del rem[tgt]
+    return Polynomial(p.m, p.field, quot)
+
+
+def integral_polynomial(rng: random.Random, m: int, max_terms: int = 4,
+                        nonzero: bool = False) -> Polynomial:
+    terms = {tuple(rng.randint(0, 3) for _ in range(m)): rng.randint(-6, 6)
+             for _ in range(rng.randint(1 if nonzero else 0, max_terms))}
+    p = Polynomial(m, Q, terms)
+    return Polynomial.one(m, Q) if nonzero and p.is_zero else p
+
+
+def all_fractions(p: Polynomial) -> bool:
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+class CountingMul:
+    """Counts Polynomial.__mul__ calls while installed with monkeypatch."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = Polynomial.__mul__
+
+        def counted(a, b):
+            self.calls += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted)
+
+
+class TestPowerAndIntegerKernel:
+    @given(st.integers(0, 2 ** 32))
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    def test_power_is_the_k_fold_product(self, rng_seed):
+        rng = random.Random(rng_seed)
+        for field in (Q, QI):
+            p = random_polynomial(rng, 2, field)
+            expected = Polynomial.one(2, field)
+            for k in range(7):
+                assert p ** k == expected, (p, k)
+                expected = fraction_product(expected, p)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_first_power_multiplies_nothing(self, monkeypatch, field):
+        p = P("x1 + 2*x2 + 1", field=field)
+        v = L("(x1 + 2*x2 + 1)/x2", field=field)
+        counter = CountingMul(monkeypatch)
+        assert p ** 1 is p
+        assert v ** 1 is v
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("k, products", [(2, 1), (3, 2), (4, 2), (5, 3),
+                                             (6, 3), (8, 3)])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):
+        # k has bit_length(k) - 1 squarings and popcount(k) - 1 multiplies
+        p = P("x1 + x2 + 1")
+        counter = CountingMul(monkeypatch)
+        p ** k
+        assert counter.calls == products
+
+    @given(st.integers(0, 2 ** 32))
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_agrees_with_fraction_path(self, rng_seed):
+        rng = random.Random(rng_seed)
+
+        def operand(kind, nonzero=False):
+            if kind == "int":
+                return integral_polynomial(rng, 3, nonzero=nonzero)
+            return random_polynomial(rng, 3, Q, nonzero=nonzero)
+
+        for kinds in (("int", "int"), ("int", "frac"), ("frac", "int"),
+                      ("frac", "frac")):
+            p, q = operand(kinds[0]), operand(kinds[1], nonzero=True)
+            product = p * q
+            assert product == fraction_product(p, q)
+            assert all_fractions(product)
+            for num in (product, product + P("x1 + 1", m=3), p):
+                got = divide_exact(num, q)
+                assert got == fraction_divide(num, q)
+                assert got is None or all_fractions(got)
+
+    @given(st.integers(0, 2 ** 32))
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    def test_integral_operands_with_fractional_quotient(self, rng_seed):
+        # p = q0 * g and q = d * q0 are integral, but p / q = g / d is not,
+        # so the integer steps must hand over to Fractions part way
+        rng = random.Random(rng_seed)
+        q0 = integral_polynomial(rng, 2, nonzero=True)
+        g = integral_polynomial(rng, 2, nonzero=True)
+        d = rng.randint(2, 3)
+        got = divide_exact(q0 * g, q0 * d)
+        assert got == g * Fraction(1, d)
+        assert all_fractions(got)
+
+    def test_handover_after_an_integral_step(self):
+        # (2x^2 + 3x + 1) / (2x + 2): the first quotient term x is integral,
+        # the second, 1/2, is not
+        got = divide_exact(P("2*x1^2 + 3*x1 + 1", m=1), P("2*x1 + 2", m=1))
+        assert got == P("x1", m=1) + Fraction(1, 2)
+        assert all_fractions(got)
+
+    def test_non_unit_leading_coefficient(self):
+        got = divide_exact(P("x1 + 1"), P("2*x1 + 2"))
+        assert got == Polynomial.constant(Fraction(1, 2), 2, Q)
+        assert all_fractions(got)
+        assert divide_exact(P("x1 + 1"), P("2*x1 + 1")) is None
+
+    def test_stored_coefficients_stay_fractions(self):
+        p, q = P("x1 + 2*x2 - 3"), P("x1 - x2 + 1")
+        for result in (p * q, p ** 3, divide_exact(p * q, q),
+                       (L("(x1 + 1)/x2") ** 2).num):
+            assert result.terms and all_fractions(result)
+        assert hash(p * q) == hash(fraction_product(p, q))
