@@ -21,14 +21,12 @@ from .factoriality import (CoincidentExchangePolynomials, ConjectureOutcome,
                            check_assumptions, conjecture_check,
                            conjecture_sweep, necessary_conditions,
                            inductive_prover, multi_indices_of_weight,
-                           normal_form_element, power_membership_linear,
-                           ufd_verdict)
+                           normal_form_element, ufd_verdict)
 from .fields import FieldTag, GaussianRational, conjugate
 from .groebner import (BudgetExceeded, DEFAULT_BUDGET, GroebnerBasis,
-                       GroebnerBudget, Ideal, buchberger, ideal_equal,
-                       ideal_intersection, ideal_intersection_many,
-                       ideal_membership, ideal_power, ideal_product,
-                       is_unit_ideal, normal_form, s_polynomial)
+                       GroebnerBudget, Ideal, buchberger, ideal_intersection,
+                       ideal_intersection_many, ideal_membership,
+                       ideal_product, normal_form)
 from .parse import ParseError, parse_expression, parse_polynomial
 from .poly import (LaurentPolynomial, MonomialOrder, Polynomial, divide_exact,
                    elimination_order, grevlex_order, lex_order,

@@ -106,15 +106,6 @@ def _witness_dict(witness) -> dict:
     raise TypeError(f"unknown witness {witness!r}")
 
 
-def _witness_text(witness) -> str:
-    if isinstance(witness, CoincidentExchangePolynomials):
-        return f"f_{witness.i} = f_{witness.j} = {witness.value}"
-    if isinstance(witness, ReducibleExchangePolynomial):
-        g, h = witness.factors
-        return f"f_{witness.index} factors as ({g}) * ({h})"
-    return str(witness)
-
-
 def _justification_dict(just) -> dict:
     if isinstance(just, SinkSourceSplit):
         return {"rule": "sink_source", "i": just.i, "j": just.j}
@@ -286,7 +277,7 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
     witness = necessary_conditions(ideals)
     if witness is not None:
         report.set("witness", _witness_dict(witness))
-        report.text(_witness_text(witness))
+        report.text(str(witness))
         report.emit("NotUFD")
         return 1
     problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
@@ -333,7 +324,7 @@ def _cmd_verdict(args, report: _Report) -> int:
         return 0
     if isinstance(verdict, NotUFD):
         report.set("witness", _witness_dict(verdict.witness))
-        report.text(f"not a UFD: {_witness_text(verdict.witness)}")
+        report.text(f"not a UFD: {verdict.witness}")
         report.emit("NotUFD")
         return 1
     assert isinstance(verdict, Inconclusive)

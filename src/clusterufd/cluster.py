@@ -96,7 +96,7 @@ def find_skew_symmetrizer(principal: Sequence[Sequence[int]]):
 class ExchangeMatrix:
     """An m x n integer exchange matrix with skew-symmetrizable principal part."""
 
-    __slots__ = ("rows", "n", "m", "_hash", "_adjacency")
+    __slots__ = ("rows", "n", "m", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(entry for entry in row) for row in rows)
@@ -122,7 +122,6 @@ class ExchangeMatrix:
         self.n = n
         self.m = m
         self._hash = None
-        self._adjacency = None
 
     @classmethod
     def _raw(cls, rows: tuple, n: int, m: int) -> "ExchangeMatrix":
@@ -131,7 +130,6 @@ class ExchangeMatrix:
         self.n = n
         self.m = m
         self._hash = None
-        self._adjacency = None
         return self
 
     def entry(self, i: int, j: int) -> int:
@@ -164,31 +162,18 @@ class ExchangeMatrix:
             new_rows.append(tuple(new_row))
         return ExchangeMatrix._raw(tuple(new_rows), self.n, self.m)
 
-    def _compute_adjacency(self):
-        """(neighbors of rows 1..m, source flags, sink flags of columns 1..n).
-
-        Computed on first use and cached: a matrix never changes after
-        construction, and each mutation builds a new one with an empty cache.
-        """
-        n, rows = self.n, self.rows
-        neighbors = tuple(tuple(j + 1 for j in range(n) if row[j] != 0 and j != i)
-                          for i, row in enumerate(rows))
-        sources = tuple(all(row[j] <= 0 for row in rows) for j in range(n))
-        sinks = tuple(all(row[j] >= 0 for row in rows) for j in range(n))
-        self._adjacency = (neighbors, sources, sinks)
-        return self._adjacency
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Mutable indices j with b_ij != 0, for any row index i in 1..m."""
-        return (self._adjacency or self._compute_adjacency())[0][i - 1]
+        row = self.rows[i - 1]
+        return tuple(j for j in range(1, self.n + 1) if row[j - 1] != 0 and j != i)
 
     def is_source(self, i: int) -> bool:
         """No arrow points into i: column i is non-positive (all m rows)."""
-        return (self._adjacency or self._compute_adjacency())[1][i - 1]
+        return all(row[i - 1] <= 0 for row in self.rows)
 
     def is_sink(self, i: int) -> bool:
         """No arrow points out of i: column i is non-negative (all m rows)."""
-        return (self._adjacency or self._compute_adjacency())[2][i - 1]
+        return all(row[i - 1] >= 0 for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, ExchangeMatrix):
@@ -546,9 +531,6 @@ def seed_from_dict(data: dict, field_override: Optional[FieldTag] = None) -> See
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"matrix[{i}]: expected a row of {n} integers")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ValueError(f"matrix[{i}][{j}]: expected an integer, got {entry!r}")
     field_name = data.get("field", "Q")
     if field_name not in ("Q", "Qi"):
         raise ValueError(f"field: expected 'Q' or 'Qi', got {field_name!r}")

@@ -134,46 +134,6 @@ class ExchangeIdeals:
         return tuple(out)
 
 
-def power_membership_linear(ideals: ExchangeIdeals, p: Polynomial, i: int,
-                            a: int, k: int) -> bool:
-    """Membership in (x_i, f_i)^a via expansion in powers of f_i = x_k + M.
-
-    Requires f_i to contain the bare variable x_k with coefficient one.
-    Substituting x_k = T - M for a fresh symbol T writes p = sum_r A_r f_i^r
-    with A_r free of x_k; membership then reads x_i^(a-r) divides A_r.
-    Exists as an independent oracle for the divisibility-based test.
-    """
-    f = ideals.exchange_poly(i)
-    m, fld = ideals.m, ideals.field
-    x_k = Polynomial.variable(k, m, fld)
-    monomial_part = f - x_k
-    if len(monomial_part.terms) != 1:
-        raise ValueError(f"f_{i} = {f} is not of the form x{k} + monomial")
-    if monomial_part.degree_in(k) > 0:
-        raise ValueError(f"f_{i} = {f} involves x{k} beyond the linear term")
-    m2 = m + 1
-    lift = {e + (0,): c for e, c in monomial_part.terms.items()}
-    minus_m = Polynomial(m2, fld, {e: -c for e, c in lift.items()})
-    t_minus_m = Polynomial(m2, fld, {(0,) * m + (1,): 1}) + minus_m
-    kp = k - 1
-    acc = Polynomial.zero(m2, fld)
-    for exp, c in p.terms.items():
-        stripped = exp[:kp] + (0,) + exp[kp + 1:] + (0,)
-        term = Polynomial(m2, fld, {stripped: c})
-        if exp[kp]:
-            term = term * t_minus_m ** exp[kp]
-        acc = acc + term
-    if a == 0 or p.is_zero:
-        return True
-    for r in range(a):
-        a_r = acc.coefficient_of(m2, r)
-        if a_r.is_zero:
-            continue
-        if min(e[i - 1] for e in a_r.terms) < a - r:
-            return False
-    return True
-
-
 # -- binomial irreducibility -------------------------------------------------
 
 def _unit_binomial_exponents(f: Polynomial):
@@ -385,6 +345,10 @@ class ReducibleExchangePolynomial:
     index: int
     factors: tuple[Polynomial, Polynomial]
 
+    def __str__(self):
+        g, h = self.factors
+        return f"f_{self.index} factors as ({g}) * ({h})"
+
 
 @dataclass(frozen=True)
 class CoincidentExchangePolynomials:
@@ -393,6 +357,9 @@ class CoincidentExchangePolynomials:
     i: int
     j: int
     value: Polynomial
+
+    def __str__(self):
+        return f"f_{self.i} = f_{self.j} = {self.value}"
 
 
 NotUFDWitness = Union[ReducibleExchangePolynomial, CoincidentExchangePolynomials]
@@ -561,35 +528,54 @@ class FreeVariable:
 Justification = Union[SinkSourceSplit, FreeIndex, FreeVariable]
 
 
-def _justification_holds(matrix: ExchangeMatrix, ideals: ExchangeIdeals,
-                         support: tuple[int, ...], just: Justification) -> bool:
-    s = set(support)
-    if isinstance(just, SinkSourceSplit):
-        return (just.i in s and just.j in s and just.i != just.j
-                and (matrix.is_source(just.i) or matrix.is_sink(just.i))
-                and just.j in matrix.neighbors(just.i))
-    if isinstance(just, FreeIndex):
-        return just.i in s and not (set(matrix.neighbors(just.i)) & s)
-    if isinstance(just, FreeVariable):
-        i, k = just.i, just.k
-        if i not in s or not 1 <= k <= matrix.m or k == i:
-            return False
-        if k <= matrix.n and k in s:
-            return False
+def _bits(indices) -> int:
+    """The bitmask of a set of mutable indices: bit i - 1 stands for i."""
+    return sum(1 << (i - 1) for i in indices)
+
+
+def _rule_cubes(matrix: ExchangeMatrix,
+                ideals: ExchangeIdeals) -> dict[Justification, tuple[int, int]]:
+    """Every justification the matrix admits, in search order, mapped to the
+    subcube of supports it justifies: ``(inside, outside)`` bitmasks, and the
+    rule holds on a support S exactly when inside <= S and outside & S = 0.
+
+    Each lemma's side conditions are written here only; the prover and the
+    verifier both read this table.
+    """
+    n, m = matrix.n, matrix.m
+    neighbors = [matrix.neighbors(r) for r in range(1, m + 1)]
+    cubes: dict[Justification, tuple[int, int]] = {}
+    for i in range(1, n + 1):
+        if matrix.is_source(i) or matrix.is_sink(i):
+            for j in neighbors[i - 1]:
+                cubes[SinkSourceSplit(i, j)] = (_bits((i, j)), 0)
+    for i in range(1, n + 1):
+        cubes[FreeIndex(i)] = (_bits((i,)), _bits(neighbors[i - 1]))
+    one = ideals.field.one()
+    for i in range(1, n + 1):
+        # the terms x_k of f_i; k != i, since b_ii = 0 keeps x_i out of f_i
         f = ideals.exchange_poly(i)
-        unit = tuple(1 if p == k - 1 else 0 for p in range(matrix.m))
-        if f.terms.get(unit) != ideals.field.one():
-            return False
-        others = set(matrix.neighbors(k)) - {i}
-        return not (others & s)
-    return False
+        for k in sorted(e.index(1) + 1 for e, c in f.terms.items()
+                        if c == one and sum(e) == 1):
+            outside = [j for j in neighbors[k - 1] if j != i]
+            if k <= n:
+                outside.append(k)
+            cubes[FreeVariable(i, k)] = (_bits((i,)), _bits(outside))
+    return cubes
+
+
+def _in_cube(cube: tuple[int, int], mask: int) -> bool:
+    inside, outside = cube
+    return inside & mask == inside and not outside & mask
 
 
 class SupportCertificate:
     """A justification for every nonempty support of mutable indices.
 
-    ``verify`` re-derives each side condition from the matrix, and checks
-    the supports cover all of them, so a tampered certificate is caught.
+    ``verify`` rebuilds the rule table from the matrix, accepts an entry
+    only when its rule is in the table and the rule's subcube contains the
+    support, and checks the supports cover all of them, so a tampered
+    certificate is caught.
     """
 
     def __init__(self, entries: Mapping[tuple[int, ...], Justification], n: int):
@@ -609,9 +595,11 @@ class SupportCertificate:
             problems.append(f"support {missing} has no justification")
         for extra in sorted(actual - expected):
             problems.append(f"unexpected support {extra}")
+        cubes = _rule_cubes(matrix, ideals)
         for support in sorted(actual & expected):
             just = self.entries[support]
-            if not _justification_holds(matrix, ideals, support, just):
+            cube = cubes.get(just)
+            if cube is None or not _in_cube(cube, _bits(support)):
                 problems.append(f"support {support}: {just} does not hold")
         return problems
 
@@ -638,22 +626,26 @@ def certificate_size_limit(n: int) -> Optional[str]:
 
 
 def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
-    """Search for a justification per support, in a fixed deterministic order.
+    """Take for each support the first rule of the table that holds on it.
 
     Assumes the standing assumptions (connected, acyclic, coprime
     irreducible exchange polynomials) were already verified by the caller.
     Raises ``ValueError`` past ``MAX_CERTIFICATE_N`` mutable indices.
     """
-    matrix = ideals.matrix
     n = ideals.n
     too_large = certificate_size_limit(n)
     if too_large is not None:
         raise ValueError(too_large)
+    cubes = _rule_cubes(ideals.matrix, ideals).items()
     entries = {}
     stuck = []
-    for size in range(1, n + 1):
-        for support in combinations(range(1, n + 1), size):
-            just = _find_justification(matrix, ideals, support)
+    indices = range(1, n + 1)
+    bits = [1 << (i - 1) for i in indices]
+    for size in indices:
+        # each support together with its bitmask, in the same order
+        for support, mask in zip(combinations(indices, size),
+                                 map(sum, combinations(bits, size))):
+            just = next((j for j, cube in cubes if _in_cube(cube, mask)), None)
             if just is None:
                 stuck.append(support)
             else:
@@ -661,28 +653,6 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
     if stuck:
         return ProverResult(None, tuple(stuck))
     return ProverResult(SupportCertificate(entries, n), ())
-
-
-def _find_justification(matrix: ExchangeMatrix, ideals: ExchangeIdeals,
-                        support: tuple[int, ...]) -> Optional[Justification]:
-    s = set(support)
-    for i in support:
-        if matrix.is_source(i) or matrix.is_sink(i):
-            for j in support:
-                if j != i and j in matrix.neighbors(i):
-                    return SinkSourceSplit(i, j)
-    for i in support:
-        if not (set(matrix.neighbors(i)) & s):
-            return FreeIndex(i)
-    for i in support:
-        f = ideals.exchange_poly(i)
-        for k in sorted(f.support_vars()):
-            if k == i or (k <= matrix.n and k in s):
-                continue
-            candidate = FreeVariable(i, k)
-            if _justification_holds(matrix, ideals, support, candidate):
-                return candidate
-    return None
 
 
 # -- the full verdict pipeline ----------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldTag
@@ -126,15 +125,6 @@ def _s_terms(f: tuple, g: tuple, lcm) -> dict:
         else:
             out[tgt] = -c
     return out
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    f_exp, f_coeff = f.leading(order)
-    g_exp, g_coeff = g.leading(order)
-    terms = _s_terms((f_exp, _monic(f.terms, f_coeff, f.field)),
-                     (g_exp, _monic(g.terms, g_coeff, g.field)),
-                     ev_max(f_exp, g_exp))
-    return Polynomial._raw(f.m, f.field, terms)
 
 
 def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
@@ -248,9 +238,6 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.polys)
-
-    def is_unit(self) -> bool:
-        return len(self.polys) == 1 and self.polys[0].total_degree() == 0
 
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.polys) + "}"
@@ -379,33 +366,3 @@ def ideal_product(left: Ideal, right: Ideal) -> Ideal:
     if left.m != right.m or left.field is not right.field:
         raise ValueError("ideals live in different ambient rings")
     return Ideal(g * h for g in left.generators for h in right.generators)
-
-
-def ideal_power(ideal: Ideal, k: int) -> Ideal:
-    """I^k; by convention I^0 is the unit ideal."""
-    if k < 0:
-        raise ValueError("ideal powers take non-negative exponents")
-    if k == 0:
-        return Ideal([Polynomial.one(ideal.m, ideal.field)])
-    gens = []
-    for combo in combinations_with_replacement(ideal.generators, k):
-        g = combo[0]
-        for h in combo[1:]:
-            g = g * h
-        gens.append(g)
-    return Ideal(gens)
-
-
-def ideal_equal(left: Ideal, right: Ideal,
-                budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
-    """Mutual containment via normal forms."""
-    right_basis = right.groebner_basis(budget=budget)
-    if not all(normal_form(g, right_basis).is_zero for g in left.generators):
-        return False
-    left_basis = left.groebner_basis(budget=budget)
-    return all(normal_form(h, left_basis).is_zero for h in right.generators)
-
-
-def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
-    """Whether the ideal is all of the ring (reduced basis {1})."""
-    return ideal.groebner_basis(budget=budget).is_unit()

@@ -62,3 +62,27 @@ def random_skew_symmetrizable(rng: random.Random, n: int, frozen: int = 0,
         for j in range(n):
             rows[i][j] = rng.randint(-max_entry, max_entry)
     return rows
+
+
+def random_acyclic_seed(rng: random.Random, n: int, frozen: int,
+                        weights=(1, 2)) -> list[list[int]]:
+    """Rows of a connected acyclic seed, as ``perfbench/gen.random_tree_seed``
+    builds them: a random spanning tree oriented along a random ranking,
+    arrow weights b_uv = a, b_vu = -c drawn from ``weights``, then frozen
+    rows with entries in {-1, 0, 1} that each touch a mutable index."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rank = list(range(n))
+    rng.shuffle(rank)
+    rows = [[0] * n for _ in range(n)]
+    for k in range(1, n):
+        u, v = order[k], order[rng.randrange(k)]
+        if rank[u] > rank[v]:
+            u, v = v, u
+        rows[u][v] = rng.choice(weights)
+        rows[v][u] = -rng.choice(weights)
+    for _ in range(frozen):
+        row = [rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+        row[rng.randrange(n)] = rng.choice((-1, 1))
+        rows.append(row)
+    return rows

@@ -1,0 +1,101 @@
+"""Independent oracles for the tests: slower or more direct ways to compute
+what the package computes, kept out of the package because nothing but the
+tests uses them."""
+from __future__ import annotations
+
+from itertools import combinations_with_replacement
+
+from clusterufd.factoriality import ExchangeIdeals
+from clusterufd.groebner import (DEFAULT_BUDGET, GroebnerBasis, GroebnerBudget,
+                                 Ideal, normal_form)
+from clusterufd.poly import MonomialOrder, Polynomial
+
+
+def power_membership_linear(ideals: ExchangeIdeals, p: Polynomial, i: int,
+                            a: int, k: int) -> bool:
+    """Membership in (x_i, f_i)^a via expansion in powers of f_i = x_k + M.
+
+    Requires f_i to contain the bare variable x_k with coefficient one.
+    Substituting x_k = T - M for a fresh symbol T writes p = sum_r A_r f_i^r
+    with A_r free of x_k; membership then reads x_i^(a-r) divides A_r.
+    Exists as an independent oracle for the divisibility-based test.
+    """
+    f = ideals.exchange_poly(i)
+    m, fld = ideals.m, ideals.field
+    x_k = Polynomial.variable(k, m, fld)
+    monomial_part = f - x_k
+    if len(monomial_part.terms) != 1:
+        raise ValueError(f"f_{i} = {f} is not of the form x{k} + monomial")
+    if monomial_part.degree_in(k) > 0:
+        raise ValueError(f"f_{i} = {f} involves x{k} beyond the linear term")
+    m2 = m + 1
+    lift = {e + (0,): c for e, c in monomial_part.terms.items()}
+    minus_m = Polynomial(m2, fld, {e: -c for e, c in lift.items()})
+    t_minus_m = Polynomial(m2, fld, {(0,) * m + (1,): 1}) + minus_m
+    kp = k - 1
+    acc = Polynomial.zero(m2, fld)
+    for exp, c in p.terms.items():
+        stripped = exp[:kp] + (0,) + exp[kp + 1:] + (0,)
+        term = Polynomial(m2, fld, {stripped: c})
+        if exp[kp]:
+            term = term * t_minus_m ** exp[kp]
+        acc = acc + term
+    if a == 0 or p.is_zero:
+        return True
+    for r in range(a):
+        a_r = acc.coefficient_of(m2, r)
+        if a_r.is_zero:
+            continue
+        if min(e[i - 1] for e in a_r.terms) < a - r:
+            return False
+    return True
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """(L / lt(f)) f - (L / lt(g)) g with L the lcm of the leading monomials
+    and f, g made monic."""
+    f_exp, f_lc = f.leading(order)
+    g_exp, g_lc = g.leading(order)
+    lcm = tuple(max(a, b) for a, b in zip(f_exp, g_exp))
+    one = f.field.one()
+
+    def cofactor(exp, lc):
+        return Polynomial.monomial(one / lc, tuple(x - e for x, e in zip(lcm, exp)),
+                                   f.m, f.field)
+
+    return cofactor(f_exp, f_lc) * f - cofactor(g_exp, g_lc) * g
+
+
+def basis_is_unit(basis: GroebnerBasis) -> bool:
+    """Whether a reduced basis is {1}."""
+    return len(basis) == 1 and basis.polys[0].total_degree() == 0
+
+
+def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+    """Whether the ideal is all of the ring (reduced basis {1})."""
+    return basis_is_unit(ideal.groebner_basis(budget=budget))
+
+
+def ideal_power(ideal: Ideal, k: int) -> Ideal:
+    """I^k; by convention I^0 is the unit ideal."""
+    if k < 0:
+        raise ValueError("ideal powers take non-negative exponents")
+    if k == 0:
+        return Ideal([Polynomial.one(ideal.m, ideal.field)])
+    gens = []
+    for combo in combinations_with_replacement(ideal.generators, k):
+        g = combo[0]
+        for h in combo[1:]:
+            g = g * h
+        gens.append(g)
+    return Ideal(gens)
+
+
+def ideal_equal(left: Ideal, right: Ideal,
+                budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+    """Mutual containment via normal forms."""
+    right_basis = right.groebner_basis(budget=budget)
+    if not all(normal_form(g, right_basis).is_zero for g in left.generators):
+        return False
+    left_basis = left.groebner_basis(budget=budget)
+    return all(normal_form(h, left_basis).is_zero for h in right.generators)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import conftest
 from conftest import random_skew_symmetrizable
+from oracles import is_unit_ideal
 from clusterufd.cli import main as cli_main
 from clusterufd.cluster import (
     ExchangeMatrix,
@@ -41,7 +42,6 @@ from clusterufd.groebner import (
     ideal_intersection_many,
     ideal_membership,
     ideal_product,
-    is_unit_ideal,
 )
 from clusterufd.parse import parse_polynomial
 from clusterufd.poly import Polynomial

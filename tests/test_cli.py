@@ -576,3 +576,30 @@ class TestNecessaryConditionsOnce:
         assert code == 3
         assert body["verdict"] == "error"
         assert "column 2 is zero" in body["error"]
+
+
+class TestSeedFileEntries:
+    """Every malformed seed file is an input error that names the entry."""
+
+    @pytest.mark.parametrize("matrix, where", [
+        ([[0, True], [-1, 0]], "matrix[0][1]: expected an integer, got True"),
+        ([[0, 1], [-1.5, 0]], "matrix[1][0]: expected an integer, got -1.5"),
+        ([[0, "1"], [-1, 0]], "matrix[0][1]: expected an integer, got '1'"),
+        ([[0, [1]], [-1, 0]], "matrix[0][1]: expected an integer, got [1]"),
+        ([[0, 1], 5], "matrix[1]: expected a row of 2 integers"),
+    ], ids=["bool", "float", "string", "nested-list", "non-list-row"])
+    def test_bad_entry(self, capsys, tmp_path, matrix, where):
+        self.check(capsys, tmp_path, {"n": 2, "m": 2, "matrix": matrix}, where)
+
+    def test_non_object_json(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, [[0, 1], [-1, 0]],
+                   "seed file must contain a JSON object")
+
+    @staticmethod
+    def check(capsys, tmp_path, data, where):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(data))
+        code, body = run_json(capsys, "verdict", "--seed", str(path))
+        assert code == 3
+        assert body["verdict"] == "error"
+        assert where in body["error"]

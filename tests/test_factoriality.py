@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from conftest import random_polynomial
+from conftest import random_acyclic_seed, random_polynomial
+from oracles import power_membership_linear
 from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
@@ -36,7 +40,6 @@ from clusterufd.factoriality import (
     inductive_prover,
     multi_indices_of_weight,
     normal_form_element,
-    power_membership_linear,
     ufd_verdict,
 )
 
@@ -218,6 +221,7 @@ class TestNecessaryConditions:
         assert isinstance(witness, CoincidentExchangePolynomials)
         assert (witness.i, witness.j) == (1, 3)
         assert str(witness.value) == "x2 + 1"
+        assert str(witness) == "f_1 = f_3 = x2 + 1"
 
     def test_branching_coincidences(self):
         witness = necessary_conditions(ideals_for("D:4"))
@@ -233,6 +237,7 @@ class TestNecessaryConditions:
         assert witness.index == 1
         g, h = witness.factors
         assert g * h == P("1 + x2^2", 2, QI)
+        assert str(witness) == "f_1 factors as (i*x2 + 1) * (-i*x2 + 1)"
 
     def test_clean_cases(self):
         for name in ("A:2", "A:4", "E:6", "rank2:1,2", "kronecker"):
@@ -251,6 +256,8 @@ class TestNecessaryConditions:
         assert "connected" in check_assumptions(
             ExchangeIdeals(ExchangeMatrix([[0, 0], [0, 0]])))
         assert "necessary" in check_assumptions(ideals_for("A:3"))
+        assert check_assumptions(ideals_for("A:3")) \
+            == "necessary conditions already fail: f_1 = f_3 = x2 + 1"
 
 
 # -- the ideal-equality conjecture -------------------------------------------
@@ -632,3 +639,119 @@ class TestVerdictStages:
         assert isinstance(verdict, Inconclusive)
         assert verdict.reason.startswith("the principal quiver has an oriented cycle")
         assert verdict.verified_bound == 0
+
+
+# -- the rule table against a first-match oracle read from the rows ----------
+
+def supports_in_order(n: int):
+    return [s for size in range(1, n + 1)
+            for s in combinations(range(1, n + 1), size)]
+
+
+class RowsOracle:
+    """The three lemmas' side conditions, read straight from the rows."""
+
+    def __init__(self, rows):
+        self.rows, self.n, self.m = rows, len(rows[0]), len(rows)
+
+    def neighbors(self, r):
+        return {j + 1 for j in range(self.n) if self.rows[r - 1][j] and j + 1 != r}
+
+    def source_or_sink(self, i):
+        column = [row[i - 1] for row in self.rows]
+        return all(b <= 0 for b in column) or all(b >= 0 for b in column)
+
+    def unit_pivots(self, i):
+        """k such that f_i has the term x_k with coefficient one."""
+        column = [row[i - 1] for row in self.rows]
+        out = set()
+        for sign in (1, -1):
+            part = [k + 1 for k, b in enumerate(column) if sign * b > 0]
+            if len(part) == 1 and sign * column[part[0] - 1] == 1:
+                out.add(part[0])
+        return out
+
+    def holds(self, support, just):
+        s = set(support)
+        if isinstance(just, SinkSourceSplit):
+            i, j = just.i, just.j
+            return (i in s and j in s and i != j and self.source_or_sink(i)
+                    and j in self.neighbors(i))
+        if isinstance(just, FreeIndex):
+            return just.i in s and not self.neighbors(just.i) & s
+        i, k = just.i, just.k
+        return (i in s and 1 <= k <= self.m and k != i
+                and not (k <= self.n and k in s) and k in self.unit_pivots(i)
+                and not (self.neighbors(k) - {i}) & s)
+
+    def first_match(self, support):
+        """The first rule that holds, in the order sink/source split by
+        (i, j), free index by i, free variable by (i, k)."""
+        candidates = ([SinkSourceSplit(i, j) for i in support for j in support]
+                      + [FreeIndex(i) for i in support]
+                      + [FreeVariable(i, k) for i in support
+                         for k in range(1, self.m + 1)])
+        return next((c for c in candidates if self.holds(support, c)), None)
+
+
+random_seed_rows = st.builds(
+    lambda state, n, frozen: random_acyclic_seed(random.Random(state), n, frozen),
+    st.integers(0, 2 ** 32), st.integers(1, 8), st.integers(0, 2))
+
+
+class TestRuleTable:
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(random_seed_rows)
+    def test_prover_takes_the_first_matching_rule(self, rows):
+        oracle = RowsOracle(rows)
+        expected = [(s, oracle.first_match(s)) for s in supports_in_order(oracle.n)]
+        stuck = tuple(s for s, just in expected if just is None)
+        result = inductive_prover(ExchangeIdeals(ExchangeMatrix(rows)))
+        assert result.stuck_supports == stuck
+        if stuck:
+            assert result.certificate is None
+        else:
+            assert list(result.certificate.entries.items()) == expected
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(random_seed_rows.filter(lambda rows: len(rows[0]) <= 5))
+    def test_verify_accepts_exactly_the_rules_that_hold(self, rows):
+        oracle = RowsOracle(rows)
+        n, m = oracle.n, oracle.m
+        matrix = ExchangeMatrix(rows)
+        ideals = ExchangeIdeals(matrix)
+        supports = supports_in_order(n)
+        candidates = ([SinkSourceSplit(i, j) for i in range(1, n + 1)
+                       for j in range(1, n + 1)]
+                      + [FreeIndex(i) for i in range(0, n + 2)]
+                      + [FreeVariable(i, k) for i in range(1, n + 1)
+                         for k in range(0, m + 2)])
+        for just in candidates:
+            problems = SupportCertificate({s: just for s in supports}, n).verify(
+                matrix, ideals)
+            assert problems == [f"support {s}: {just} does not hold"
+                                for s in sorted(supports)
+                                if not oracle.holds(s, just)]
+
+
+class TestProverWork:
+    def test_a16_matrix_queries(self, monkeypatch):
+        """The prover and the verifier each read the matrix once, to build the
+        rule table: m neighbor rows and n source/sink flags.  A per-support
+        query would cost about 1.26M here, so it cannot come back unseen."""
+        calls = []
+        for name in ("neighbors", "is_source", "is_sink"):
+            original = getattr(ExchangeMatrix, name)
+            monkeypatch.setattr(
+                ExchangeMatrix, name,
+                lambda self, i, _name=name, _original=original:
+                    calls.append(_name) or _original(self, i))
+        ideals = ideals_for("A:16")
+        result = inductive_prover(ideals)
+        assert result.certificate.verify(ideals.matrix, ideals) == []
+        # per pass: 16 neighbor rows, 16 source flags, and 15 sink flags
+        # (the source 1 short-circuits its sink test)
+        assert len(calls) == 94
+        assert calls.count("neighbors") == 32
