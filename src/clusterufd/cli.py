@@ -13,24 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
-from typing import Optional
 
-from .cluster import (ExchangeMatrix, Seed, builtin_seed,
-                      enumerate_cluster_variables, exchange_polynomial,
-                      hypersurface_relation_check, load_seed_file,
-                      structure_report, verify_laurent_property)
-from .factoriality import (CoincidentExchangePolynomials, ExchangeIdeals,
-                           FreeIndex, FreeVariable, Inconclusive, NotUFD,
-                           ReducibleExchangePolynomial, SinkSourceSplit,
-                           SupportCertificate, UFD, algebra_membership,
-                           certificate_size_limit, check_assumptions,
-                           conjecture_check, conjecture_sweep,
-                           necessary_conditions, inductive_prover,
-                           normal_form_element, ufd_verdict)
-from .fields import FieldTag
-from .groebner import DEFAULT_BUDGET, GroebnerBudget
-from .parse import ParseError, parse_expression, parse_polynomial
+# Each handler imports the layers it uses when it runs, so ``--help``, a
+# usage error and the mutation commands never load the Groebner kernel,
+# the factoriality pipeline or the parser.
 
 SCHEMA_VERSION = 1
 
@@ -74,18 +60,17 @@ def _emit_error(command: str, as_json: bool, message: str,
     return code
 
 
-def _field_of(args) -> Optional[FieldTag]:
-    return FieldTag.from_name(args.field) if args.field else None
-
-
-def _load_seed(args) -> Seed:
-    field = _field_of(args)
+def _load_seed(args):
+    from .cluster import builtin_seed, load_seed_file
+    from .fields import FieldTag
+    field = FieldTag.from_name(args.field) if args.field else None
     if args.builtin:
         return builtin_seed(args.builtin, field or FieldTag.Q)
     return load_seed_file(args.seed, field_override=field)
 
 
-def _budget(args) -> GroebnerBudget:
+def _budget(args):
+    from .groebner import DEFAULT_BUDGET, GroebnerBudget
     if args.budget is None:
         return DEFAULT_BUDGET
     if args.budget < 1:
@@ -93,43 +78,30 @@ def _budget(args) -> GroebnerBudget:
     return GroebnerBudget(max_reductions=args.budget)
 
 
-def _matrix_rows(matrix: ExchangeMatrix) -> list[list[int]]:
+def _max_seeds(args) -> int:
+    if args.max_seeds < 1:
+        raise ValueError("--max-seeds must be positive")
+    return args.max_seeds
+
+
+def _matrix_rows(matrix) -> list[list[int]]:
     return [list(row) for row in matrix.rows]
 
 
-def _witness_dict(witness) -> dict:
-    if isinstance(witness, CoincidentExchangePolynomials):
-        return {"coincident": [witness.i, witness.j], "value": str(witness.value)}
-    if isinstance(witness, ReducibleExchangePolynomial):
-        return {"reducible": {"index": witness.index,
-                              "factors": [str(g) for g in witness.factors]}}
-    raise TypeError(f"unknown witness {witness!r}")
+def _certificate_list(certificate) -> list[dict]:
+    entries = sorted(certificate.entries.items(),
+                     key=lambda item: (len(item[0]), item[0]))
+    return [{"support": list(support), **just.to_json()}
+            for support, just in entries]
 
 
-def _justification_dict(just) -> dict:
-    if isinstance(just, SinkSourceSplit):
-        return {"rule": "sink_source", "i": just.i, "j": just.j}
-    if isinstance(just, FreeIndex):
-        return {"rule": "free_index", "i": just.i}
-    if isinstance(just, FreeVariable):
-        return {"rule": "free_variable", "i": just.i, "k": just.k}
-    raise TypeError(f"unknown justification {just!r}")
-
-
-def _certificate_list(certificate: SupportCertificate) -> list[dict]:
-    out = []
-    for support in sorted(certificate.entries, key=lambda s: (len(s), s)):
-        entry = {"support": list(support)}
-        entry.update(_justification_dict(certificate.entries[support]))
-        out.append(entry)
-    return out
-
-
-def _require_certificate(ideals: ExchangeIdeals):
+def _require_certificate(ideals):
     """A verified certificate, or a reason string why none is available.
 
     A zero column is an input error here, as in ``verdict`` and ``prove-ufd``.
     """
+    from .factoriality import (certificate_size_limit, check_assumptions,
+                               inductive_prover, necessary_conditions)
     necessary_conditions(ideals)
     problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
     if problem is not None:
@@ -166,6 +138,7 @@ def _cmd_mutate(args, report: _Report) -> int:
 
 
 def _cmd_exchange_polys(args, report: _Report) -> int:
+    from .cluster import exchange_polynomial
     seed = _load_seed(args)
     polys = [exchange_polynomial(seed.matrix, j, seed.field)
              for j in range(1, seed.matrix.n + 1)]
@@ -177,6 +150,7 @@ def _cmd_exchange_polys(args, report: _Report) -> int:
 
 
 def _cmd_structure(args, report: _Report) -> int:
+    from .cluster import structure_report
     seed = _load_seed(args)
     rep = structure_report(seed.matrix)
     report.set("n", rep.n)
@@ -199,8 +173,9 @@ def _cmd_structure(args, report: _Report) -> int:
 
 
 def _cmd_enumerate(args, report: _Report) -> int:
+    from .cluster import enumerate_cluster_variables
     seed = _load_seed(args)
-    result = enumerate_cluster_variables(seed, max_seeds=args.max_seeds)
+    result = enumerate_cluster_variables(seed, max_seeds=_max_seeds(args))
     report.set("count", result.count)
     report.set("complete", result.complete)
     report.set("seeds", result.seeds_seen)
@@ -217,8 +192,9 @@ def _cmd_enumerate(args, report: _Report) -> int:
 
 
 def _cmd_verify_laurent(args, report: _Report) -> int:
+    from .cluster import verify_laurent_property
     seed = _load_seed(args)
-    result, problems = verify_laurent_property(seed, max_seeds=args.max_seeds)
+    result, problems = verify_laurent_property(seed, max_seeds=_max_seeds(args))
     report.set("count", result.count)
     report.set("complete", result.complete)
     report.set("violations", problems)
@@ -234,6 +210,7 @@ def _cmd_verify_laurent(args, report: _Report) -> int:
 
 
 def _cmd_check_conjecture(args, report: _Report) -> int:
+    from .factoriality import ExchangeIdeals, conjecture_check, conjecture_sweep
     seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     budget = _budget(args)
@@ -272,11 +249,14 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
 
 
 def _cmd_prove_ufd(args, report: _Report) -> int:
+    from .factoriality import (ExchangeIdeals, certificate_size_limit,
+                               check_assumptions, inductive_prover,
+                               necessary_conditions)
     seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     witness = necessary_conditions(ideals)
     if witness is not None:
-        report.set("witness", _witness_dict(witness))
+        report.set("witness", witness.to_json())
         report.text(str(witness))
         report.emit("NotUFD")
         return 1
@@ -308,6 +288,8 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
 
 
 def _cmd_verdict(args, report: _Report) -> int:
+    from .factoriality import (UFD, ExchangeIdeals, Inconclusive, NotUFD,
+                               ufd_verdict)
     seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     verdict = ufd_verdict(ideals, degree_bound=args.bound, budget=_budget(args))
@@ -323,7 +305,7 @@ def _cmd_verdict(args, report: _Report) -> int:
         report.emit("UFD")
         return 0
     if isinstance(verdict, NotUFD):
-        report.set("witness", _witness_dict(verdict.witness))
+        report.set("witness", verdict.witness.to_json())
         report.text(f"not a UFD: {verdict.witness}")
         report.emit("NotUFD")
         return 1
@@ -338,6 +320,8 @@ def _cmd_verdict(args, report: _Report) -> int:
 
 
 def _cmd_member(args, report: _Report) -> int:
+    from .factoriality import ExchangeIdeals, algebra_membership
+    from .parse import parse_expression
     seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     value = parse_expression(args.expr, seed.matrix.m, seed.field)
@@ -360,6 +344,8 @@ def _cmd_member(args, report: _Report) -> int:
 
 
 def _cmd_normal_form(args, report: _Report) -> int:
+    from .factoriality import ExchangeIdeals, normal_form_element
+    from .parse import parse_polynomial
     seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     p = parse_polynomial(args.expr, seed.matrix.m, seed.field)
@@ -381,6 +367,7 @@ def _cmd_normal_form(args, report: _Report) -> int:
 
 
 def _cmd_hypersurface(args, report: _Report) -> int:
+    from .cluster import hypersurface_relation_check
     holds = hypersurface_relation_check(args.n)
     report.set("n", args.n)
     report.text(f"hypersurface relation for n = {args.n}: "
@@ -477,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -487,11 +474,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = _Report(args.command, args.json)
     try:
         return args.handler(args, report)
-    except (ValueError, ParseError) as exc:
+    except ValueError as exc:  # ParseError included
         return _emit_error(args.command, args.json, str(exc))
     except Exception as exc:
         # anything else is a bug (ConsistencyError, LaurentViolation, an
         # escaped BudgetExceeded, ...); exit 1 would read as "refuted"
+        import traceback
         code = _emit_error(args.command, args.json,
                            f"{type(exc).__name__}: {exc}",
                            verdict="internal-error", code=4)

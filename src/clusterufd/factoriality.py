@@ -13,7 +13,6 @@ it can only mean a bug.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,8 +24,6 @@ from .fields import FieldTag, GaussianRational
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, GroebnerBudget, Ideal,
                        ideal_intersection_many, ideal_product, normal_form)
 from .poly import (LaurentPolynomial, Polynomial, divide_exact, grevlex_order)
-
-logger = logging.getLogger("clusterufd")
 
 _UNCHECKED = object()
 
@@ -349,6 +346,10 @@ class ReducibleExchangePolynomial:
         g, h = self.factors
         return f"f_{self.index} factors as ({g}) * ({h})"
 
+    def to_json(self) -> dict:
+        return {"reducible": {"index": self.index,
+                              "factors": [str(g) for g in self.factors]}}
+
 
 @dataclass(frozen=True)
 class CoincidentExchangePolynomials:
@@ -360,6 +361,9 @@ class CoincidentExchangePolynomials:
 
     def __str__(self):
         return f"f_{self.i} = f_{self.j} = {self.value}"
+
+    def to_json(self) -> dict:
+        return {"coincident": [self.i, self.j], "value": str(self.value)}
 
 
 NotUFDWitness = Union[ReducibleExchangePolynomial, CoincidentExchangePolynomials]
@@ -508,12 +512,18 @@ class SinkSourceSplit:
     i: int
     j: int
 
+    def to_json(self) -> dict:
+        return {"rule": "sink_source", "i": self.i, "j": self.j}
+
 
 @dataclass(frozen=True)
 class FreeIndex:
     """No neighbor of i lies in the support, so f_i is regular modulo the rest."""
 
     i: int
+
+    def to_json(self) -> dict:
+        return {"rule": "free_index", "i": self.i}
 
 
 @dataclass(frozen=True)
@@ -523,6 +533,9 @@ class FreeVariable:
 
     i: int
     k: int
+
+    def to_json(self) -> dict:
+        return {"rule": "free_variable", "i": self.i, "k": self.k}
 
 
 Justification = Union[SinkSourceSplit, FreeIndex, FreeVariable]
@@ -740,7 +753,6 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
     if problems:
         raise ConsistencyError(f"freshly built certificate fails to verify: {problems}")
     if ideals.n > 8:
-        logger.info("skipping conjecture cross-check for n = %d > 8", ideals.n)
         return UFD(result.certificate, 0, notes="cross-check skipped (n > 8)")
     bound, stop = _swept_bound(ideals, degree_bound, budget)
     if stop is not None and stop.status == "fails":

@@ -8,6 +8,7 @@ signature; exponent tuples are 0-indexed internally.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, le, neg, sub
@@ -396,9 +397,17 @@ def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
     the remainder (not exact).  With ``integral`` the coefficients are ints
     and the step stops, returning None, at the first quotient coefficient
     that is not an integer.
+
+    Each term is keyed once, when it enters ``rem``, into a queue sorted by
+    key.  Every term a step adds lies below the leading term it cancels, so
+    the largest queued term still in ``rem`` is the leading term; a queued
+    term that has since cancelled is skipped when it comes up.
     """
+    queue = sorted((key(e), e) for e in rem)
     while rem:
-        exp = max(rem, key=key)
+        exp = queue.pop()[1]
+        if exp not in rem:
+            continue
         if not ev_divides(q_exp, exp):
             return False
         if integral:
@@ -419,6 +428,7 @@ def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
                     del rem[tgt]
             else:
                 rem[tgt] = -factor * c2
+                insort(queue, (key(tgt), tgt))
     return True
 
 

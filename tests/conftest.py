@@ -1,11 +1,19 @@
-"""Shared helpers: deterministic random generators and acceptance reporting."""
+"""Shared helpers: deterministic random generators, fresh-interpreter runs
+and acceptance reporting."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import clusterufd
 from clusterufd.fields import FieldTag, GaussianRational
 from clusterufd.poly import LaurentPolynomial, Polynomial
+
+# the directory holding the package under test, for fresh interpreters
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterufd.__file__)))
 
 # One line per acceptance criterion, echoed after the test summary so the
 # PASS/FAIL record survives pytest's output capture.
@@ -17,6 +25,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_record:
             terminalreporter.write_line(line)
+
+
+def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with the package under test
+    first on PYTHONPATH; ``run_python("-m", "clusterufd.cli", ...)`` runs
+    the CLI the way users and the benchmark do."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def random_scalar(rng: random.Random, field: FieldTag, zero_ok: bool = True):

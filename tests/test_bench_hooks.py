@@ -50,7 +50,6 @@ TRACED = [
     (factoriality.ExchangeIdeals, "power_membership"),
     (cli._Report, "emit"),
     (cli, "main"),
-    (cli, "inductive_prover"),
 ]
 
 
@@ -68,6 +67,12 @@ def test_install_wraps_and_uninstall_restores(tracing, capsys):
                      "factoriality.prover", "factoriality.verify",
                      "factoriality.conjecture_check"):
             assert summary[name]["calls"] >= 1, name
+        # prove-ufd imports the prover and the verifier when it runs, so it
+        # calls the wrapped ones: one more call of each after the verdict's
+        assert cli.main(["prove-ufd", "--builtin", "A:2", "--json"]) == 0
+        summary = tracer.summary()
+        for name in ("factoriality.prover", "factoriality.verify"):
+            assert summary[name]["calls"] == 2, name
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -4,18 +4,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
-import sys
+from importlib import import_module
 
 import pytest
 
 import clusterufd
-from clusterufd import cli, factoriality
+from clusterufd import factoriality
 from clusterufd.cli import main
 from clusterufd.cluster import builtin_matrix
 from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
                                      ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
+from conftest import run_python
 
 STUCK_SEED = {
     "n": 4, "m": 4,
@@ -323,7 +323,7 @@ class TestInternalErrors:
         return raise_
 
     def test_consistency_error_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ufd_verdict", self.broken(
+        monkeypatch.setattr(factoriality, "ufd_verdict", self.broken(
             ConsistencyError("certificate contradicts a direct check")))
         code, body = run_json(capsys, "verdict", "--builtin", "A:2")
         assert code == 4
@@ -333,7 +333,7 @@ class TestInternalErrors:
                                  "a direct check")
 
     def test_escaped_budget_exceeded_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "inductive_prover",
+        monkeypatch.setattr(factoriality, "inductive_prover",
                             self.broken(BudgetExceeded(7, 3)))
         code, out, err = run(capsys, "prove-ufd", "--builtin", "A:2")
         assert code == 4
@@ -343,26 +343,51 @@ class TestInternalErrors:
 
 SYMPY_PROBE = """
 import json, sys
+def layers():
+    return sorted(name for name in sys.modules if name.startswith("clusterufd."))
 from clusterufd.cli import main
+loaded = {"import": layers()}
+main(["--help"])
+main(["no-such-command"])
+loaded["help"] = layers()
+for argv in (["enumerate", "--builtin", "A:3"],
+             ["mutate", "--builtin", "A:3", "--sequence", "2,1"],
+             ["verify-laurent", "--builtin", "A:3"],
+             ["structure", "--builtin", "A:3"],
+             ["exchange-polys", "--builtin", "A:3"],
+             ["hypersurface", "--n", "3"]):
+    main(argv + ["--json"])
+loaded["mutation"] = layers()
 code = main(["verdict", "--builtin", "A:3", "--json"])
 before = "sympy" in sys.modules
 main(["normal-form", "--builtin", "A:2", "--expr", "x1 + x2 + 1", "--json"])
-print(json.dumps([code, before, "sympy" in sys.modules]))
+print(json.dumps([code, before, "sympy" in sys.modules, loaded,
+                  "logging" in sys.modules]))
 """
 
 
 def test_sympy_is_imported_only_by_the_factor_oracle():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(clusterufd.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SYMPY_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", SYMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
-    code, before, after = json.loads(proc.stdout.splitlines()[-1])
+    code, before, after, loaded, logging = json.loads(proc.stdout.splitlines()[-1])
     assert code == 1          # A:3 is refuted by coincident f_1 = f_3
     assert before is False    # the verdict never touched sympy
     assert after is True      # x1 + x2 + 1 is no binomial: the oracle ran
+    # each command loads only the layers it runs, and no logging at all
+    assert loaded["import"] == loaded["help"] == ["clusterufd.cli"]
+    assert loaded["mutation"] == ["clusterufd.cli", "clusterufd.cluster",
+                                  "clusterufd.fields", "clusterufd.poly"]
+    assert logging is False
+
+
+def test_every_exported_name_resolves():
+    for module, names in clusterufd._EXPORTS.items():
+        layer = import_module(f"clusterufd.{module}")
+        for name in names:
+            assert getattr(clusterufd, name) is getattr(layer, name), name
+    assert not set(vars(clusterufd)) & set(clusterufd.__all__)  # nothing cached
+    with pytest.raises(AttributeError):
+        getattr(clusterufd, "no_such_name")
 
 
 # sha256 of stdout, recorded before the adjacency cache and the single
@@ -460,12 +485,7 @@ SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(
 @pytest.mark.parametrize("script", ["reproduce_dynkin_table.py",
                                     "counterexample_walkthrough.py"])
 def test_script_runs(script):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(clusterufd.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS_DIR, script)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_python(os.path.join(SCRIPTS_DIR, script), timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
@@ -523,6 +543,15 @@ class TestSweepBounds:
         assert code == 3
         assert body["verdict"] == "error"
         assert "--max-total-degree" in body["error"]
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify-laurent"])
+    @pytest.mark.parametrize("max_seeds", ["0", "-5"])
+    def test_non_positive_max_seeds(self, capsys, command, max_seeds):
+        code, body = run_json(capsys, command, "--builtin", "A:3",
+                              "--max-seeds", max_seeds)
+        assert code == 3
+        assert body["verdict"] == "error"
+        assert "--max-seeds" in body["error"]
 
     def test_negative_bound_is_an_input_error(self, capsys):
         code, body = run_json(capsys, "verdict", "--builtin", "cyclicA3",

@@ -14,7 +14,8 @@ import pytest
 from conftest import random_skew_symmetrizable
 from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_expression
-from clusterufd.poly import LaurentPolynomial, Polynomial, render_laurent
+from clusterufd.poly import (LaurentPolynomial, MonomialOrder, Polynomial,
+                             render_laurent)
 from clusterufd.cluster import (
     ExchangeMatrix,
     Seed,
@@ -503,6 +504,20 @@ class TestMutationWork:
         # 429 seeds, each mutated in its 6 directions except the one back
         # to its parent (2,574 mutations and 14,850 products before)
         assert counts == {"mutate": 2146, "mul": 822}
+
+    def test_enumerate_a6_order_keys(self, monkeypatch):
+        calls = []
+        key = MonomialOrder.key
+
+        def counted_key(order, exp):
+            calls.append(exp)
+            return key(order, exp)
+
+        monkeypatch.setattr(MonomialOrder, "key", counted_key)
+        enumerate_cluster_variables(builtin_seed("A:6"))
+        # exact division keys each remainder term once, when it enters
+        # (44,407 keys before, when every step re-keyed the whole remainder)
+        assert len(calls) == 21307
 
     @pytest.mark.parametrize("name, path, max_seeds", [
         ("A:4", (2, 3, 1), 10_000),

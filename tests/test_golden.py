@@ -19,7 +19,8 @@ import tempfile
 
 import pytest
 
-from clusterufd.cli import main
+from clusterufd.cli import build_parser, main
+from conftest import run_python
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -47,6 +48,28 @@ def test_json_report_is_byte_identical(case, tmp_path):
     code, stdout = run_case(case["argv"], str(tmp_path))
     assert code == case["exit"]
     assert stdout == case["stdout"]
+
+
+# the first builtin-seed case of each of the 11 subcommands, replayed through
+# ``python -m clusterufd.cli`` in a fresh interpreter, where each command
+# imports only the layers it runs
+FRESH_CASES: dict[str, dict] = {}
+for _case in RECORD["cases"]:
+    if "--seed" not in _case["argv"]:
+        FRESH_CASES.setdefault(_case["argv"][0], _case)
+
+
+@pytest.mark.parametrize("command", sorted(FRESH_CASES))
+def test_fresh_process_is_byte_identical(command):
+    case = FRESH_CASES[command]
+    proc = run_python("-m", "clusterufd.cli", *case["argv"], "--json")
+    assert proc.returncode == case["exit"], proc.stderr
+    assert proc.stdout == case["stdout"]
+
+
+def test_every_subcommand_has_a_fresh_case():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(FRESH_CASES) == sorted(commands.choices)
 
 
 if __name__ == "__main__":
