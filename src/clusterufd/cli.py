@@ -16,9 +16,10 @@ import sys
 
 # Each handler imports the layers it uses when it runs, so ``--help``, a
 # usage error and the mutation commands never load the Groebner kernel,
-# the factoriality pipeline or the parser.
+# the factoriality pipeline or the parser.  Handlers load the seed first,
+# so a seed that fails to load never loads the pipeline either.
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _Report:
@@ -70,11 +71,12 @@ def _load_seed(args):
 
 
 def _budget(args):
-    from .groebner import DEFAULT_BUDGET, GroebnerBudget
+    """The --budget as a GroebnerBudget; None means the default budget."""
     if args.budget is None:
-        return DEFAULT_BUDGET
+        return None
     if args.budget < 1:
         raise ValueError("--budget must be positive")
+    from .groebner import GroebnerBudget
     return GroebnerBudget(max_reductions=args.budget)
 
 
@@ -88,11 +90,16 @@ def _matrix_rows(matrix) -> list[list[int]]:
     return [list(row) for row in matrix.rows]
 
 
+def _cover_list(certificate) -> list[dict]:
+    return [{"inside": list(inside), "outside": list(outside), **rule.to_json()}
+            for inside, outside, rule in certificate.cubes]
+
+
 def _certificate_list(certificate) -> list[dict]:
-    entries = sorted(certificate.entries.items(),
-                     key=lambda item: (len(item[0]), item[0]))
-    return [{"support": list(support), **just.to_json()}
-            for support, just in entries]
+    """The per-support listing, already in (size, support) order."""
+    rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
+    return [{"support": list(support), **rules[rule]}
+            for support, rule in certificate.entries.items()]
 
 
 def _require_certificate(ideals):
@@ -100,10 +107,10 @@ def _require_certificate(ideals):
 
     A zero column is an input error here, as in ``verdict`` and ``prove-ufd``.
     """
-    from .factoriality import (certificate_size_limit, check_assumptions,
-                               inductive_prover, necessary_conditions)
+    from .factoriality import (check_assumptions, inductive_prover,
+                               necessary_conditions)
     necessary_conditions(ideals)
-    problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
+    problem = check_assumptions(ideals)
     if problem is not None:
         return None, problem
     result = inductive_prover(ideals)
@@ -210,8 +217,8 @@ def _cmd_verify_laurent(args, report: _Report) -> int:
 
 
 def _cmd_check_conjecture(args, report: _Report) -> int:
-    from .factoriality import ExchangeIdeals, conjecture_check, conjecture_sweep
     seed = _load_seed(args)
+    from .factoriality import ExchangeIdeals, conjecture_check, conjecture_sweep
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     budget = _budget(args)
     if (args.index is None) == (args.max_total_degree is None):
@@ -249,10 +256,10 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
 
 
 def _cmd_prove_ufd(args, report: _Report) -> int:
-    from .factoriality import (ExchangeIdeals, certificate_size_limit,
+    seed = _load_seed(args)
+    from .factoriality import (MAX_CERTIFICATE_N, ExchangeIdeals,
                                check_assumptions, inductive_prover,
                                necessary_conditions)
-    seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     witness = necessary_conditions(ideals)
     if witness is not None:
@@ -260,7 +267,7 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
         report.text(str(witness))
         report.emit("NotUFD")
         return 1
-    problem = check_assumptions(ideals) or certificate_size_limit(ideals.n)
+    problem = check_assumptions(ideals)
     if problem is not None:
         report.set("reason", problem)
         report.text(problem)
@@ -272,34 +279,46 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
         report.text(f"stuck at supports {[list(s) for s in result.stuck_supports]}")
         report.emit("inconclusive")
         return 2
-    problems = result.certificate.verify(seed.matrix, ideals)
+    certificate = result.certificate
+    problems = certificate.verify(seed.matrix, ideals)
     if problems:
         raise RuntimeError(f"certificate failed verification: {problems}")
-    entries = _certificate_list(result.certificate)
-    report.set("certificate", entries)
-    report.set("supports", len(entries))
-    if not report.as_json:
-        report.text(f"certificate covers {len(entries)} supports:")
-        for entry in entries:
-            rest = {k: v for k, v in entry.items() if k != "support"}
-            report.text(f"  {entry['support']}: {rest}")
+    cover = _cover_list(certificate)
+    report.set("cover", cover)
+    report.set("supports", certificate.supports)
+    if certificate.n > MAX_CERTIFICATE_N:
+        report.text(f"certificate covers {certificate.supports} supports "
+                    f"with {len(cover)} cubes:")
+        for inside, outside, rule in certificate.cubes:
+            report.text(f"  in {list(inside)}, out {list(outside)}: "
+                        f"{rule.to_json()}")
+    elif report.as_json:
+        report.set("certificate", _certificate_list(certificate))
+    else:
+        report.text(f"certificate covers {certificate.supports} supports:")
+        for entry in _certificate_list(certificate):
+            support = entry.pop("support")
+            report.text(f"  {support}: {entry}")
     report.emit("certified")
     return 0
 
 
 def _cmd_verdict(args, report: _Report) -> int:
-    from .factoriality import (UFD, ExchangeIdeals, Inconclusive, NotUFD,
-                               ufd_verdict)
     seed = _load_seed(args)
+    from .factoriality import (MAX_CERTIFICATE_N, UFD, ExchangeIdeals,
+                               Inconclusive, NotUFD, ufd_verdict)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     verdict = ufd_verdict(ideals, degree_bound=args.bound, budget=_budget(args))
     report.set("field", seed.field.value)
     if isinstance(verdict, UFD):
-        report.set("certificate", _certificate_list(verdict.certificate))
+        certificate = verdict.certificate
+        report.set("cover", _cover_list(certificate))
+        if report.as_json and certificate.n <= MAX_CERTIFICATE_N:
+            report.set("certificate", _certificate_list(certificate))
         report.set("cross_checked_bound", verdict.cross_checked_bound)
         if verdict.notes:
             report.set("notes", verdict.notes)
-        report.text(f"UFD: certificate covers {len(verdict.certificate)} "
+        report.text(f"UFD: certificate covers {certificate.supports} "
                     f"supports, cross-checked to weight "
                     f"{verdict.cross_checked_bound}")
         report.emit("UFD")
@@ -320,9 +339,9 @@ def _cmd_verdict(args, report: _Report) -> int:
 
 
 def _cmd_member(args, report: _Report) -> int:
+    seed = _load_seed(args)
     from .factoriality import ExchangeIdeals, algebra_membership
     from .parse import parse_expression
-    seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     value = parse_expression(args.expr, seed.matrix.m, seed.field)
     certificate, problem = _require_certificate(ideals)
@@ -344,9 +363,9 @@ def _cmd_member(args, report: _Report) -> int:
 
 
 def _cmd_normal_form(args, report: _Report) -> int:
+    seed = _load_seed(args)
     from .factoriality import ExchangeIdeals, normal_form_element
     from .parse import parse_polynomial
-    seed = _load_seed(args)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     p = parse_polynomial(args.expr, seed.matrix.m, seed.field)
     certificate, problem = _require_certificate(ideals)

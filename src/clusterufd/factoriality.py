@@ -2,11 +2,12 @@
 
 The pipeline: cheap necessary conditions on the exchange polynomials first
 (reducible or coinciding f_i refute unique factorization outright), then an
-inductive certificate search that justifies, for every nonempty support of
-mutable indices, one of three combinatorial lemmas; a complete certificate
-proves that products of the exchange ideals agree with their intersections
-for every multi-index, which is the criterion for the upper cluster algebra
-to be a UFD.  Certificates are re-checked, never trusted, and a UFD verdict
+inductive certificate: each of three combinatorial lemmas holds on a subcube
+of the supports of mutable indices, and the certificate is a set of such
+cubes that covers every nonempty support; a complete certificate proves
+that products of the exchange ideals agree with their intersections for
+every multi-index, which is the criterion for the upper cluster algebra to
+be a UFD.  Certificates are re-checked, never trusted, and a UFD verdict
 is additionally cross-validated against direct Groebner computations at
 small multi-indices; disagreement there raises ``ConsistencyError`` because
 it can only mean a bug.
@@ -17,13 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from .cluster import ExchangeMatrix, exchange_polynomial, structure_report
 from .fields import FieldTag, GaussianRational
-from .groebner import (DEFAULT_BUDGET, BudgetExceeded, GroebnerBudget, Ideal,
-                       ideal_intersection_many, ideal_product, normal_form)
 from .poly import (LaurentPolynomial, Polynomial, divide_exact, grevlex_order)
+
+# The Groebner kernel is imported where the ideals and the weight sweep use
+# it, so the certificate commands never load it.
+if TYPE_CHECKING:
+    from .groebner import GroebnerBudget, Ideal
 
 _UNCHECKED = object()
 
@@ -74,6 +78,7 @@ class ExchangeIdeals:
     def ideal(self, i: int) -> Ideal:
         cached = self._ideals.get(i)
         if cached is None:
+            from .groebner import Ideal
             cached = Ideal([self.variable(i), self.exchange_poly(i)])
             self._ideals[i] = cached
         return cached
@@ -82,6 +87,7 @@ class ExchangeIdeals:
         """(x_i, f_i)^a, generated by x_i^r * f_i^(a-r)."""
         if a < 0:
             raise ValueError("powers must be non-negative")
+        from .groebner import Ideal
         if a == 0:
             return Ideal([Polynomial.one(self.m, self.field)])
         cached = self._power_ideals.get((i, a))
@@ -433,15 +439,19 @@ def check_assumptions(ideals: ExchangeIdeals) -> Optional[str]:
 
 
 def conjecture_check(ideals: ExchangeIdeals, multi_index: Sequence[int],
-                     budget: GroebnerBudget = DEFAULT_BUDGET,
+                     budget: Optional[GroebnerBudget] = None,
                      override_assumptions: bool = False) -> ConjectureOutcome:
     """Does prod_i (x_i, f_i)^(a_i) equal the intersection of the powers?
 
     The containment product <= intersection is asserted unconditionally via
     the divisibility membership test; only the reverse inclusion is in
     question, so a failure is reported with an intersection generator that
-    stays outside the product.
+    stays outside the product.  ``budget`` defaults to ``DEFAULT_BUDGET``.
     """
+    from .groebner import (DEFAULT_BUDGET, BudgetExceeded,
+                           ideal_intersection_many, ideal_product, normal_form)
+    if budget is None:
+        budget = DEFAULT_BUDGET
     a = tuple(multi_index)
     if len(a) != ideals.n or any(x < 0 for x in a):
         raise ValueError(f"multi-index must have {ideals.n} non-negative entries")
@@ -486,7 +496,7 @@ def multi_indices_of_weight(n: int, weight: int):
 
 
 def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
-                     budget: GroebnerBudget = DEFAULT_BUDGET,
+                     budget: Optional[GroebnerBudget] = None,
                      override_assumptions: bool = False) -> list[ConjectureOutcome]:
     """``conjecture_check`` at every multi-index of weight 1..degree_bound,
     in order, stopping after the first outcome that does not hold.  The
@@ -577,47 +587,171 @@ def _rule_cubes(matrix: ExchangeMatrix,
     return cubes
 
 
-def _in_cube(cube: tuple[int, int], mask: int) -> bool:
-    inside, outside = cube
-    return inside & mask == inside and not outside & mask
+def _support(mask: int) -> tuple[int, ...]:
+    """The mutable indices of a bitmask, ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _components(cover: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The cubes of ``cover`` grouped so that no index occurs in two groups."""
+    groups: list[tuple[int, list[tuple[int, int]]]] = []
+    for cube in cover:
+        mask, joined, apart = cube[0] | cube[1], [cube], []
+        # the groups are disjoint, so one pass merges all that meet the cube
+        for group_mask, cubes in groups:
+            if group_mask & mask:
+                mask |= group_mask
+                joined += cubes
+            else:
+                apart.append((group_mask, cubes))
+        groups = [*apart, (mask, joined)]
+    return [cubes for _, cubes in groups]
+
+
+def _hole(cover: list[tuple[int, int]], inside: int = 0,
+          outside: int = 0) -> Optional[tuple[int, int]]:
+    """A subcube on which no cube of ``cover`` holds, as ``(inside, outside)``
+    bitmasks of the indices it fixes, or None when the cubes cover all.
+
+    ``cover`` is the cofactor of the original cubes on the subcube fixed so
+    far.  This is the unate-recursive tautology check of Brayton, Hachtel,
+    McMullen and Sangiovanni-Vincentelli, *Logic Minimization Algorithms
+    for VLSI Synthesis* (1984).  An index that occurs only as "in" (only as
+    "out") leaves the cover weakest with the index out (in), so only that
+    side is searched.  Cubes over disjoint indices cover everything exactly
+    when one group of them does.  Otherwise the search splits on the most
+    binate index: the one in the most cubes, where a cube with l conditions
+    counts 2^-l, so the indices of nearly unconditional cubes go first.
+    """
+    while True:
+        if not cover:
+            return inside, outside
+        ins = outs = 0
+        for p, q in cover:
+            if not p | q:
+                return None         # a cube with no condition left holds
+            ins |= p
+            outs |= q
+        only_in, only_out = ins & ~outs, outs & ~ins
+        if not only_in | only_out:
+            break
+        inside |= only_out
+        outside |= only_in
+        cover = [(p, q) for p, q in cover if not (p & only_in or q & only_out)]
+    groups = _components(cover)
+    if len(groups) > 1:
+        for group in groups:
+            hole = _hole(group)
+            if hole is None:
+                return None
+            inside |= hole[0]
+            outside |= hole[1]
+        return inside, outside
+    weights: dict[int, float] = {}
+    for p, q in cover:
+        rest = p | q
+        weight = 0.5 ** rest.bit_count()
+        while rest:
+            low = rest & -rest
+            weights[low] = weights.get(low, 0.0) + weight
+            rest ^= low
+    bit = max(weights, key=weights.__getitem__)
+    return (_hole([(p & ~bit, q) for p, q in cover if not q & bit],
+                  inside | bit, outside)
+            or _hole([(p, q & ~bit) for p, q in cover if not p & bit],
+                     inside, outside | bit))
+
+
+def _uncovered(cubes, n: int) -> Optional[tuple[int, int]]:
+    """A hole of ``cubes`` among the nonempty supports of 1..n, or None.
+
+    The empty support is added as one more cube, so covering every
+    nonempty support is a tautology, and the smallest support of a hole,
+    its ``inside``, is never empty.
+    """
+    return _hole([*cubes, (0, (1 << n) - 1)])
+
+
+def _first_matches(cubes, n: int) -> Iterator[tuple[tuple[int, ...], Optional[Justification]]]:
+    """Every nonempty support of 1..n, by size and then in ``combinations``
+    order, with the rule of the first cube that holds on it, or None."""
+    indices = range(1, n + 1)
+    bits = [1 << (i - 1) for i in indices]
+    for size in indices:
+        # each support together with its bitmask, in the same order
+        for support, mask in zip(combinations(indices, size),
+                                 map(sum, combinations(bits, size))):
+            for inside, outside, rule in cubes:
+                if inside & mask == inside and not outside & mask:
+                    break
+            else:
+                rule = None
+            yield support, rule
+
+
+# The per-support listing of a certificate has 2^n - 1 entries, so it is
+# rendered, and a stuck search lists every stuck support, up to here only.
+MAX_CERTIFICATE_N = 16
+
+RuleCube = tuple[tuple[int, ...], tuple[int, ...], Justification]
 
 
 class SupportCertificate:
-    """A justification for every nonempty support of mutable indices.
+    """Rule cubes that together hold on every nonempty support.
 
-    ``verify`` rebuilds the rule table from the matrix, accepts an entry
-    only when its rule is in the table and the rule's subcube contains the
-    support, and checks the supports cover all of them, so a tampered
-    certificate is caught.
+    A cube ``(inside, outside, rule)`` says that ``rule`` justifies every
+    support S with inside <= S and outside & S empty.  The cubes are the
+    rule table's, in its order, so a support's first cube names the rule
+    the inductive search would take.  ``verify`` rebuilds the rule table
+    from the matrix, accepts a cube only when the table gives its rule that
+    same cube, and checks again that the accepted cubes cover every support,
+    so a tampered certificate is caught.
     """
 
-    def __init__(self, entries: Mapping[tuple[int, ...], Justification], n: int):
-        self.entries = dict(entries)
+    def __init__(self, cubes: Sequence[RuleCube], n: int):
+        self.cubes = tuple(cubes)
         self.n = n
+
+    @property
+    def supports(self) -> int:
+        """How many supports the certificate covers: 2^n - 1."""
+        return (1 << self.n) - 1
+
+    @property
+    def entries(self) -> dict[tuple[int, ...], Justification]:
+        """Each support's first rule, in ``combinations`` order; this lists
+        all 2^n - 1 supports, so it is for small n only."""
+        cubes = [(_bits(inside), _bits(outside), rule)
+                 for inside, outside, rule in self.cubes]
+        return dict(_first_matches(cubes, self.n))
 
     def verify(self, matrix: ExchangeMatrix, ideals: Optional[ExchangeIdeals] = None) -> list[str]:
         """A list of problems; empty means the certificate checks out."""
         if ideals is None:
             ideals = ExchangeIdeals(matrix)
         problems = []
-        expected = set()
-        for size in range(1, self.n + 1):
-            expected.update(combinations(range(1, self.n + 1), size))
-        actual = set(self.entries)
-        for missing in sorted(expected - actual):
-            problems.append(f"support {missing} has no justification")
-        for extra in sorted(actual - expected):
-            problems.append(f"unexpected support {extra}")
-        cubes = _rule_cubes(matrix, ideals)
-        for support in sorted(actual & expected):
-            just = self.entries[support]
-            cube = cubes.get(just)
-            if cube is None or not _in_cube(cube, _bits(support)):
-                problems.append(f"support {support}: {just} does not hold")
+        if self.n != matrix.n:
+            problems.append(f"certificate is for n = {self.n}, "
+                            f"the matrix has n = {matrix.n}")
+        table = _rule_cubes(matrix, ideals)
+        held = []
+        for inside, outside, rule in self.cubes:
+            cube = table.get(rule)
+            if cube is None:
+                problems.append(f"{rule} is not a rule of this matrix")
+            elif cube != (_bits(inside), _bits(outside)):
+                problems.append(f"{rule} holds on the cube {_support(cube[0])} "
+                                f"in, {_support(cube[1])} out, not on "
+                                f"{inside} in, {outside} out")
+            else:
+                held.append(cube)
+        hole = _uncovered(held, matrix.n)
+        if hole is not None:
+            problems.append(f"support {_support(hole[0])} is not covered")
         return problems
 
     def __len__(self):
-        return len(self.entries)
+        return self.supports
 
 
 @dataclass(frozen=True)
@@ -626,46 +760,27 @@ class ProverResult:
     stuck_supports: tuple[tuple[int, ...], ...]
 
 
-# The certificate lists all 2^n - 1 supports, so the search is capped here.
-MAX_CERTIFICATE_N = 16
-
-
-def certificate_size_limit(n: int) -> Optional[str]:
-    """Why no certificate is searched for on n mutable indices, or None."""
-    if n > MAX_CERTIFICATE_N:
-        return (f"certificate search enumerates 2^{n} supports; n = {n} is "
-                f"past the limit n <= {MAX_CERTIFICATE_N}")
-    return None
-
-
 def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
-    """Take for each support the first rule of the table that holds on it.
+    """Certify when the cubes of the rule table cover every nonempty support.
 
     Assumes the standing assumptions (connected, acyclic, coprime
     irreducible exchange polynomials) were already verified by the caller.
-    Raises ``ValueError`` past ``MAX_CERTIFICATE_N`` mutable indices.
+    When the cover has a hole, the stuck supports are every support no rule
+    holds on, for n <= ``MAX_CERTIFICATE_N``, and past that the smallest
+    support of the hole found.
     """
     n = ideals.n
-    too_large = certificate_size_limit(n)
-    if too_large is not None:
-        raise ValueError(too_large)
-    cubes = _rule_cubes(ideals.matrix, ideals).items()
-    entries = {}
-    stuck = []
-    indices = range(1, n + 1)
-    bits = [1 << (i - 1) for i in indices]
-    for size in indices:
-        # each support together with its bitmask, in the same order
-        for support, mask in zip(combinations(indices, size),
-                                 map(sum, combinations(bits, size))):
-            just = next((j for j, cube in cubes if _in_cube(cube, mask)), None)
-            if just is None:
-                stuck.append(support)
-            else:
-                entries[support] = just
-    if stuck:
-        return ProverResult(None, tuple(stuck))
-    return ProverResult(SupportCertificate(entries, n), ())
+    table = _rule_cubes(ideals.matrix, ideals)
+    hole = _uncovered(table.values(), n)
+    if hole is None:
+        return ProverResult(SupportCertificate(
+            [(_support(inside), _support(outside), rule)
+             for rule, (inside, outside) in table.items()], n), ())
+    if n > MAX_CERTIFICATE_N:
+        return ProverResult(None, (_support(hole[0]),))
+    cubes = [(inside, outside, rule) for rule, (inside, outside) in table.items()]
+    return ProverResult(None, tuple(support for support, rule
+                                    in _first_matches(cubes, n) if rule is None))
 
 
 # -- the full verdict pipeline ----------------------------------------------
@@ -699,7 +814,7 @@ UFDVerdict = Union[NotUFD, UFD, Inconclusive]
 
 
 def _swept_bound(ideals: ExchangeIdeals, degree_bound: int,
-                 budget: GroebnerBudget) -> tuple[int, Optional[ConjectureOutcome]]:
+                 budget: Optional[GroebnerBudget]) -> tuple[int, Optional[ConjectureOutcome]]:
     """Largest weight L <= degree_bound with every |a| <= L conjecture check
     passing, plus the outcome that stopped the sweep early, if any.  The
     caller has already checked the standing assumptions."""
@@ -712,7 +827,7 @@ def _swept_bound(ideals: ExchangeIdeals, degree_bound: int,
 
 def _inconclusive(ideals: ExchangeIdeals, reason: str,
                   stuck: tuple[tuple[int, ...], ...], degree_bound: int,
-                  budget: GroebnerBudget) -> Inconclusive:
+                  budget: Optional[GroebnerBudget]) -> Inconclusive:
     """Inconclusive, recording how far the direct weight sweep got."""
     bound, stop = _swept_bound(ideals, degree_bound, budget)
     if stop is not None and stop.status == "fails":
@@ -724,7 +839,7 @@ def _inconclusive(ideals: ExchangeIdeals, reason: str,
 
 
 def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
-                budget: GroebnerBudget = DEFAULT_BUDGET) -> UFDVerdict:
+                budget: Optional[GroebnerBudget] = None) -> UFDVerdict:
     """Necessary conditions, standing assumptions, certificate search, then
     cross-validation.
 
@@ -740,9 +855,6 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
     reason = check_assumptions(ideals)
     if reason == "the principal quiver has an oriented cycle":
         reason += "; the certificate search needs an acyclic seed"
-    too_large = certificate_size_limit(ideals.n)
-    if too_large is not None:
-        return Inconclusive(reason or too_large, (), 0)
     if reason is not None:
         return _inconclusive(ideals, reason, (), degree_bound, budget)
     result = inductive_prover(ideals)

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from clusterufd.factoriality import ExchangeIdeals
+from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
+                                     SinkSourceSplit)
 from clusterufd.groebner import (DEFAULT_BUDGET, GroebnerBasis, GroebnerBudget,
                                  Ideal, normal_form)
 from clusterufd.poly import MonomialOrder, Polynomial
@@ -99,3 +100,49 @@ def ideal_equal(left: Ideal, right: Ideal,
         return False
     left_basis = left.groebner_basis(budget=budget)
     return all(normal_form(h, left_basis).is_zero for h in right.generators)
+
+
+class RowsOracle:
+    """The three lemmas' side conditions, read straight from the rows."""
+
+    def __init__(self, rows):
+        self.rows, self.n, self.m = rows, len(rows[0]), len(rows)
+
+    def neighbors(self, r):
+        return {j + 1 for j in range(self.n) if self.rows[r - 1][j] and j + 1 != r}
+
+    def source_or_sink(self, i):
+        column = [row[i - 1] for row in self.rows]
+        return all(b <= 0 for b in column) or all(b >= 0 for b in column)
+
+    def unit_pivots(self, i):
+        """k such that f_i has the term x_k with coefficient one."""
+        column = [row[i - 1] for row in self.rows]
+        out = set()
+        for sign in (1, -1):
+            part = [k + 1 for k, b in enumerate(column) if sign * b > 0]
+            if len(part) == 1 and sign * column[part[0] - 1] == 1:
+                out.add(part[0])
+        return out
+
+    def holds(self, support, just):
+        s = set(support)
+        if isinstance(just, SinkSourceSplit):
+            i, j = just.i, just.j
+            return (i in s and j in s and i != j and self.source_or_sink(i)
+                    and j in self.neighbors(i))
+        if isinstance(just, FreeIndex):
+            return just.i in s and not self.neighbors(just.i) & s
+        i, k = just.i, just.k
+        return (i in s and 1 <= k <= self.m and k != i
+                and not (k <= self.n and k in s) and k in self.unit_pivots(i)
+                and not (self.neighbors(k) - {i}) & s)
+
+    def first_match(self, support):
+        """The first rule that holds, in the order sink/source split by
+        (i, j), free index by i, free variable by (i, k)."""
+        candidates = ([SinkSourceSplit(i, j) for i in support for j in support]
+                      + [FreeIndex(i) for i in support]
+                      + [FreeVariable(i, k) for i in support
+                         for k in range(1, self.m + 1)])
+        return next((c for c in candidates if self.holds(support, c)), None)

@@ -16,6 +16,7 @@ from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
                                      ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
 from conftest import run_python
+from oracles import RowsOracle
 
 STUCK_SEED = {
     "n": 4, "m": 4,
@@ -266,7 +267,7 @@ class TestContract:
             ("verdict", "--builtin", "A:1"),          # error path
         ):
             _, body = run_json(capsys, *argv)
-            assert body["schema_version"] == 1
+            assert body["schema_version"] == 2
             assert body["command"] == argv[0]
             assert "verdict" in body or "error" in body
 
@@ -328,7 +329,7 @@ class TestInternalErrors:
         code, body = run_json(capsys, "verdict", "--builtin", "A:2")
         assert code == 4
         assert body["verdict"] == "internal-error"
-        assert body["schema_version"] == 1 and body["command"] == "verdict"
+        assert body["schema_version"] == 2 and body["command"] == "verdict"
         assert body["error"] == ("ConsistencyError: certificate contradicts "
                                  "a direct check")
 
@@ -358,6 +359,11 @@ for argv in (["enumerate", "--builtin", "A:3"],
              ["hypersurface", "--n", "3"]):
     main(argv + ["--json"])
 loaded["mutation"] = layers()
+for argv in (["prove-ufd", "--builtin", "A:4"],
+             ["member", "--builtin", "A:2", "--expr", "(x2 + 1)/x1"],
+             ["normal-form", "--builtin", "A:2", "--expr", "x2 + 1"]):
+    main(argv + ["--json"])
+loaded["certificate"] = layers()
 code = main(["verdict", "--builtin", "A:3", "--json"])
 before = "sympy" in sys.modules
 main(["normal-form", "--builtin", "A:2", "--expr", "x1 + x2 + 1", "--json"])
@@ -377,6 +383,11 @@ def test_sympy_is_imported_only_by_the_factor_oracle():
     assert loaded["import"] == loaded["help"] == ["clusterufd.cli"]
     assert loaded["mutation"] == ["clusterufd.cli", "clusterufd.cluster",
                                   "clusterufd.fields", "clusterufd.poly"]
+    # the certificate commands run no Groebner work, so never load it
+    assert loaded["certificate"] == ["clusterufd.cli", "clusterufd.cluster",
+                                     "clusterufd.factoriality",
+                                     "clusterufd.fields", "clusterufd.parse",
+                                     "clusterufd.poly"]
     assert logging is False
 
 
@@ -392,9 +403,10 @@ def test_every_exported_name_resolves():
 
 # sha256 of stdout, recorded before the adjacency cache and the single
 # certificate rendering; the certificate path must keep them byte-identical.
+# The JSON pin moved once, when reports gained the "cover" key and schema 2.
 PROVE_UFD_STDOUT_SHA256 = {
     ("A:14", "--json"):
-        "aa439f8b00b9f63ece95d0aea33fcfe47e27b741de1b3ca3ea097ac6acd66d8e",
+        "8721b9fc631840f1d236acef546e3712fa5e0dd8aafe2492a604f0094e9fb79b",
     ("A:14",):
         "e752db5b375f7c5d05abd180dfa493f3f3028d949e925b8d53fd52125127764f",
     ("E:8",):
@@ -455,27 +467,50 @@ class TestCertificatePins:
         assert result.stuck_supports == ((1, 2), (1, 3), (2, 3), (1, 2, 3))
 
 
-class TestSizeLimit:
-    """Past MAX_CERTIFICATE_N the answer is Inconclusive, not an input error."""
+class TestPastTheListingCap:
+    """Past MAX_CERTIFICATE_N the cover still decides; only the per-support
+    listing is left out."""
 
-    @pytest.mark.parametrize("command, verdict", [("verdict", "Inconclusive"),
-                                                  ("prove-ufd", "inconclusive")])
-    def test_past_the_limit_is_inconclusive(self, capsys, command, verdict):
+    def test_a17_verdict_is_ufd(self, capsys):
         n = MAX_CERTIFICATE_N + 1
-        code, body = run_json(capsys, command, "--builtin", f"A:{n}")
-        assert code == 2
-        assert body["verdict"] == verdict
-        assert f"2^{n}" in body["reason"]
-        assert f"n <= {MAX_CERTIFICATE_N}" in body["reason"]
-        if command == "verdict":
-            assert body["verified_bound"] == 0
-            assert body["stuck_supports"] == []
+        code, body = run_json(capsys, "verdict", "--builtin", f"A:{n}")
+        assert code == 0
+        assert body["verdict"] == "UFD"
+        assert "certificate" not in body
+        assert {cube["rule"] for cube in body["cover"]} == {
+            "sink_source", "free_index", "free_variable"}
 
-    def test_member_past_the_limit_is_inconclusive(self, capsys):
+    def test_member_a17_is_decided(self, capsys):
         code, body = run_json(capsys, "member", "--builtin", "A:17",
-                              "--expr", "x1")
+                              "--expr", "(x2 + 1)/x1")
+        assert code == 0
+        assert body["verdict"] == "member"
+
+    def test_prove_ufd_a20_prints_cubes(self, capsys):
+        code, out, _ = run(capsys, "prove-ufd", "--builtin", "A:20")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "certificate covers 1048575 supports with 60 cubes:"
+        assert lines[1] == "  in [1, 2], out []: {'rule': 'sink_source', 'i': 1, 'j': 2}"
+        assert len(lines) == 62 and lines[-1] == "verdict: certified"
+        code, body = run_json(capsys, "prove-ufd", "--builtin", "A:20")
+        assert code == 0
+        assert body["supports"] == 2 ** 20 - 1
+        assert "certificate" not in body and len(body["cover"]) == 60
+
+    def test_stuck_past_the_cap_names_a_stuck_support(self, capsys, tmp_path):
+        n = MAX_CERTIFICATE_N + 4
+        rows = [[0] * n for _ in range(n)]
+        for k in range(n - 1):                # the weighted chain, longer
+            rows[k][k + 1], rows[k + 1][k] = 2, -2
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"n": n, "m": n, "matrix": rows}))
+        code, body = run_json(capsys, "prove-ufd", "--seed", str(path))
         assert code == 2
-        assert "2^17" in body["reason"]
+        assert len(body["stuck_supports"]) == 1
+        oracle = RowsOracle(rows)
+        for support in body["stuck_supports"]:
+            assert support and oracle.first_match(tuple(support)) is None
 
 
 SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(

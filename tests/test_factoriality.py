@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_acyclic_seed, random_polynomial
-from oracles import power_membership_linear
+from oracles import RowsOracle, power_membership_linear
 from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
@@ -353,61 +354,98 @@ class TestCertificates:
         assert a == b
 
     def test_size_cap(self):
-        rows = [[0] * 17 for _ in range(17)]
-        with pytest.raises(ValueError):
-            inductive_prover(ExchangeIdeals(ExchangeMatrix(rows)))
+        """MAX_CERTIFICATE_N caps only the list of stuck supports: up to it
+        every stuck support is listed (``TestRuleTable`` checks the list is
+        complete), past it one support of a hole."""
+        for n in (MAX_CERTIFICATE_N, MAX_CERTIFICATE_N + 1):
+            rows = weighted_chain_rows(n)
+            oracle = RowsOracle(rows)
+            stuck = inductive_prover(ExchangeIdeals(ExchangeMatrix(rows))).stuck_supports
+            assert all(oracle.first_match(s) is None for s in stuck)
+            # 1896 is also the count of the per-support search before the cover
+            assert len(stuck) == (1 if n > MAX_CERTIFICATE_N else 1896)
 
     def test_justification_side_conditions(self):
         matrix = builtin_matrix("A:3")
         ideals = ExchangeIdeals(matrix)
 
-        def holds(support, just):
-            cert = {s: FreeIndex(s[0]) for s in all_supports(3)}
-            cert[support] = just
-            report = SupportCertificate(cert, 3).verify(matrix, ideals)
-            return not any(str(support) in line for line in report)
+        def cube_problems(rule, inside, outside):
+            cert = SupportCertificate([(inside, outside, rule)], 3)
+            return [p for p in cert.verify(matrix, ideals)
+                    if not p.endswith("is not covered")]
 
-        assert holds((1, 2), SinkSourceSplit(1, 2))
-        assert not holds((1, 3), SinkSourceSplit(1, 3))  # 3 not adjacent to 1
-        assert holds((1, 3), FreeIndex(1))
-        assert not holds((1, 2), FreeIndex(1))           # 2 is a neighbor
-        assert holds((2,), FreeVariable(2, 1))
+        assert cube_problems(SinkSourceSplit(1, 2), (1, 2), ()) == []
+        # 3 is not adjacent to 1
+        assert cube_problems(SinkSourceSplit(1, 3), (1, 3), ()) == [
+            "SinkSourceSplit(i=1, j=3) is not a rule of this matrix"]
+        # free index 1 holds on (1, 3) but not on (1, 2): 2 is a neighbor
+        assert cube_problems(FreeIndex(1), (1,), (2,)) == []
+        assert cube_problems(FreeIndex(1), (1,), ()) == [
+            "FreeIndex(i=1) holds on the cube (1,) in, (2,) out, "
+            "not on (1,) in, () out"]
+        assert cube_problems(FreeVariable(2, 1), (2,), (1,)) == []
         # The pivot variable may not itself lie in the support.
-        assert not holds((1, 2), FreeVariable(2, 1))
-        assert not holds((2,), FreeVariable(2, 2))
+        assert cube_problems(FreeVariable(2, 1), (2,), ()) != []
+        assert cube_problems(FreeVariable(2, 2), (2,), ()) == [
+            "FreeVariable(i=2, k=2) is not a rule of this matrix"]
 
     def test_frozen_pivot_variable(self):
         matrix = ExchangeMatrix([[0, 1], [-1, 0], [1, 0]])
         ideals = ExchangeIdeals(matrix)
-        cert = SupportCertificate({
-            (1,): FreeVariable(1, 3),     # f_1 = x2 + x3, pivot frozen
-            (2,): FreeIndex(2),
-            (1, 2): FreeVariable(1, 3),
-        }, 2)
+        cert = SupportCertificate([
+            ((1,), (), FreeVariable(1, 3)),   # f_1 = x2 + x3, pivot frozen
+            ((2,), (1,), FreeIndex(2)),
+        ], 2)
         assert cert.verify(matrix, ideals) == []
-        bad = SupportCertificate({
-            (1,): FreeVariable(1, 3),
-            (2,): FreeIndex(2),
-            (1, 2): FreeVariable(1, 2),   # pivot x2 lies in the support
-        }, 2)
-        assert any("(1, 2)" in line for line in bad.verify(matrix, ideals))
+        bad = SupportCertificate([
+            ((1,), (), FreeVariable(1, 2)),   # pivot x2 may lie in no support
+            ((2,), (1,), FreeIndex(2)),
+        ], 2)
+        assert bad.verify(matrix, ideals) == [
+            "FreeVariable(i=1, k=2) holds on the cube (1,) in, (2,) out, "
+            "not on (1,) in, () out",
+            "support (1,) is not covered"]
 
     def test_tampering_detected(self):
         matrix = builtin_matrix("A:4")
-        good = inductive_prover(ExchangeIdeals(matrix)).certificate
-        entries = dict(good.entries)
-        removed = dict(entries)
-        del removed[(1, 2)]
-        assert any("no justification" in line
-                   for line in SupportCertificate(removed, 4).verify(matrix))
-        extra = dict(entries)
-        extra[(5,)] = FreeIndex(5)
-        assert any("unexpected" in line
-                   for line in SupportCertificate(extra, 4).verify(matrix))
-        wrong = dict(entries)
-        wrong[(1, 2)] = SinkSourceSplit(1, 3)
-        assert any("does not hold" in line
-                   for line in SupportCertificate(wrong, 4).verify(matrix))
+        cubes = list(inductive_prover(ExchangeIdeals(matrix)).certificate.cubes)
+        assert SupportCertificate(cubes, 4).verify(matrix) == []
+        # a rule absent from the table: 3 is no neighbor of 1
+        absent = cubes + [((1, 3), (), SinkSourceSplit(1, 3))]
+        assert SupportCertificate(absent, 4).verify(matrix) == [
+            "SinkSourceSplit(i=1, j=3) is not a rule of this matrix"]
+        # a rule of the table, claimed on a cube that is not its own
+        k = cubes.index(((1,), (2,), FreeIndex(1)))
+        moved = cubes[:k] + [((1,), (), FreeIndex(1))] + cubes[k + 1:]
+        assert SupportCertificate(moved, 4).verify(matrix)[0] == (
+            "FreeIndex(i=1) holds on the cube (1,) in, (2,) out, "
+            "not on (1,) in, () out")
+        # a certificate for another n
+        assert SupportCertificate(cubes, 5).verify(matrix)[0] == (
+            "certificate is for n = 5, the matrix has n = 4")
+        # dropped cubes leave holes, and a reported hole is really uncovered
+        holes = []
+        for k, j in combinations(range(len(cubes)), 2):
+            rest = [c for i, c in enumerate(cubes) if i not in (k, j)]
+            problems = SupportCertificate(rest, 4).verify(matrix)
+            if not problems:
+                continue
+            (line,) = problems
+            support = next(s for s in all_supports(4)
+                           if line == f"support {s} is not covered")
+            assert not any(set(inside) <= set(support)
+                           and not set(outside) & set(support)
+                           for inside, outside, _ in rest)
+            holes.append((k, j, line))
+        assert holes
+        # a rule claimed on every support is rejected and covers nothing
+        k, j, line = holes[0]
+        inside, outside, rule = cubes[k]
+        claimed = [((), (), rule) if i == k else c
+                   for i, c in enumerate(cubes) if i != j]
+        assert SupportCertificate(claimed, 4).verify(matrix) == [
+            f"{rule} holds on the cube {inside} in, {outside} out, "
+            f"not on () in, () out", line]
 
 
 def all_supports(n: int):
@@ -451,13 +489,12 @@ class TestVerdict:
         assert verdict.stuck_supports == ((2, 3),)
         assert verdict.verified_bound == 2
 
-    def test_past_size_limit_is_inconclusive(self):
+    def test_past_the_listing_cap_is_ufd(self):
         n = MAX_CERTIFICATE_N + 1
         verdict = ufd_verdict(ideals_for(f"A:{n}"))
-        assert isinstance(verdict, Inconclusive)
-        assert f"2^{n} supports" in verdict.reason
-        assert verdict.stuck_supports == ()
-        assert verdict.verified_bound == 0
+        assert isinstance(verdict, UFD)
+        assert len(verdict.certificate) == 2 ** n - 1
+        assert verdict.notes == "cross-check skipped (n > 8)"
 
     def test_budget_shortens_cross_check_but_keeps_verdict(self):
         verdict = ufd_verdict(ideals_for("A:4"), degree_bound=2,
@@ -562,6 +599,14 @@ class TestNormalFormElement:
 DISCONNECTED_ROWS = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 
+def weighted_chain_rows(n: int) -> list[list[int]]:
+    """STUCK_ROWS continued to n indices: the path with every weight 2."""
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n - 1):
+        rows[k][k + 1], rows[k + 1][k] = 2, -2
+    return rows
+
+
 def cyclic_path_rows(n: int) -> list[list[int]]:
     """The oriented 3-cycle 1 -> 2 -> 3 -> 1 with a path 3 - 4 - ... - n."""
     rows = [[0] * n for _ in range(n)]
@@ -629,16 +674,13 @@ class TestVerdictStages:
         ufd_verdict(ideals_for(name), degree_bound=2)
         assert len(calls) == 1
 
-    def test_cyclic_past_size_limit_never_sweeps(self, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("swept past the size limit")
-
-        monkeypatch.setattr(factoriality, "conjecture_sweep", no_sweep)
+    def test_cyclic_past_the_listing_cap_sweeps(self):
         n = MAX_CERTIFICATE_N + 1
         verdict = ufd_verdict(ExchangeIdeals(ExchangeMatrix(cyclic_path_rows(n))))
         assert isinstance(verdict, Inconclusive)
         assert verdict.reason.startswith("the principal quiver has an oriented cycle")
-        assert verdict.verified_bound == 0
+        assert "ideal equality fails at" in verdict.reason
+        assert verdict.verified_bound == 1
 
 
 # -- the rule table against a first-match oracle read from the rows ----------
@@ -646,52 +688,6 @@ class TestVerdictStages:
 def supports_in_order(n: int):
     return [s for size in range(1, n + 1)
             for s in combinations(range(1, n + 1), size)]
-
-
-class RowsOracle:
-    """The three lemmas' side conditions, read straight from the rows."""
-
-    def __init__(self, rows):
-        self.rows, self.n, self.m = rows, len(rows[0]), len(rows)
-
-    def neighbors(self, r):
-        return {j + 1 for j in range(self.n) if self.rows[r - 1][j] and j + 1 != r}
-
-    def source_or_sink(self, i):
-        column = [row[i - 1] for row in self.rows]
-        return all(b <= 0 for b in column) or all(b >= 0 for b in column)
-
-    def unit_pivots(self, i):
-        """k such that f_i has the term x_k with coefficient one."""
-        column = [row[i - 1] for row in self.rows]
-        out = set()
-        for sign in (1, -1):
-            part = [k + 1 for k, b in enumerate(column) if sign * b > 0]
-            if len(part) == 1 and sign * column[part[0] - 1] == 1:
-                out.add(part[0])
-        return out
-
-    def holds(self, support, just):
-        s = set(support)
-        if isinstance(just, SinkSourceSplit):
-            i, j = just.i, just.j
-            return (i in s and j in s and i != j and self.source_or_sink(i)
-                    and j in self.neighbors(i))
-        if isinstance(just, FreeIndex):
-            return just.i in s and not self.neighbors(just.i) & s
-        i, k = just.i, just.k
-        return (i in s and 1 <= k <= self.m and k != i
-                and not (k <= self.n and k in s) and k in self.unit_pivots(i)
-                and not (self.neighbors(k) - {i}) & s)
-
-    def first_match(self, support):
-        """The first rule that holds, in the order sink/source split by
-        (i, j), free index by i, free variable by (i, k)."""
-        candidates = ([SinkSourceSplit(i, j) for i in support for j in support]
-                      + [FreeIndex(i) for i in support]
-                      + [FreeVariable(i, k) for i in support
-                         for k in range(1, self.m + 1)])
-        return next((c for c in candidates if self.holds(support, c)), None)
 
 
 random_seed_rows = st.builds(
@@ -718,6 +714,8 @@ class TestRuleTable:
     @settings(max_examples=60, deadline=None)
     @given(random_seed_rows.filter(lambda rows: len(rows[0]) <= 5))
     def test_verify_accepts_exactly_the_rules_that_hold(self, rows):
+        """verify accepts a cube exactly when the oracle's rule holds on the
+        supports of that cube and on no other."""
         oracle = RowsOracle(rows)
         n, m = oracle.n, oracle.m
         matrix = ExchangeMatrix(rows)
@@ -728,12 +726,95 @@ class TestRuleTable:
                       + [FreeIndex(i) for i in range(0, n + 2)]
                       + [FreeVariable(i, k) for i in range(1, n + 1)
                          for k in range(0, m + 2)])
+
+        def cube_problems(inside, outside, just):
+            cert = SupportCertificate([(inside, outside, just)], n)
+            return [p for p in cert.verify(matrix, ideals)
+                    if not p.endswith("is not covered")]
+
         for just in candidates:
-            problems = SupportCertificate({s: just for s in supports}, n).verify(
-                matrix, ideals)
-            assert problems == [f"support {s}: {just} does not hold"
-                                for s in sorted(supports)
-                                if not oracle.holds(s, just)]
+            held = [set(s) for s in supports if oracle.holds(s, just)]
+            if not held:
+                assert cube_problems((1,), (), just) == [
+                    f"{just} is not a rule of this matrix"]
+                continue
+            inside = tuple(sorted(set.intersection(*held)))
+            outside = tuple(i for i in range(1, n + 1)
+                            if i not in set.union(*held))
+            # the rule holds on exactly this subcube of supports
+            assert held == [set(s) for s in supports
+                            if set(inside) <= set(s) and not set(outside) & set(s)]
+            assert cube_problems(inside, outside, just) == []
+            for t in range(1, n + 1):
+                for claim in ((tuple(sorted(set(inside) ^ {t})), outside),
+                              (inside, tuple(sorted(set(outside) ^ {t})))):
+                    assert cube_problems(*claim, just) == [
+                        f"{just} holds on the cube {inside} in, {outside} out, "
+                        f"not on {claim[0]} in, {claim[1]} out"]
+
+
+random_seed_rows_to_10 = st.builds(
+    lambda state, n, frozen: random_acyclic_seed(random.Random(state), n, frozen),
+    st.integers(0, 2 ** 32), st.integers(1, 10), st.integers(0, 2))
+
+
+class TestCoverOracle:
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    @given(random_seed_rows_to_10)
+    def test_cover_against_first_match(self, rows):
+        """The cubes certify exactly when the first-match oracle finds no
+        stuck support; every support of a hole is stuck; and the listing
+        expands to the oracle's first matches."""
+        oracle = RowsOracle(rows)
+        n = oracle.n
+        expected = [(s, oracle.first_match(s)) for s in supports_in_order(n)]
+        stuck = {s for s, just in expected if just is None}
+        ideals = ExchangeIdeals(ExchangeMatrix(rows))
+        hole = factoriality._uncovered(
+            factoriality._rule_cubes(ideals.matrix, ideals).values(), n)
+        assert (hole is None) == (not stuck)
+        result = inductive_prover(ideals)
+        if hole is None:
+            assert list(result.certificate.entries.items()) == expected
+            return
+        assert result.certificate is None
+        inside, outside = (set(factoriality._support(mask)) for mask in hole)
+        assert inside and not inside & outside
+        free = set(range(1, n + 1)) - inside - outside
+        for extra in all_subsets(sorted(free)):
+            assert tuple(sorted(inside | set(extra))) in stuck
+
+
+def all_subsets(items):
+    return [c for size in range(len(items) + 1) for c in combinations(items, size)]
+
+
+def timing_cases():
+    for name in ("A:17", "A:40", "E:8"):
+        yield name, [list(row) for row in builtin_matrix(name).rows]
+    for state, frozen in ((0, 0), (1, 1), (3, 0)):
+        yield (f"tree{state}",
+               random_acyclic_seed(random.Random(state), 40, frozen))
+
+
+class TestCoverTiming:
+    """The cover decides seeds far past the listing cap.  The target is
+    under 1 s for each; the gate is 5 s, so a slow machine does not fail."""
+
+    @pytest.mark.parametrize("name, rows", list(timing_cases()),
+                             ids=[name for name, _ in timing_cases()])
+    def test_certify_or_stuck_and_verify(self, name, rows):
+        start = time.perf_counter()
+        ideals = ExchangeIdeals(ExchangeMatrix(rows))
+        result = inductive_prover(ideals)
+        if result.certificate is not None:
+            assert result.certificate.verify(ideals.matrix, ideals) == []
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, f"{name}: {elapsed:.2f} s"
+        oracle = RowsOracle(rows)
+        for support in result.stuck_supports:
+            assert oracle.first_match(support) is None
 
 
 class TestProverWork:
