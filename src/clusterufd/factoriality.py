@@ -275,9 +275,9 @@ def _normalize_factor(g: Polynomial) -> Polynomial:
     """Scale so the constant term (else the leading coefficient) is one."""
     c0 = g.constant_coefficient()
     if c0:
-        return g * (g.field.one() / c0)
+        return g * g.field.div(g.field.one(), c0)
     _, lc = g.leading(grevlex_order(g.m))
-    return g * (g.field.one() / lc)
+    return g * g.field.div(g.field.one(), lc)
 
 
 def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResult:
@@ -336,7 +336,7 @@ def _match_scale(f: Polynomial, g: Polynomial, h: Polynomial):
     _, f_lc = f.leading(order)
     prod = g * h
     _, p_lc = prod.leading(order)
-    return f_lc / p_lc
+    return f.field.div(f_lc, p_lc)
 
 
 # -- necessary conditions ----------------------------------------------------
@@ -754,6 +754,18 @@ class SupportCertificate:
         return self.supports
 
 
+def _shrink_stuck(cubes, mask: int) -> int:
+    """A stuck support inside the stuck support ``mask``: its indices are
+    dropped in ascending order, each while the rest stays nonempty and no
+    cube holds on it."""
+    for i in _support(mask):
+        rest = mask & ~(1 << (i - 1))
+        if rest and not any(inside & rest == inside and not outside & rest
+                            for inside, outside in cubes):
+            mask = rest
+    return mask
+
+
 @dataclass(frozen=True)
 class ProverResult:
     certificate: Optional[SupportCertificate]
@@ -766,8 +778,9 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
     Assumes the standing assumptions (connected, acyclic, coprime
     irreducible exchange polynomials) were already verified by the caller.
     When the cover has a hole, the stuck supports are every support no rule
-    holds on, for n <= ``MAX_CERTIFICATE_N``, and past that the smallest
-    support of the hole found.
+    holds on, for n <= ``MAX_CERTIFICATE_N``, and past that one stuck
+    support: the smallest support of the hole found, shrunk by
+    ``_shrink_stuck``.
     """
     n = ideals.n
     table = _rule_cubes(ideals.matrix, ideals)
@@ -777,7 +790,8 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
             [(_support(inside), _support(outside), rule)
              for rule, (inside, outside) in table.items()], n), ())
     if n > MAX_CERTIFICATE_N:
-        return ProverResult(None, (_support(hole[0]),))
+        return ProverResult(None, (_support(_shrink_stuck(table.values(),
+                                                          hole[0])),))
     cubes = [(inside, outside, rule) for rule, (inside, outside) in table.items()]
     return ProverResult(None, tuple(support for support, rule
                                     in _first_matches(cubes, n) if rule is None))
@@ -925,7 +939,7 @@ def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
             raise ValueError(
                 f"x{pos + 1} divides the input; strip monomial factors first")
     _, lc = p.leading(grevlex_order(p.m))
-    normalized = p * (p.field.one() / lc)
+    normalized = p * p.field.div(p.field.one(), lc)
     monomial = ideals.normal_monomial(normalized)
     value = LaurentPolynomial(normalized, monomial)
     verdict = binomial_irreducible(normalized)

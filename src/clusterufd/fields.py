@@ -1,7 +1,14 @@
 """Exact scalar arithmetic for the supported coefficient fields.
 
-Two fields are available: the rationals (stdlib ``Fraction``) and the
-Gaussian rationals a + b*i with Fraction components.  All arithmetic is
+Two fields are available: the rationals and the Gaussian rationals a + b*i
+with Fraction components.  A rational is stored in canonical form: an
+``int`` when it is integral, else a ``Fraction``.  Exchange polynomials and
+cluster variables have integer coefficients, so their arithmetic runs on
+plain ints.  This module alone applies the rule: ``FieldTag.coerce``,
+``zero`` and ``one`` give canonical values, ``nonzero_terms`` cleans a
+product, and ``FieldTag.div`` is the one division of coefficients, since
+``int / int`` would give a float.  A sum of two Fractions may still be an
+integral Fraction, which equals and hashes like its int.  All arithmetic is
 exact; nothing here ever touches a float.
 """
 from __future__ import annotations
@@ -140,7 +147,7 @@ class GaussianRational:
     __repr__ = __str__
 
 
-FieldElement = Union[Fraction, GaussianRational]
+FieldElement = Union[int, Fraction, GaussianRational]
 
 
 def conjugate(value: FieldElement) -> FieldElement:
@@ -164,10 +171,10 @@ class FieldTag(Enum):
         raise ValueError(f"unknown field {name!r}; expected 'Q' or 'Qi'")
 
     def zero(self) -> FieldElement:
-        return Fraction(0) if self is FieldTag.Q else GaussianRational(0)
+        return 0 if self is FieldTag.Q else GaussianRational(0)
 
     def one(self) -> FieldElement:
-        return Fraction(1) if self is FieldTag.Q else GaussianRational(1)
+        return 1 if self is FieldTag.Q else GaussianRational(1)
 
     def imaginary_unit(self) -> GaussianRational:
         if self is not FieldTag.QI:
@@ -175,7 +182,8 @@ class FieldTag(Enum):
         return GaussianRational(0, 1)
 
     def coerce(self, value) -> FieldElement:
-        """Coerce an int, Fraction or GaussianRational into this field."""
+        """Coerce an int, Fraction or GaussianRational into this field, in
+        canonical form."""
         if not isinstance(value, (int, Fraction, GaussianRational)) \
                 or isinstance(value, bool):
             raise TypeError(f"cannot coerce {type(value).__name__} exactly")
@@ -183,14 +191,34 @@ class FieldTag(Enum):
             if isinstance(value, GaussianRational):
                 if value.im:
                     raise ValueError(f"{value} has an imaginary part; not in Q")
-                return value.re
-            return Fraction(value)
+                value = value.re
+            return _canonical(value)
         if isinstance(value, GaussianRational):
             return value
         return GaussianRational(value)
+
+    def div(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        """The quotient a / b of two elements of this field, canonical."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        quotient = a / b
+        return _canonical(quotient) if self is FieldTag.Q else quotient
 
     def is_integer_scalar(self, value: FieldElement) -> bool:
         """True when the value is a plain rational integer."""
         if isinstance(value, GaussianRational):
             return not value.im and value.re.denominator == 1
         return value.denominator == 1
+
+
+def _canonical(value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """A rational as an int when it is integral, else as a Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def nonzero_terms(terms: dict) -> dict:
+    """The nonzero entries of a term dict over either field, in canonical
+    form: a sum of products of Fractions may be integral."""
+    return {e: c.numerator if type(c) is Fraction and c.denominator == 1
+            else c for e, c in terms.items() if c}

@@ -95,8 +95,8 @@ def _reduce_full(terms: dict, reducers: Sequence[tuple], order: MonomialOrder) -
 
 
 def _monic(terms: dict, lt_coeff, field: FieldTag) -> dict:
-    scale = field.one() / lt_coeff
-    return {e: c * scale for e, c in terms.items()}
+    div = field.div
+    return {e: div(c, lt_coeff) for e, c in terms.items()}
 
 
 def normal_form(p: Polynomial, basis: "GroebnerBasis") -> Polynomial:

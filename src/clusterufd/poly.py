@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
-from .fields import FieldTag, GaussianRational
+from .fields import FieldTag, GaussianRational, nonzero_terms
 
 Exponent = tuple[int, ...]
 
@@ -277,31 +277,19 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = Polynomial.constant(other, self.m, self.field)
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction, GaussianRational)):
-                c = self.field.coerce(other)
-                if not c:
-                    return Polynomial.zero(self.m, self.field)
-                return Polynomial._raw(self.m, self.field,
-                                       {e: v * c for e, v in self.terms.items()})
             return NotImplemented
         self._check_compatible(other)
-        if _over_integers(self, other):
-            return Polynomial._raw(self.m, self.field,
-                                   _integer_product(self.terms, other.terms))
-        out = {}
+        out: dict = {}
+        get = out.get
+        t2 = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in t2:
                 exp = tuple(map(add, e1, e2))
-                if exp in out:
-                    s = out[exp] + c1 * c2
-                    if s:
-                        out[exp] = s
-                    else:
-                        del out[exp]
-                else:
-                    out[exp] = c1 * c2
-        return Polynomial._raw(self.m, self.field, out)
+                out[exp] = get(exp, 0) + c1 * c2
+        return Polynomial._raw(self.m, self.field, nonzero_terms(out))
 
     __rmul__ = __mul__
 
@@ -363,40 +351,12 @@ class Polynomial:
         return acc
 
 
-# -- the integer kernel ------------------------------------------------------
-#
-# Over Q, cluster variables and exchange polynomials have integer
-# coefficients, so products and exact quotients of them can run on plain
-# ints.  Stored coefficients stay Fractions; only the inner loops change.
-
-def _over_integers(p: Polynomial, q: Polynomial) -> bool:
-    """True when both operands live over Q and every coefficient is an integer."""
-    return (p.field is FieldTag.Q
-            and all(c.denominator == 1 for c in p.terms.values())
-            and all(c.denominator == 1 for c in q.terms.values()))
-
-
-def _integer_product(t1: dict, t2: dict) -> dict:
-    """The terms of the product of two integral term dicts over Q."""
-    acc: dict = {}
-    get = acc.get
-    ints2 = [(e, c.numerator) for e, c in t2.items()]
-    for e1, c1 in t1.items():
-        c1 = c1.numerator
-        for e2, c2 in ints2:
-            exp = tuple(map(add, e1, e2))
-            acc[exp] = get(exp, 0) + c1 * c2
-    return {e: Fraction(c) for e, c in acc.items() if c}
-
-
 def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
-                    q_coeff, key, integral: bool) -> Optional[bool]:
+                    q_coeff, key, div) -> bool:
     """Divide ``rem`` by q in place, writing quotient terms into ``quot``.
 
     True when ``rem`` is used up (exact), False when a term would land in
-    the remainder (not exact).  With ``integral`` the coefficients are ints
-    and the step stops, returning None, at the first quotient coefficient
-    that is not an integer.
+    the remainder (not exact).
 
     Each term is keyed once, when it enters ``rem``, into a queue sorted by
     key.  Every term a step adds lies below the leading term it cancels, so
@@ -410,12 +370,7 @@ def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
             continue
         if not ev_divides(q_exp, exp):
             return False
-        if integral:
-            factor, r = divmod(rem[exp], q_coeff)
-            if r:
-                return None
-        else:
-            factor = rem[exp] / q_coeff
+        factor = div(rem[exp], q_coeff)
         shift = ev_sub(exp, q_exp)
         quot[shift] = factor
         for e2, c2 in q_terms:
@@ -437,9 +392,7 @@ def divide_exact(p: Polynomial, q: Polynomial,
     """The quotient p/q when q divides p exactly, else None.
 
     Single-divisor multivariate division: whenever a term would land in the
-    remainder the division cannot be exact, so we stop early.  Over Q with
-    integral operands the steps run on ints until a quotient coefficient
-    is not an integer, then continue on Fractions.
+    remainder the division cannot be exact, so we stop early.
     """
     p._check_compatible(q)
     if q.is_zero:
@@ -448,26 +401,10 @@ def divide_exact(p: Polynomial, q: Polynomial,
         return Polynomial.zero(p.m, p.field)
     if order is None:
         order = grevlex_order(p.m)
-    key = order.key
     q_exp, q_coeff = q.leading(order)
     quot: dict = {}
-    if _over_integers(p, q):
-        rem = {e: c.numerator for e, c in p.terms.items()}
-        q_ints = [(e, c.numerator) for e, c in q.terms.items()]
-        done = _division_steps(rem, quot, q_exp, q_ints, q_coeff.numerator,
-                               key, integral=True)
-        if done is False:
-            return None
-        if done:
-            return Polynomial._raw(p.m, p.field,
-                                   {e: Fraction(c) for e, c in quot.items()})
-        # a quotient coefficient is not an integer: go on over Fractions
-        rem = {e: Fraction(c) for e, c in rem.items()}
-        quot = {e: Fraction(c) for e, c in quot.items()}
-    else:
-        rem = dict(p.terms)
-    if not _division_steps(rem, quot, q_exp, q.terms.items(), q_coeff, key,
-                           integral=False):
+    if not _division_steps(dict(p.terms), quot, q_exp, list(q.terms.items()),
+                           q_coeff, order.key, p.field.div):
         return None
     return Polynomial._raw(p.m, p.field, quot)
 
@@ -606,8 +543,8 @@ class LaurentPolynomial:
         if not self.is_unit():
             raise ValueError("only single-term Laurent polynomials are invertible")
         ((exp, coeff),) = self.num.terms.items()
-        inv_num = Polynomial.monomial(self.field.one() / coeff, self.den,
-                                      self.m, self.field)
+        inv_num = Polynomial.monomial(self.field.div(self.field.one(), coeff),
+                                      self.den, self.m, self.field)
         return LaurentPolynomial(inv_num, exp)
 
     def __truediv__(self, other):

@@ -3,6 +3,7 @@ what the package computes, kept out of the package because nothing but the
 tests uses them."""
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
@@ -58,10 +59,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     f_exp, f_lc = f.leading(order)
     g_exp, g_lc = g.leading(order)
     lcm = tuple(max(a, b) for a, b in zip(f_exp, g_exp))
-    one = f.field.one()
 
     def cofactor(exp, lc):
-        return Polynomial.monomial(one / lc, tuple(x - e for x, e in zip(lcm, exp)),
+        return Polynomial.monomial(Fraction(1) / lc,
+                                   tuple(x - e for x, e in zip(lcm, exp)),
                                    f.m, f.field)
 
     return cofactor(f_exp, f_lc) * f - cofactor(g_exp, g_lc) * g

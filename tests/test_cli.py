@@ -507,10 +507,14 @@ class TestPastTheListingCap:
         path.write_text(json.dumps({"n": n, "m": n, "matrix": rows}))
         code, body = run_json(capsys, "prove-ufd", "--seed", str(path))
         assert code == 2
-        assert len(body["stuck_supports"]) == 1
+        assert body["stuck_supports"] == [[17, 18]]
         oracle = RowsOracle(rows)
-        for support in body["stuck_supports"]:
-            assert support and oracle.first_match(tuple(support)) is None
+        (support,) = body["stuck_supports"]
+        assert oracle.first_match(tuple(support)) is None
+        # shrunk: dropping any one index leaves a support some rule covers
+        for i in support:
+            rest = tuple(j for j in support if j != i)
+            assert not rest or oracle.first_match(rest) is not None
 
 
 SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(

@@ -125,8 +125,12 @@ class TestFieldTag:
             FieldTag.Q.imaginary_unit()
 
     def test_coerce(self):
-        assert FieldTag.Q.coerce(5) == Fraction(5)
-        assert isinstance(FieldTag.Q.coerce(5), Fraction)
+        # over Q, integral values are ints and the others Fractions
+        assert FieldTag.Q.coerce(5) == 5
+        assert type(FieldTag.Q.coerce(5)) is int
+        assert type(FieldTag.Q.coerce(Fraction(10, 2))) is int
+        assert type(FieldTag.Q.coerce(GaussianRational(4, 0))) is int
+        assert type(FieldTag.Q.coerce(HALF)) is Fraction
         assert FieldTag.QI.coerce(HALF) == GaussianRational(HALF, 0)
         with pytest.raises(ValueError):
             FieldTag.Q.coerce(I)

@@ -1,0 +1,160 @@
+"""The coefficient representation: over Q a coefficient is an int when it
+is integral and a Fraction otherwise, over Q(i) a GaussianRational with
+Fraction parts, and never a float or a bool."""
+from __future__ import annotations
+
+import ast
+import os
+import random
+from fractions import Fraction
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import clusterufd
+from conftest import random_laurent, random_polynomial
+from clusterufd.cluster import builtin_seed, enumerate_cluster_variables
+from clusterufd.fields import FieldTag, GaussianRational
+from clusterufd.groebner import buchberger, normal_form
+from clusterufd.parse import parse_expression
+from clusterufd.poly import (LaurentPolynomial, Polynomial, divide_exact,
+                             grevlex_order)
+
+Q = FieldTag.Q
+QI = FieldTag.QI
+
+
+def exact(c, field: FieldTag) -> bool:
+    """Stored as the field stores its elements: never a float or a bool."""
+    if field is QI:
+        return (type(c) is GaussianRational
+                and type(c.re) is type(c.im) is Fraction)
+    return type(c) in (int, Fraction)
+
+
+def canonical(c, field: FieldTag) -> bool:
+    """Over Q an int exactly when integral, else a Fraction."""
+    if field is QI:
+        return exact(c, field)
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def coefficients(value):
+    if isinstance(value, LaurentPolynomial):
+        value = value.num
+    return list(value.terms.values())
+
+
+def integral_polynomial(rng: random.Random, m: int, field: FieldTag,
+                        nonzero: bool = False) -> Polynomial:
+    def scalar():
+        if field is QI:
+            return GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+        return rng.randint(-6, 6)
+
+    terms = {tuple(rng.randint(0, 3) for _ in range(m)): scalar()
+             for _ in range(rng.randint(1 if nonzero else 0, 4))}
+    p = Polynomial(m, field, terms)
+    return Polynomial.one(m, field) if nonzero and p.is_zero else p
+
+
+def unit(rng: random.Random, m: int, field: FieldTag) -> LaurentPolynomial:
+    """A random single-term Laurent polynomial with a nonzero coefficient."""
+    c = 0
+    while not c:
+        c = field.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    exp = tuple(rng.randint(0, 2) for _ in range(m))
+    den = tuple(rng.randint(0, 2) for _ in range(m))
+    return LaurentPolynomial(Polynomial.monomial(c, exp, m, field), den)
+
+
+class TestRepresentation:
+    @given(st.integers(0, 2 ** 32))
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    def test_every_operation_keeps_the_representation(self, rng_seed):
+        rng = random.Random(rng_seed)
+        for field in (Q, QI):
+            p = random_polynomial(rng, 3, field)
+            q = random_polynomial(rng, 3, field, nonzero=True)
+            a = integral_polynomial(rng, 3, field)
+            b = integral_polynomial(rng, 3, field, nonzero=True)
+            u, v = random_laurent(rng, 3, field), unit(rng, 3, field)
+
+            products = [p * q, p ** 3, a * b, a ** 3]
+            quotients = [divide_exact(n, d) for n, d in
+                         ((p * q, q), (a * b, b), (a * b, q), (p, b), (a, b))]
+            assert quotients[0] == p
+            assert quotients[1] == a
+            # a small ideal in two variables, so the basis stays cheap
+            g1 = random_polynomial(rng, 2, field, max_terms=3, max_exp=2,
+                                   nonzero=True)
+            g2 = integral_polynomial(rng, 2, field, nonzero=True)
+            basis = buchberger([g1, g2], grevlex_order(2))
+            laurent = [u / v, v.inverse(), parse_expression(str(u), 3, field),
+                       parse_expression(f"({u}) / ({v})", 3, field)]
+            assert laurent[2] == u and laurent[3] == laurent[0]
+            others = [*basis, normal_form(g1 * g2 + g1 + 1, basis)]
+
+            exact_quotients = [r for r in quotients if r is not None]
+            for value in products + exact_quotients + laurent + others:
+                assert all(exact(c, field) for c in coefficients(value)), value
+            for value in products + exact_quotients:
+                assert all(canonical(c, field)
+                           for c in coefficients(value)), value
+            if field is Q:
+                # integral operands, integral results: plain ints throughout
+                for value in (a * b, a ** 3, quotients[1]):
+                    assert all(type(c) is int
+                               for c in coefficients(value)), value
+
+    def test_cluster_variables_have_int_coefficients(self):
+        result = enumerate_cluster_variables(builtin_seed("A:6"))
+        assert result.complete and result.count == 27
+        for variable in result.variables:
+            assert all(type(c) is int
+                       for c in coefficients(variable)), variable
+
+
+# -- where a coefficient may be divided ---------------------------------------
+
+SRC_DIR = os.path.dirname(os.path.abspath(clusterufd.__file__))
+
+# Every other coefficient division goes through FieldTag.div, since
+# ``int / int`` gives a float and Polynomial._raw does not coerce.
+DIVISION_ALLOWED = {
+    "cluster.find_skew_symmetrizer",
+    "fields.GaussianRational.__truediv__",
+    "fields.GaussianRational.__rtruediv__",
+    "fields.GaussianRational.__pow__",
+    "fields.FieldTag.div",
+    "parse._Parser.term",
+    "poly.LaurentPolynomial.__rtruediv__",
+}
+
+
+def functions_with_true_division() -> set[str]:
+    """Qualified names (module.Class.function) of the package's functions
+    whose own body holds a ``/`` or ``/=``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                    and isinstance(child.op, ast.Div)):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for name in sorted(os.listdir(SRC_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), (name[:-3],))
+    return found
+
+
+def test_true_division_only_where_allowed():
+    assert functions_with_true_division() == DIVISION_ALLOWED
