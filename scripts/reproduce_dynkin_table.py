@@ -28,7 +28,8 @@ from clusterufd.fields import FieldTag
 
 CASES = [
     ("A:2", "Q"), ("A:3", "Q"), ("A:4", "Q"), ("A:5", "Q"), ("A:6", "Q"),
-    ("D:4", "Q"), ("D:5", "Q"), ("E:6", "Q"),
+    ("D:4", "Q"), ("D:5", "Q"), ("D:6", "Q"),
+    ("E:6", "Q"), ("E:7", "Q"), ("E:8", "Q"),
     ("rank2:1,1", "Q"), ("rank2:1,2", "Q"), ("rank2:1,4", "Q"),
     ("kronecker", "Q"), ("kronecker", "Qi"),
     ("cyclicA3", "Q"),

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fields import FieldTag
 from .poly import (LaurentPolynomial, Polynomial, divide_exact, ev_add,
@@ -250,8 +249,7 @@ def _is_acyclic(matrix: ExchangeMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Combinatorial facts about an exchange matrix."""
 
     n: int
@@ -364,8 +362,7 @@ class Seed:
 
 # -- enumeration -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Outcome of a breadth- or depth-first seed exploration."""
 
     variables: tuple[LaurentPolynomial, ...]
@@ -523,7 +520,11 @@ def seed_from_dict(data: dict, field_override: Optional[FieldTag] = None) -> See
         if key not in data:
             raise ValueError(f"seed file is missing {key!r}")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < n:
+    for key, value in (("n", n), ("m", m)):
+        # JSON true and false load as bools, which are ints
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key}: expected an integer, got {value!r}")
+    if n < 1 or m < n:
         raise ValueError(f"need integers 1 <= n <= m, got n={n!r}, m={m!r}")
     matrix = data["matrix"]
     if not isinstance(matrix, list) or len(matrix) != m:

@@ -14,11 +14,11 @@ it can only mean a bug.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence,
+                    Union)
 
 from .cluster import ExchangeMatrix, exchange_polynomial, structure_report
 from .fields import FieldTag, GaussianRational
@@ -230,8 +230,7 @@ def _prime_factors(k: int):
 
 # -- brute-force factor search ----------------------------------------------
 
-@dataclass(frozen=True)
-class FactorSearchResult:
+class FactorSearchResult(NamedTuple):
     """A factor pair if one was found, plus whether the search was complete."""
 
     factors: Optional[tuple[Polynomial, Polynomial]]
@@ -341,8 +340,7 @@ def _match_scale(f: Polynomial, g: Polynomial, h: Polynomial):
 
 # -- necessary conditions ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReducibleExchangePolynomial:
+class ReducibleExchangePolynomial(NamedTuple):
     """f_index factors as the given verified pair, refuting factoriality."""
 
     index: int
@@ -357,8 +355,7 @@ class ReducibleExchangePolynomial:
                               "factors": [str(g) for g in self.factors]}}
 
 
-@dataclass(frozen=True)
-class CoincidentExchangePolynomials:
+class CoincidentExchangePolynomials(NamedTuple):
     """f_i and f_j are literally equal."""
 
     i: int
@@ -415,8 +412,7 @@ def _necessary_witness(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
 
 # -- the ideal-equality conjecture at one multi-index ------------------------
 
-@dataclass(frozen=True)
-class ConjectureOutcome:
+class ConjectureOutcome(NamedTuple):
     """Result of comparing a product of ideal powers with their intersection."""
 
     status: str  # "holds" | "fails" | "inconclusive"
@@ -514,35 +510,68 @@ def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
 
 # -- the inductive certificate search ---------------------------------------
 
-@dataclass(frozen=True)
-class SinkSourceSplit:
+class _Rule:
+    """One lemma applied at given indices.  Rules are immutable, and two are
+    equal, and hash equal, only when they apply the same lemma at the same
+    indices, so rules of different lemmas are distinct dict keys."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, *indices: int):
+        for name, value in zip(self.__slots__, indices, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", (type(self), *indices))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Rule):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a rule")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SinkSourceSplit(_Rule):
     """Index i is a sink or source, j is a support neighbor; coprimality
     of f_i and f_j lets the induction split off one power each."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        super().__init__(i, j)
 
     def to_json(self) -> dict:
         return {"rule": "sink_source", "i": self.i, "j": self.j}
 
 
-@dataclass(frozen=True)
-class FreeIndex:
+class FreeIndex(_Rule):
     """No neighbor of i lies in the support, so f_i is regular modulo the rest."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        super().__init__(i)
 
     def to_json(self) -> dict:
         return {"rule": "free_index", "i": self.i}
 
 
-@dataclass(frozen=True)
-class FreeVariable:
+class FreeVariable(_Rule):
     """f_i = x_k + monomial with x_k outside the support and no other
     support index adjacent to k, so x_k can absorb one power of f_i."""
 
-    i: int
-    k: int
+    __slots__ = ("i", "k")
+
+    def __init__(self, i: int, k: int):
+        super().__init__(i, k)
 
     def to_json(self) -> dict:
         return {"rule": "free_variable", "i": self.i, "k": self.k}
@@ -766,8 +795,7 @@ def _shrink_stuck(cubes, mask: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class ProverResult:
+class ProverResult(NamedTuple):
     certificate: Optional[SupportCertificate]
     stuck_supports: tuple[tuple[int, ...], ...]
 
@@ -799,15 +827,13 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
 
 # -- the full verdict pipeline ----------------------------------------------
 
-@dataclass(frozen=True)
-class NotUFD:
+class NotUFD(NamedTuple):
     """The upper cluster algebra is provably not a UFD."""
 
     witness: NotUFDWitness
 
 
-@dataclass(frozen=True)
-class UFD:
+class UFD(NamedTuple):
     """A complete verified certificate; cross-checked up to the given weight."""
 
     certificate: SupportCertificate
@@ -815,8 +841,7 @@ class UFD:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     """Neither refuted nor certified; records how far direct checks got."""
 
     reason: str
@@ -915,8 +940,7 @@ def algebra_membership(ideals: ExchangeIdeals, value: LaurentPolynomial,
     return True
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
+class NormalFormResult(NamedTuple):
     """An irreducible element's canonical Laurent form P / M(P)."""
 
     value: LaurentPolynomial

@@ -13,9 +13,8 @@ on every run, so a budget that suffices once always suffices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import FieldTag
 from .poly import (MonomialOrder, Polynomial, elimination_order, ev_add,
@@ -33,8 +32,7 @@ class BudgetExceeded(Exception):
         self.basis_size = basis_size
 
 
-@dataclass(frozen=True)
-class GroebnerBudget:
+class GroebnerBudget(NamedTuple):
     """Work limits for a single Buchberger run."""
 
     max_reductions: int = 1_000_000

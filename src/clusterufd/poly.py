@@ -9,7 +9,6 @@ signature; exponent tuples are 0-indexed internally.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Optional, Sequence
@@ -44,7 +43,6 @@ def ev_divides(a: Exponent, b: Exponent) -> bool:
 
 # -- monomial orders --------------------------------------------------------
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order on m variables, with an optional variable permutation.
 
@@ -52,25 +50,44 @@ class MonomialOrder:
     priority; exponents are read through it before the order rule applies.
     ``kind`` is one of "lex", "grevlex" or "block"; a block order compares
     the first ``block`` permuted positions grevlex-first, which makes it an
-    elimination order for those variables.
+    elimination order for those variables.  Orders are immutable, and two
+    with the same fields are equal and hash equal, so an order can key a
+    cache of Groebner bases.
     """
 
-    kind: str
-    m: int
-    permutation: tuple[int, ...]
-    block: int = 0
+    __slots__ = ("kind", "m", "permutation", "block", "_pick")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if sorted(self.permutation) != list(range(self.m)):
+    def __init__(self, kind: str, m: int, permutation: tuple[int, ...],
+                 block: int = 0):
+        if kind not in ("lex", "grevlex", "block"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        if sorted(permutation) != list(range(m)):
             raise ValueError("permutation must list the positions 0..m-1")
-        if self.kind == "block" and not 0 < self.block < self.m:
+        if kind == "block" and not 0 < block < m:
             raise ValueError("block size must satisfy 0 < block < m")
         # the identity permutation needs no reordering of exponents
-        identity = self.permutation == tuple(range(self.m))
-        object.__setattr__(self, "_pick",
-                           None if identity else itemgetter(*self.permutation))
+        pick = None if permutation == tuple(range(m)) else itemgetter(*permutation)
+        for name, value in zip(self.__slots__, (kind, m, permutation, block, pick)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.m, self.permutation, self.block)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a MonomialOrder")
+
+    def __repr__(self):
+        kind, m, permutation, block = self._fields()
+        return (f"MonomialOrder(kind={kind!r}, m={m}, "
+                f"permutation={permutation}, block={block})")
 
     @staticmethod
     def _grevlex_key(pe: Sequence[int]):

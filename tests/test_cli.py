@@ -346,11 +346,14 @@ SYMPY_PROBE = """
 import json, sys
 def layers():
     return sorted(name for name in sys.modules if name.startswith("clusterufd."))
+def slow_stdlib():
+    return [name for name in ("dataclasses", "inspect") if name in sys.modules]
 from clusterufd.cli import main
 loaded = {"import": layers()}
 main(["--help"])
 main(["no-such-command"])
 loaded["help"] = layers()
+stdlib = {}
 for argv in (["enumerate", "--builtin", "A:3"],
              ["mutate", "--builtin", "A:3", "--sequence", "2,1"],
              ["verify-laurent", "--builtin", "A:3"],
@@ -358,24 +361,30 @@ for argv in (["enumerate", "--builtin", "A:3"],
              ["exchange-polys", "--builtin", "A:3"],
              ["hypersurface", "--n", "3"]):
     main(argv + ["--json"])
+    stdlib[argv[0]] = slow_stdlib()
 loaded["mutation"] = layers()
 for argv in (["prove-ufd", "--builtin", "A:4"],
+             ["prove-ufd", "--builtin", "E:6"],
              ["member", "--builtin", "A:2", "--expr", "(x2 + 1)/x1"],
              ["normal-form", "--builtin", "A:2", "--expr", "x2 + 1"]):
     main(argv + ["--json"])
+    stdlib[" ".join(argv[:3])] = slow_stdlib()
 loaded["certificate"] = layers()
+main(["verdict", "--builtin", "A:4", "--bound", "2", "--json"])
+stdlib["verdict"] = slow_stdlib()
 code = main(["verdict", "--builtin", "A:3", "--json"])
 before = "sympy" in sys.modules
 main(["normal-form", "--builtin", "A:2", "--expr", "x1 + x2 + 1", "--json"])
 print(json.dumps([code, before, "sympy" in sys.modules, loaded,
-                  "logging" in sys.modules]))
+                  "logging" in sys.modules, stdlib]))
 """
 
 
 def test_sympy_is_imported_only_by_the_factor_oracle():
     proc = run_python("-c", SYMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
-    code, before, after, loaded, logging = json.loads(proc.stdout.splitlines()[-1])
+    code, before, after, loaded, logging, stdlib = json.loads(
+        proc.stdout.splitlines()[-1])
     assert code == 1          # A:3 is refuted by coincident f_1 = f_3
     assert before is False    # the verdict never touched sympy
     assert after is True      # x1 + x2 + 1 is no binomial: the oracle ran
@@ -389,6 +398,11 @@ def test_sympy_is_imported_only_by_the_factor_oracle():
                                      "clusterufd.fields", "clusterufd.parse",
                                      "clusterufd.poly"]
     assert logging is False
+    # dataclasses, and the inspect module it pulls in, would add 20 ms or
+    # more to every command's start-up; no command short of the factor
+    # oracle loads them
+    assert stdlib == {command: [] for command in stdlib}
+    assert len(stdlib) == 11
 
 
 def test_every_exported_name_resolves():
@@ -657,16 +671,38 @@ class TestSeedFileEntries:
         ([[0, 1], 5], "matrix[1]: expected a row of 2 integers"),
     ], ids=["bool", "float", "string", "nested-list", "non-list-row"])
     def test_bad_entry(self, capsys, tmp_path, matrix, where):
-        self.check(capsys, tmp_path, {"n": 2, "m": 2, "matrix": matrix}, where)
+        self.check(capsys, tmp_path,
+                   json.dumps({"n": 2, "m": 2, "matrix": matrix}), where)
 
     def test_non_object_json(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, [[0, 1], [-1, 0]],
+        self.check(capsys, tmp_path, json.dumps([[0, 1], [-1, 0]]),
                    "seed file must contain a JSON object")
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"n": true, "m": 2, "matrix": [[0], [1]]}',
+         "n: expected an integer, got True"),
+        ('{"n": 1, "m": true, "matrix": [[0]]}',
+         "m: expected an integer, got True"),
+        ('{"n": 2, "m": 2, "matrix": [[0, false], [-1, 0]]}',
+         "matrix[0][1]: expected an integer, got False"),
+        ('{"n": 2, "m": 2, "matrix": [[0, 1], [-1, 0]], "field": true}',
+         "field: expected 'Q' or 'Qi', got True"),
+        ('{"n": 2, "m": 2, "matrix": [[0, 1], [[[-1]], 0]]}',
+         "matrix[1][0]: expected an integer, got [[-1]]"),
+        ('{"n": 2, "m": 2, "matrix": [[0, 1e400], [-1, 0]]}',
+         "matrix[0][1]: expected an integer, got inf"),
+        ('[{"n": 2, "m": 2, "matrix": [[0, 1], [-1, 0]]}]',
+         "seed file must contain a JSON object"),
+        ('"A:2"', "seed file must contain a JSON object"),
+    ], ids=["bool-n", "bool-m", "bool-entry", "bool-field", "nested-list",
+            "1e400", "array", "string"])
+    def test_fuzzed_seed_file(self, capsys, tmp_path, text, where):
+        self.check(capsys, tmp_path, text, where)
+
     @staticmethod
-    def check(capsys, tmp_path, data, where):
+    def check(capsys, tmp_path, text, where):
         path = tmp_path / "seed.json"
-        path.write_text(json.dumps(data))
+        path.write_text(text)
         code, body = run_json(capsys, "verdict", "--seed", str(path))
         assert code == 3
         assert body["verdict"] == "error"

@@ -14,9 +14,10 @@ from oracles import RowsOracle, power_membership_linear
 from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
-from clusterufd.groebner import GroebnerBudget, ideal_membership, normal_form
+from clusterufd.groebner import (GroebnerBudget, Ideal, ideal_membership,
+                                 normal_form)
 from clusterufd.parse import parse_expression, parse_polynomial
-from clusterufd.poly import Polynomial
+from clusterufd.poly import Polynomial, grevlex_order
 from clusterufd.factoriality import (
     MAX_CERTIFICATE_N,
     CoincidentExchangePolynomials,
@@ -799,6 +800,49 @@ class TestRuleTable:
                     assert cube_problems(*claim, just) == [
                         f"{just} holds on the cube {inside} in, {outside} out, "
                         f"not on {claim[0]} in, {claim[1]} out"]
+
+
+class TestValueSemantics:
+    """Rules and monomial orders are immutable values that key dicts; the
+    result records keep their field defaults."""
+
+    def test_rules_of_different_lemmas_are_distinct_keys(self):
+        split, variable = SinkSourceSplit(1, 2), FreeVariable(1, 2)
+        assert split != variable
+        keys = {split: "split", variable: "variable"}
+        assert len(keys) == 2
+        assert keys[SinkSourceSplit(1, 2)] == "split"
+        assert keys[FreeVariable(1, 2)] == "variable"
+        assert FreeIndex(1) != SinkSourceSplit(1, 2)
+
+    def test_equal_rules_hash_equal(self):
+        for make, args in ((SinkSourceSplit, (3, 4)), (FreeIndex, (2,)),
+                           (FreeVariable, (1, 5))):
+            assert make(*args) == make(*args)
+            assert hash(make(*args)) == hash(make(*args))
+        assert SinkSourceSplit(1, 2) != SinkSourceSplit(2, 1)
+
+    def test_equal_orders_share_a_cached_basis(self):
+        assert grevlex_order(4) == grevlex_order(4)
+        assert hash(grevlex_order(4)) == hash(grevlex_order(4))
+        assert grevlex_order(4) != grevlex_order(4, (1, 0, 2, 3))
+        ideals = ExchangeIdeals(builtin_matrix("A:3"))
+        ideal = Ideal([ideals.exchange_poly(1), ideals.exchange_poly(2)])
+        first = ideal.groebner_basis(grevlex_order(ideal.m))
+        assert ideal.groebner_basis(grevlex_order(ideal.m)) is first
+
+    @pytest.mark.parametrize("value, field", [
+        (SinkSourceSplit(1, 2), "j"), (FreeIndex(1), "i"),
+        (FreeVariable(1, 2), "k"), (grevlex_order(3), "kind"),
+        (grevlex_order(3), "_pick")])
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+
+    def test_outcome_defaults(self):
+        outcome = ConjectureOutcome("holds", (1,))
+        assert outcome.witness is None
+        assert outcome.detail == ""
 
 
 random_seed_rows_to_10 = st.builds(
