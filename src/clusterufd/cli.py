@@ -22,6 +22,31 @@ import sys
 SCHEMA_VERSION = 2
 
 
+# Stands in for the per-support listing while json.dumps renders the rest of
+# a report; json escapes the NUL, so no other report value renders like it.
+_LISTING_SLOT = "\0certificate"
+
+
+def _listing_json(certificate) -> str:
+    """The per-support listing under a report's "certificate" key, byte for
+    byte as ``json.dumps(sort_keys=True, indent=2)`` renders its dicts
+    ``{"support": [...], **rule.to_json()}``, from one template per rule."""
+    templates = {}
+    for _, _, rule in certificate.cubes:
+        entry = json.dumps({**rule.to_json(), "support": _LISTING_SLOT},
+                           sort_keys=True, indent=2)
+        # an entry sits at depth 2 of the report, its support list at depth 3
+        head, _, tail = entry.replace("\n", "\n    ").partition(
+            json.dumps(_LISTING_SLOT))
+        templates[rule] = (head + "[\n        ", "\n      ]" + tail)
+    sep, decimal = ",\n        ", [str(i) for i in range(certificate.n + 1)]
+    entries = []
+    for support, rule in certificate.entries.items():
+        head, tail = templates[rule]
+        entries.append(head + sep.join(map(decimal.__getitem__, support)) + tail)
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]"
+
+
 class _Report:
     """Collects per-command output for either text or JSON emission."""
 
@@ -30,6 +55,8 @@ class _Report:
         self.as_json = as_json
         self.payload: dict = {}
         self.lines: list[str] = []
+        # a certificate whose per-support listing the JSON report carries
+        self.certificate = None
 
     def set(self, key: str, value):
         self.payload[key] = value
@@ -43,7 +70,13 @@ class _Report:
             body["schema_version"] = SCHEMA_VERSION
             body["command"] = self.command
             body["verdict"] = verdict
-            print(json.dumps(body, sort_keys=True, indent=2))
+            if self.certificate is None:
+                print(json.dumps(body, sort_keys=True, indent=2))
+                return
+            body["certificate"] = _LISTING_SLOT
+            head, _, tail = json.dumps(body, sort_keys=True, indent=2).partition(
+                json.dumps(_LISTING_SLOT))
+            print(head + _listing_json(self.certificate) + tail)
         else:
             for line in self.lines:
                 print(line)
@@ -93,13 +126,6 @@ def _matrix_rows(matrix) -> list[list[int]]:
 def _cover_list(certificate) -> list[dict]:
     return [{"inside": list(inside), "outside": list(outside), **rule.to_json()}
             for inside, outside, rule in certificate.cubes]
-
-
-def _certificate_list(certificate) -> list[dict]:
-    """The per-support listing, already in (size, support) order."""
-    rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
-    return [{"support": list(support), **rules[rule]}
-            for support, rule in certificate.entries.items()]
 
 
 def _require_certificate(ideals):
@@ -293,12 +319,12 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
             report.text(f"  in {list(inside)}, out {list(outside)}: "
                         f"{rule.to_json()}")
     elif report.as_json:
-        report.set("certificate", _certificate_list(certificate))
+        report.certificate = certificate
     else:
         report.text(f"certificate covers {certificate.supports} supports:")
-        for entry in _certificate_list(certificate):
-            support = entry.pop("support")
-            report.text(f"  {support}: {entry}")
+        rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
+        for support, rule in certificate.entries.items():
+            report.text(f"  {list(support)}: {rules[rule]}")
     report.emit("certified")
     return 0
 
@@ -314,7 +340,7 @@ def _cmd_verdict(args, report: _Report) -> int:
         certificate = verdict.certificate
         report.set("cover", _cover_list(certificate))
         if report.as_json and certificate.n <= MAX_CERTIFICATE_N:
-            report.set("certificate", _certificate_list(certificate))
+            report.certificate = certificate
         report.set("cross_checked_bound", verdict.cross_checked_bound)
         if verdict.notes:
             report.set("notes", verdict.notes)

@@ -549,8 +549,9 @@ def load_seed_file(path: str, field_override: Optional[FieldTag] = None) -> Seed
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read seed file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"seed file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's 4300-digit limit
+        raise ValueError(f"seed file {path} cannot be read as JSON: {exc}") from None
     return seed_from_dict(data, field_override)
 
 

@@ -147,3 +147,12 @@ class RowsOracle:
                       + [FreeVariable(i, k) for i in support
                          for k in range(1, self.m + 1)])
         return next((c for c in candidates if self.holds(support, c)), None)
+
+
+def certificate_list(certificate) -> list[dict]:
+    """The per-support listing as a list of dicts, the way reports built it
+    before it was rendered from per-rule templates: ``json.dumps`` of these
+    under the "certificate" key is the byte-exact reference."""
+    rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
+    return [{"support": list(support), **rules[rule]}
+            for support, rule in certificate.entries.items()]

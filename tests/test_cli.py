@@ -2,21 +2,26 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import random
+from contextlib import redirect_stdout
 from importlib import import_module
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import clusterufd
 from clusterufd import factoriality
 from clusterufd.cli import main
-from clusterufd.cluster import builtin_matrix
+from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
                                      ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
-from conftest import run_python
-from oracles import RowsOracle
+from conftest import random_acyclic_seed, run_python
+from oracles import RowsOracle, certificate_list
 
 STUCK_SEED = {
     "n": 4, "m": 4,
@@ -418,6 +423,8 @@ def test_every_exported_name_resolves():
 # sha256 of stdout, recorded before the adjacency cache and the single
 # certificate rendering; the certificate path must keep them byte-identical.
 # The JSON pin moved once, when reports gained the "cover" key and schema 2.
+# The A:16 JSON pin, the benchmark's own command, was recorded before the
+# per-support listing was rendered from per-rule templates.
 PROVE_UFD_STDOUT_SHA256 = {
     ("A:14", "--json"):
         "8721b9fc631840f1d236acef546e3712fa5e0dd8aafe2492a604f0094e9fb79b",
@@ -425,6 +432,8 @@ PROVE_UFD_STDOUT_SHA256 = {
         "e752db5b375f7c5d05abd180dfa493f3f3028d949e925b8d53fd52125127764f",
     ("E:8",):
         "7c561e71228575a8775538cddba60171ff623ed356f74fb88556c6d143564f9e",
+    ("A:16", "--json"):
+        "6c48ce04b2393d6cd7a1f2d6325fc403641037075ee9a52a39a08604f20f54dd",
 }
 
 # sha256 of repr(list(certificate.entries.items())), insertion order
@@ -479,6 +488,36 @@ class TestCertificatePins:
         result = inductive_prover(ExchangeIdeals(builtin_matrix("cyclicA3")))
         assert result.certificate is None
         assert result.stuck_supports == ((1, 2), (1, 3), (2, 3), (1, 2, 3))
+
+
+class TestListingRenderer:
+    """The per-support listing is rendered from per-rule templates; its bytes
+    must be those of ``json.dumps(sort_keys=True, indent=2)`` over the
+    per-support dicts."""
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(
+        lambda state, n, frozen: random_acyclic_seed(random.Random(state), n, frozen),
+        st.integers(0, 2 ** 32), st.integers(1, 8), st.integers(0, 2)))
+    def test_reports_match_json_dumps(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("listing") / "seed.json"
+        path.write_text(json.dumps({"n": len(rows[0]), "m": len(rows),
+                                    "matrix": rows}))
+        # the verdict's cross-check is not under test here, so bound 0
+        for argv, certified in ((["prove-ufd"], "certified"),
+                                (["verdict", "--bound", "0"], "UFD")):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                main([*argv, "--seed", str(path), "--json"])
+            body = json.loads(out.getvalue())
+            if body["verdict"] != certified:
+                continue
+            certificate = inductive_prover(
+                ExchangeIdeals(ExchangeMatrix(rows))).certificate
+            body["certificate"] = certificate_list(certificate)
+            assert out.getvalue() == json.dumps(body, sort_keys=True,
+                                                indent=2) + "\n"
 
 
 class TestPastTheListingCap:

@@ -407,6 +407,15 @@ class TestSeedFiles:
         with pytest.raises(ValueError):
             load_seed_file(str(bad))
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for a 5,001-digit integer; the
+        # CLI reports it as an input error that names the file
+        from clusterufd.cli import main
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 2, "matrix": [[0, 1%s], [-1, 0]]}' % ("0" * 5000))
+        assert main(["structure", "--seed", str(big)]) == 3
+        assert str(big) in capsys.readouterr().err
+
 
 class TestHypersurface:
     def test_small_cases_vanish(self):

@@ -878,6 +878,27 @@ class TestCoverOracle:
             assert tuple(sorted(inside | set(extra))) in stuck
 
 
+class TestCertificateImpliesSweep:
+    """A UFD verdict rests on the certificate alone, so the direct weight
+    sweep, run on its own, must hold wherever one is given."""
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(
+        lambda state, n, frozen: random_acyclic_seed(random.Random(state), n, frozen),
+        st.integers(0, 2 ** 32), st.integers(1, 6), st.integers(0, 2))
+        .filter(lambda rows: len(rows) > 1))   # one variable is out of scope
+    def test_ufd_verdicts_hold_through_weight_2(self, rows):
+        # a sweep that contradicts the certificate raises ConsistencyError
+        verdict = ufd_verdict(ExchangeIdeals(ExchangeMatrix(rows)), degree_bound=2)
+        if not isinstance(verdict, UFD):
+            return
+        assert (verdict.cross_checked_bound, verdict.notes) == (2, "")
+        n = len(rows[0])
+        outcomes = conjecture_sweep(ExchangeIdeals(ExchangeMatrix(rows)), 2)
+        assert [o.status for o in outcomes] == ["holds"] * (n + n * (n + 1) // 2)
+
+
 def all_subsets(items):
     return [c for size in range(len(items) + 1) for c in combinations(items, size)]
 
