@@ -29,7 +29,7 @@ def main() -> int:
     for i in (1, 2, 3):
         print(f"  f_{i} = {render_polynomial(ideals.exchange_poly(i))}")
 
-    powers = [ideals.ideal(i) for i in (1, 2, 3)]
+    powers = [ideals.power_ideal(i, 1) for i in (1, 2, 3)]
     meet = ideal_intersection_many(powers)
     print("intersection generators:",
           [render_polynomial(g) for g in meet.generators])

@@ -430,12 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON report")
-    common.add_argument("--field", choices=["Q", "Qi"],
-                        help="coefficient field (default Q; must match seed files)")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
-                        help="Groebner pair-reduction budget")
+
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=int, default=None, metavar="N",
+                          help="Groebner pair-reduction budget")
 
     seedful = argparse.ArgumentParser(add_help=False)
+    seedful.add_argument("--field", choices=["Q", "Qi"],
+                         help="coefficient field (default Q; must match seed files)")
     group = seedful.add_mutually_exclusive_group(required=True)
     group.add_argument("--seed", metavar="FILE", help="seed JSON file")
     group.add_argument("--builtin", metavar="NAME",
@@ -471,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seeds", type=int, default=1_000, metavar="N")
     p.set_defaults(handler=_cmd_verify_laurent)
 
-    p = sub.add_parser("check-conjecture", parents=[common, seedful],
+    p = sub.add_parser("check-conjecture", parents=[common, seedful, budgeted],
                        help="compare products of ideal powers with intersections")
     p.add_argument("--index", metavar="A1,...,AN",
                    help="a single multi-index to check")
@@ -485,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="necessary conditions plus the certificate search")
     p.set_defaults(handler=_cmd_prove_ufd)
 
-    p = sub.add_parser("verdict", parents=[common, seedful],
+    p = sub.add_parser("verdict", parents=[common, seedful, budgeted],
                        help="full pipeline with conjecture cross-validation")
     p.add_argument("--bound", type=int, default=3, metavar="D",
                    help="cross-check weight bound (default 3)")

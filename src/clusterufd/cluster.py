@@ -47,19 +47,20 @@ def find_skew_symmetrizer(principal: Sequence[Sequence[int]]):
                               f"b[{j + 1}][{i + 1}] = {bji} violate sign "
                               f"skew-symmetry")
     d: list[Optional[Fraction]] = [None] * n
+    components: list[list[int]] = []  # of the nonzero pattern
     for root in range(n):
         if d[root] is not None:
             continue
         d[root] = Fraction(1)
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
+        members = [root]
+        for i in members:  # grows as the search reaches new indices
             for j in range(n):
                 if principal[i][j] == 0 or d[j] is not None:
                     continue
                 # d_i * |b_ij| == d_j * |b_ji|
                 d[j] = d[i] * abs(principal[i][j]) / abs(principal[j][i])
-                queue.append(j)
+                members.append(j)
+        components.append(members)
     for i in range(n):
         for j in range(n):
             if d[i] * principal[i][j] != -d[j] * principal[j][i]:
@@ -67,26 +68,11 @@ def find_skew_symmetrizer(principal: Sequence[Sequence[int]]):
                               f"b[{j + 1}][{i + 1}] are inconsistent with the "
                               f"spanning-forest ratios")
     # minimal positive integers, scaled per connected component
-    comp: list[Optional[int]] = [None] * n
-    labels = 0
-    for root in range(n):
-        if comp[root] is not None:
-            continue
-        comp[root] = labels
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
-            for j in range(n):
-                if principal[i][j] != 0 and comp[j] is None:
-                    comp[j] = labels
-                    queue.append(j)
-        labels += 1
     out = [0] * n
-    for label in range(labels):
-        members = [i for i in range(n) if comp[i] == label]
-        scale = lcm(*(d[i].denominator for i in members)) if members else 1
+    for members in components:
+        scale = lcm(*(d[i].denominator for i in members))
         ints = [int(d[i] * scale) for i in members]
-        shrink = gcd(*ints) if ints else 1
+        shrink = gcd(*ints)
         for i, value in zip(members, ints):
             out[i] = value // shrink
     return tuple(out), None
@@ -95,7 +81,7 @@ def find_skew_symmetrizer(principal: Sequence[Sequence[int]]):
 class ExchangeMatrix:
     """An m x n integer exchange matrix with skew-symmetrizable principal part."""
 
-    __slots__ = ("rows", "n", "m", "_hash")
+    __slots__ = ("rows", "n", "m")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(entry for entry in row) for row in rows)
@@ -120,7 +106,6 @@ class ExchangeMatrix:
         self.rows = rows
         self.n = n
         self.m = m
-        self._hash = None
 
     @classmethod
     def _raw(cls, rows: tuple, n: int, m: int) -> "ExchangeMatrix":
@@ -128,7 +113,6 @@ class ExchangeMatrix:
         self.rows = rows
         self.n = n
         self.m = m
-        self._hash = None
         return self
 
     def entry(self, i: int, j: int) -> int:
@@ -180,9 +164,7 @@ class ExchangeMatrix:
         return self.rows == other.rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
+        return hash(self.rows)
 
     def __str__(self):
         return "\n".join(" ".join(f"{b:3d}" for b in row) for row in self.rows)

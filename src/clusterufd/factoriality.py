@@ -54,7 +54,6 @@ class ExchangeIdeals:
         self._f = tuple(exchange_polynomial(matrix, j, field)
                         for j in range(1, matrix.n + 1))
         self._f_powers: dict[tuple[int, int], Polynomial] = {}
-        self._ideals: dict[int, Ideal] = {}
         self._power_ideals: dict[tuple[int, int], Ideal] = {}
         self._necessary = _UNCHECKED  # necessary_conditions' answer, once known
 
@@ -73,14 +72,6 @@ class ExchangeIdeals:
         if cached is None:
             cached = self.exchange_poly(i) ** k
             self._f_powers[(i, k)] = cached
-        return cached
-
-    def ideal(self, i: int) -> Ideal:
-        cached = self._ideals.get(i)
-        if cached is None:
-            from .groebner import Ideal
-            cached = Ideal([self.variable(i), self.exchange_poly(i)])
-            self._ideals[i] = cached
         return cached
 
     def power_ideal(self, i: int, a: int) -> Ideal:
@@ -920,9 +911,11 @@ def algebra_membership(ideals: ExchangeIdeals, value: LaurentPolynomial,
                        certificate: SupportCertificate) -> bool:
     """Whether the Laurent value lies in the cluster algebra.
 
-    Valid only under a verified certificate (which makes valuations detect
-    membership exactly); without one, fall back to explicit Groebner
-    product-ideal computations.
+    Frozen variables are not inverted (the convention of Geiss, Leclerc and
+    Schroer), so a frozen variable in the reduced denominator means
+    non-member.  Valid only under a verified certificate (which makes
+    valuations detect membership exactly); without one, fall back to
+    explicit Groebner product-ideal computations.
     """
     problems = certificate.verify(ideals.matrix, ideals)
     if problems:
@@ -933,6 +926,8 @@ def algebra_membership(ideals: ExchangeIdeals, value: LaurentPolynomial,
         raise ValueError("value lives in the wrong ambient ring")
     if value.is_zero:
         return True
+    if any(value.den[ideals.n:]):
+        return False
     for i in range(1, ideals.n + 1):
         needed = value.den[i - 1]
         if needed and not ideals.power_membership(value.num, i, needed):

@@ -101,7 +101,7 @@ def normal_form(p: Polynomial, basis: "GroebnerBasis") -> Polynomial:
     """The fully reduced remainder of p modulo the basis (unique when reduced)."""
     if p.is_zero:
         return p
-    out = _reduce_full(p.terms, basis._reducers(), basis.order)
+    out = _reduce_full(p.terms, basis.reducers, basis.order)
     return Polynomial._raw(p.m, p.field, out)
 
 
@@ -133,16 +133,13 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     m = generators[0].m
     key = order.key
 
-    reducers: list[tuple] = []  # (lt_exp, monic terms), one per basis element
-    seen = set()
+    monic: dict[Polynomial, tuple] = {}  # monic generator -> lt_exp, first occurrences
     for g in generators:
-        if g.is_zero:
-            continue
-        lt_exp, lt_coeff = g.leading(order)
-        g = Polynomial._raw(m, field, _monic(g.terms, lt_coeff, field))
-        if g not in seen:
-            seen.add(g)
-            reducers.append((lt_exp, g.terms))
+        if not g.is_zero:
+            lt_exp, lt_coeff = g.leading(order)
+            monic.setdefault(Polynomial._raw(m, field, _monic(g.terms, lt_coeff, field)), lt_exp)
+    # (lt_exp, monic terms), one per basis element
+    reducers: list[tuple] = [(lt_exp, g.terms) for g, lt_exp in monic.items()]
 
     if not reducers:
         raise ValueError("cannot compute a basis for the zero ideal")
@@ -202,34 +199,26 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         keep.append(i)
 
     # inter-reduce tails; the leading terms survive, so sort by them
-    reduced_basis = []
+    reduced = []
     for i in sorted(keep, key=lambda i: key(reducers[i][0]), reverse=True):
         others = [reducers[j] for j in keep if j != i]
-        terms = reducers[i][1]
-        terms = _reduce_full(terms, others, order) if others else dict(terms)
-        reduced_basis.append(Polynomial._raw(m, field, terms))
-    return GroebnerBasis(tuple(reduced_basis), order)
+        lt_exp, terms = reducers[i]
+        reduced.append((lt_exp, _reduce_full(terms, others, order) if others else terms))
+    return GroebnerBasis(tuple(Polynomial._raw(m, field, terms) for _, terms in reduced),
+                         order, reduced)
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its monomial order."""
+    """A reduced, monic Groebner basis together with its monomial order;
+    ``reducers`` pairs each element's leading exponent with its terms."""
 
-    __slots__ = ("polys", "order", "_reducer_cache")
+    __slots__ = ("polys", "order", "reducers")
 
-    def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder):
+    def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder,
+                 reducers: list[tuple]):
         self.polys = polys
         self.order = order
-        self._reducer_cache = None
-
-    def _reducers(self) -> list[tuple]:
-        """(lt_exp, monic terms) per element, computed once."""
-        if self._reducer_cache is None:
-            self._reducer_cache = []
-            for g in self.polys:
-                lt_exp, lt_coeff = g.leading(self.order)
-                self._reducer_cache.append(
-                    (lt_exp, _monic(g.terms, lt_coeff, g.field)))
-        return self._reducer_cache
+        self.reducers = reducers
 
     def __iter__(self):
         return iter(self.polys)
@@ -254,14 +243,13 @@ def _canonical_gen_sort(gens: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
 class Ideal:
     """An ideal of K[x1..xm] given by nonzero generators.
 
-    Groebner bases are cached write-once per monomial order, so repeated
-    membership tests against the same ideal reuse one computation.
+    Repeated generators are dropped and the rest sorted canonically.
     """
 
-    __slots__ = ("generators", "m", "field", "_gb_cache")
+    __slots__ = ("generators", "m", "field")
 
     def __init__(self, generators: Iterable[Polynomial]):
-        gens = [g for g in generators]
+        gens = list(dict.fromkeys(generators))
         if not gens:
             raise ValueError("an ideal needs at least one generator")
         for g in gens:
@@ -272,29 +260,16 @@ class Ideal:
         for g in gens:
             if g.m != m or g.field is not field:
                 raise ValueError("generators live in different ambient rings")
-        seen = set()
-        unique = []
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                unique.append(g)
-        self.generators = _canonical_gen_sort(unique)
+        self.generators = _canonical_gen_sort(gens)
         self.m = m
         self.field = field
-        self._gb_cache: dict[MonomialOrder, GroebnerBasis] = {}
 
     def groebner_basis(self, order: Optional[MonomialOrder] = None,
                        budget: GroebnerBudget = DEFAULT_BUDGET) -> GroebnerBasis:
+        """Runs Buchberger on each call; ``order`` defaults to grevlex."""
         if order is None:
             order = grevlex_order(self.m)
-        cached = self._gb_cache.get(order)
-        if cached is None:
-            cached = buchberger(self.generators, order, budget)
-            self._gb_cache[order] = cached
-        return cached
-
-    def _attach_basis(self, basis: GroebnerBasis):
-        self._gb_cache.setdefault(basis.order, basis)
+        return buchberger(self.generators, order, budget)
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -318,8 +293,8 @@ def ideal_intersection(left: Ideal, right: Ideal,
                        budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """I ∩ J by elimination: t·I + (1-t)·J with t eliminated.
 
-    The surviving t-free basis elements form a reduced grevlex basis of the
-    intersection, which is cached on the returned ideal.
+    The t-free elements of the elimination basis, a reduced grevlex basis
+    of the intersection, generate the returned ideal.
     """
     if left.m != right.m or left.field is not right.field:
         raise ValueError("ideals live in different ambient rings")
@@ -341,11 +316,7 @@ def ideal_intersection(left: Ideal, right: Ideal,
                 m, field, {exp[:m]: c for exp, c in g.terms.items()}))
     if not projected:
         raise ValueError("intersection of nonzero ideals lost all generators")
-    result = Ideal(projected)
-    inner = grevlex_order(m)
-    projected.sort(key=lambda g: inner.key(g.leading(inner)[0]), reverse=True)
-    result._attach_basis(GroebnerBasis(tuple(projected), inner))
-    return result
+    return Ideal(projected)
 
 
 def ideal_intersection_many(ideals: Sequence[Ideal],

@@ -50,9 +50,7 @@ class MonomialOrder:
     priority; exponents are read through it before the order rule applies.
     ``kind`` is one of "lex", "grevlex" or "block"; a block order compares
     the first ``block`` permuted positions grevlex-first, which makes it an
-    elimination order for those variables.  Orders are immutable, and two
-    with the same fields are equal and hash equal, so an order can key a
-    cache of Groebner bases.
+    elimination order for those variables.
     """
 
     __slots__ = ("kind", "m", "permutation", "block", "_pick")
@@ -65,29 +63,12 @@ class MonomialOrder:
             raise ValueError("permutation must list the positions 0..m-1")
         if kind == "block" and not 0 < block < m:
             raise ValueError("block size must satisfy 0 < block < m")
+        self.kind = kind
+        self.m = m
+        self.permutation = permutation
+        self.block = block
         # the identity permutation needs no reordering of exponents
-        pick = None if permutation == tuple(range(m)) else itemgetter(*permutation)
-        for name, value in zip(self.__slots__, (kind, m, permutation, block, pick)):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.m, self.permutation, self.block)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialOrder):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a MonomialOrder")
-
-    def __repr__(self):
-        kind, m, permutation, block = self._fields()
-        return (f"MonomialOrder(kind={kind!r}, m={m}, "
-                f"permutation={permutation}, block={block})")
+        self._pick = None if permutation == tuple(range(m)) else itemgetter(*permutation)
 
     @staticmethod
     def _grevlex_key(pe: Sequence[int]):
@@ -135,7 +116,7 @@ class Polynomial:
     'x1^2 - x2^2'
     """
 
-    __slots__ = ("m", "field", "terms", "_hash")
+    __slots__ = ("m", "field", "terms")
 
     def __init__(self, m: int, field: FieldTag, terms: dict):
         clean = {}
@@ -153,7 +134,6 @@ class Polynomial:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -165,7 +145,6 @@ class Polynomial:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- constructors -------------------------------------------------------
@@ -335,10 +314,7 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((self.m, self.field, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self.m, self.field, frozenset(self.terms.items())))
 
     # -- rendering ----------------------------------------------------------
 

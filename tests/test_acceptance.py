@@ -140,7 +140,8 @@ def test_criterion_3_cycle_counterexample():
     for i in (1, 2, 3):
         assert ideals.power_membership(witness, i, 1)
     product = ideal_product(
-        ideal_product(ideals.ideal(1), ideals.ideal(2)), ideals.ideal(3))
+        ideal_product(ideals.power_ideal(1, 1), ideals.power_ideal(2, 1)),
+        ideals.power_ideal(3, 1))
     assert not ideal_membership(witness, product)
 
 
@@ -274,8 +275,8 @@ def test_criterion_8_property_suites():
             for j in report.neighbors[i - 1]:
                 if j > ideals.n:
                     continue
-                combined = Ideal(list(ideals.ideal(i).generators)
-                                 + list(ideals.ideal(j).generators))
+                combined = Ideal(list(ideals.power_ideal(i, 1).generators)
+                                 + list(ideals.power_ideal(j, 1).generators))
                 assert is_unit_ideal(combined), (name, i, j)
                 pairs += 1
     assert pairs >= 12

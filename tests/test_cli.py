@@ -227,6 +227,17 @@ class TestMemberAndNormalForm:
                               "--expr", "1/x1")
         assert code == 1 and body["verdict"] == "non-member"
 
+    @pytest.mark.parametrize("expr, code, verdict", [
+        ("1/x3", 1, "non-member"), ("(x2 + x3)/x1", 0, "member")])
+    def test_frozen_variables_are_not_inverted(self, capsys, tmp_path,
+                                               expr, code, verdict):
+        seed = tmp_path / "frozen.json"
+        seed.write_text(json.dumps({"n": 2, "m": 3,
+                                    "matrix": [[0, 1], [-1, 0], [1, 1]]}))
+        got, body = run_json(capsys, "member", "--seed", str(seed),
+                             "--expr", expr)
+        assert (got, body["verdict"]) == (code, verdict)
+
     def test_member_needs_certificate(self, capsys):
         code, body = run_json(capsys, "member", "--builtin", "A:3",
                               "--expr", "x1")
@@ -317,6 +328,13 @@ class TestContract:
         code, body = run_json(capsys, "verdict", "--builtin", "A:2",
                               "--budget", "0")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("structure", "--builtin", "A:2", "--budget", "0"),
+        ("mutate", "--builtin", "A:2", "--sequence", "1", "--budget", "5"),
+        ("hypersurface", "--n", "3", "--field", "Qi")])
+    def test_options_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 3
 
 
 class TestInternalErrors:
