@@ -25,9 +25,10 @@ _EXPORTS = {
         "NotUFD", "ProverResult", "ReducibleExchangePolynomial",
         "SinkSourceSplit", "SupportCertificate", "UFD", "algebra_membership",
         "binomial_irreducible", "binomial_witness_factors",
-        "brute_force_factor", "check_assumptions", "conjecture_check",
-        "conjecture_sweep", "necessary_conditions", "inductive_prover",
-        "multi_indices_of_weight", "normal_form_element", "ufd_verdict"),
+        "brute_force_factor", "certify", "check_assumptions",
+        "conjecture_check", "conjecture_sweep", "necessary_conditions",
+        "inductive_prover", "multi_indices_of_weight", "normal_form_element",
+        "ufd_verdict"),
     "fields": ("FieldTag", "GaussianRational", "conjugate"),
     "groebner": (
         "BudgetExceeded", "DEFAULT_BUDGET", "GroebnerBasis", "GroebnerBudget",

@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 verified/holds, 1 refuted (a witness was found), 2
-inconclusive (budget or missing certificate), 3 input error, 4 internal
-error (a bug, such as two independent computations disagreeing; its JSON
-verdict is "internal-error").  With --json
-every command emits a single object carrying "schema_version" and
-"verdict"; reports contain no timestamps or floats, so identical
-invocations produce byte-identical output.
+Each report's verdict determines the exit code, through ``EXIT_CODES``: 0
+verified/holds, 1 refuted (a witness was found), 2 inconclusive (budget or
+missing certificate), 3 input error, 4 internal error (a bug, such as two
+independent computations disagreeing).  With --json every command emits a
+single object carrying "schema_version" and "verdict"; reports contain no
+timestamps or floats, so identical invocations produce byte-identical
+output.
 """
 from __future__ import annotations
 
@@ -20,6 +20,15 @@ import sys
 # so a seed that fails to load never loads the pipeline either.
 
 SCHEMA_VERSION = 2
+
+# The exit-code contract: the exit code of every verdict a command reports.
+EXIT_CODES = {
+    "ok": 0, "complete": 0, "laurent": 0, "holds": 0, "certified": 0,
+    "UFD": 0, "member": 0,
+    "violated": 1, "fails": 1, "NotUFD": 1, "non-member": 1,
+    "incomplete": 2, "inconclusive": 2, "Inconclusive": 2,
+    "error": 3, "internal-error": 4,
+}
 
 
 # Stands in for the per-support listing while json.dumps renders the rest of
@@ -64,7 +73,8 @@ class _Report:
     def text(self, line: str):
         self.lines.append(line)
 
-    def emit(self, verdict: str):
+    def emit(self, verdict: str) -> int:
+        """Print the report and return the verdict's exit code."""
         if self.as_json:
             body = dict(self.payload)
             body["schema_version"] = SCHEMA_VERSION
@@ -72,26 +82,27 @@ class _Report:
             body["verdict"] = verdict
             if self.certificate is None:
                 print(json.dumps(body, sort_keys=True, indent=2))
-                return
-            body["certificate"] = _LISTING_SLOT
-            head, _, tail = json.dumps(body, sort_keys=True, indent=2).partition(
-                json.dumps(_LISTING_SLOT))
-            print(head + _listing_json(self.certificate) + tail)
+            else:
+                body["certificate"] = _LISTING_SLOT
+                rendered = json.dumps(body, sort_keys=True, indent=2)
+                head, _, tail = rendered.partition(json.dumps(_LISTING_SLOT))
+                print(head + _listing_json(self.certificate) + tail)
         else:
             for line in self.lines:
                 print(line)
             print(f"verdict: {verdict}")
+        return EXIT_CODES[verdict]
 
 
 def _emit_error(command: str, as_json: bool, message: str,
-                verdict: str = "error", code: int = 3) -> int:
+                verdict: str = "error") -> int:
     if as_json:
         body = {"schema_version": SCHEMA_VERSION, "command": command,
                 "verdict": verdict, "error": message}
         print(json.dumps(body, sort_keys=True, indent=2))
     else:
         print(f"{verdict}: {message}", file=sys.stderr)
-    return code
+    return EXIT_CODES[verdict]
 
 
 def _load_seed(args):
@@ -129,21 +140,18 @@ def _cover_list(certificate) -> list[dict]:
 
 
 def _require_certificate(ideals):
-    """A verified certificate, or a reason string why none is available.
-
-    A zero column is an input error here, as in ``verdict`` and ``prove-ufd``.
-    """
-    from .factoriality import (check_assumptions, inductive_prover,
-                               necessary_conditions)
-    necessary_conditions(ideals)
-    problem = check_assumptions(ideals)
-    if problem is not None:
-        return None, problem
-    result = inductive_prover(ideals)
-    if result.certificate is None:
+    """``certify``'s verified certificate, or a reason string why none is
+    available."""
+    from .factoriality import UFD, NotUFD, certify
+    verdict = certify(ideals)
+    if isinstance(verdict, UFD):
+        return verdict.certificate, None
+    if isinstance(verdict, NotUFD):
+        return None, f"necessary conditions already fail: {verdict.witness}"
+    if verdict.stuck_supports:
         return None, (f"certificate search stuck at supports "
-                      f"{list(result.stuck_supports)}")
-    return result.certificate, None
+                      f"{list(verdict.stuck_supports)}")
+    return None, verdict.reason
 
 
 # -- command handlers --------------------------------------------------------
@@ -166,8 +174,7 @@ def _cmd_mutate(args, report: _Report) -> int:
         report.text("  " + " ".join(f"{b:3d}" for b in row))
     for i, entry in enumerate(mutated.cluster, start=1):
         report.text(f"entry {i}: {entry}")
-    report.emit("ok")
-    return 0
+    return report.emit("ok")
 
 
 def _cmd_exchange_polys(args, report: _Report) -> int:
@@ -178,8 +185,7 @@ def _cmd_exchange_polys(args, report: _Report) -> int:
     report.set("exchange_polynomials", [str(f) for f in polys])
     for j, f in enumerate(polys, start=1):
         report.text(f"f_{j} = {f}")
-    report.emit("ok")
-    return 0
+    return report.emit("ok")
 
 
 def _cmd_structure(args, report: _Report) -> int:
@@ -201,8 +207,7 @@ def _cmd_structure(args, report: _Report) -> int:
     report.text(f"sources: {list(rep.sources)}, sinks: {list(rep.sinks)}")
     for i, ns in enumerate(rep.neighbors, start=1):
         report.text(f"N({i}) = {list(ns)}")
-    report.emit("ok")
-    return 0
+    return report.emit("ok")
 
 
 def _cmd_enumerate(args, report: _Report) -> int:
@@ -217,11 +222,7 @@ def _cmd_enumerate(args, report: _Report) -> int:
                 f"{result.seeds_seen} seeds (complete: {result.complete})")
     for v in result.variables:
         report.text(f"  {v}")
-    if result.complete:
-        report.emit("complete")
-        return 0
-    report.emit("incomplete")
-    return 2
+    return report.emit("complete" if result.complete else "incomplete")
 
 
 def _cmd_verify_laurent(args, report: _Report) -> int:
@@ -233,13 +234,9 @@ def _cmd_verify_laurent(args, report: _Report) -> int:
     report.set("violations", problems)
     report.text(f"checked {result.count} cluster variables "
                 f"(complete enumeration: {result.complete})")
-    if problems:
-        for p in problems:
-            report.text(f"VIOLATION: {p}")
-        report.emit("violated")
-        return 1
-    report.emit("laurent")
-    return 0
+    for p in problems:
+        report.text(f"VIOLATION: {p}")
+    return report.emit("violated" if problems else "laurent")
 
 
 def _cmd_check_conjecture(args, report: _Report) -> int:
@@ -270,45 +267,33 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
     if last.status == "fails":
         report.set("witness", str(last.witness))
         report.text(f"witness in intersection but not product: {last.witness}")
-        report.emit("fails")
-        return 1
+        return report.emit("fails")
     if last.status == "inconclusive":
         report.set("detail", last.detail)
         report.text(f"inconclusive: {last.detail}")
-        report.emit("inconclusive")
-        return 2
-    report.emit("holds")
-    return 0
+        return report.emit("inconclusive")
+    return report.emit("holds")
 
 
 def _cmd_prove_ufd(args, report: _Report) -> int:
     seed = _load_seed(args)
     from .factoriality import (MAX_CERTIFICATE_N, ExchangeIdeals,
-                               check_assumptions, inductive_prover,
-                               necessary_conditions)
-    ideals = ExchangeIdeals(seed.matrix, seed.field)
-    witness = necessary_conditions(ideals)
-    if witness is not None:
-        report.set("witness", witness.to_json())
-        report.text(str(witness))
-        report.emit("NotUFD")
-        return 1
-    problem = check_assumptions(ideals)
-    if problem is not None:
-        report.set("reason", problem)
-        report.text(problem)
-        report.emit("inconclusive")
-        return 2
-    result = inductive_prover(ideals)
-    if result.certificate is None:
-        report.set("stuck_supports", [list(s) for s in result.stuck_supports])
-        report.text(f"stuck at supports {[list(s) for s in result.stuck_supports]}")
-        report.emit("inconclusive")
-        return 2
-    certificate = result.certificate
-    problems = certificate.verify(seed.matrix, ideals)
-    if problems:
-        raise RuntimeError(f"certificate failed verification: {problems}")
+                               Inconclusive, NotUFD, certify)
+    verdict = certify(ExchangeIdeals(seed.matrix, seed.field))
+    if isinstance(verdict, NotUFD):
+        report.set("witness", verdict.witness.to_json())
+        report.text(str(verdict.witness))
+        return report.emit("NotUFD")
+    if isinstance(verdict, Inconclusive):
+        if verdict.stuck_supports:
+            stuck = [list(s) for s in verdict.stuck_supports]
+            report.set("stuck_supports", stuck)
+            report.text(f"stuck at supports {stuck}")
+        else:
+            report.set("reason", verdict.reason)
+            report.text(verdict.reason)
+        return report.emit("inconclusive")
+    certificate = verdict.certificate
     cover = _cover_list(certificate)
     report.set("cover", cover)
     report.set("supports", certificate.supports)
@@ -325,8 +310,7 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
         rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
         for support, rule in certificate.entries.items():
             report.text(f"  {list(support)}: {rules[rule]}")
-    report.emit("certified")
-    return 0
+    return report.emit("certified")
 
 
 def _cmd_verdict(args, report: _Report) -> int:
@@ -347,21 +331,18 @@ def _cmd_verdict(args, report: _Report) -> int:
         report.text(f"UFD: certificate covers {certificate.supports} "
                     f"supports, cross-checked to weight "
                     f"{verdict.cross_checked_bound}")
-        report.emit("UFD")
-        return 0
+        return report.emit("UFD")
     if isinstance(verdict, NotUFD):
         report.set("witness", verdict.witness.to_json())
         report.text(f"not a UFD: {verdict.witness}")
-        report.emit("NotUFD")
-        return 1
+        return report.emit("NotUFD")
     assert isinstance(verdict, Inconclusive)
     report.set("reason", verdict.reason)
     report.set("stuck_supports", [list(s) for s in verdict.stuck_supports])
     report.set("verified_bound", verdict.verified_bound)
     report.text(f"inconclusive: {verdict.reason}")
     report.text(f"direct checks verified all weights <= {verdict.verified_bound}")
-    report.emit("Inconclusive")
-    return 2
+    return report.emit("Inconclusive")
 
 
 def _cmd_member(args, report: _Report) -> int:
@@ -376,16 +357,11 @@ def _cmd_member(args, report: _Report) -> int:
                              f"valuation test does not apply (use explicit "
                              f"Groebner product-ideal membership instead)")
         report.text(report.payload["reason"])
-        report.emit("inconclusive")
-        return 2
+        return report.emit("inconclusive")
     member = algebra_membership(ideals, value, certificate)
     report.set("expression", str(value))
     report.text(f"{value}: {'member' if member else 'not a member'}")
-    if member:
-        report.emit("member")
-        return 0
-    report.emit("non-member")
-    return 1
+    return report.emit("member" if member else "non-member")
 
 
 def _cmd_normal_form(args, report: _Report) -> int:
@@ -398,8 +374,7 @@ def _cmd_normal_form(args, report: _Report) -> int:
     if certificate is None:
         report.set("reason", str(problem))
         report.text(str(problem))
-        report.emit("inconclusive")
-        return 2
+        return report.emit("inconclusive")
     result = normal_form_element(ideals, p, certificate)
     report.set("value", str(result.value))
     report.set("normal_monomial", list(result.normal_monomial))
@@ -407,8 +382,7 @@ def _cmd_normal_form(args, report: _Report) -> int:
     report.text(f"normal form: {result.value}")
     report.text(f"normal monomial exponents: {list(result.normal_monomial)}")
     report.text(f"irreducibility: {result.irreducibility}")
-    report.emit("ok")
-    return 0
+    return report.emit("ok")
 
 
 def _cmd_hypersurface(args, report: _Report) -> int:
@@ -417,11 +391,7 @@ def _cmd_hypersurface(args, report: _Report) -> int:
     report.set("n", args.n)
     report.text(f"hypersurface relation for n = {args.n}: "
                 f"{'holds' if holds else 'FAILS'}")
-    if holds:
-        report.emit("holds")
-        return 0
-    report.emit("fails")
-    return 1
+    return report.emit("holds" if holds else "fails")
 
 
 # -- parser ------------------------------------------------------------------
@@ -517,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit status 2 for usage errors; our contract says 3
-        return 0 if exc.code == 0 else 3
+        return 0 if exc.code == 0 else EXIT_CODES["error"]
     report = _Report(args.command, args.json)
     try:
         return args.handler(args, report)
@@ -529,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         import traceback
         code = _emit_error(args.command, args.json,
                            f"{type(exc).__name__}: {exc}",
-                           verdict="internal-error", code=4)
+                           verdict="internal-error")
         traceback.print_exc()
         return code
 

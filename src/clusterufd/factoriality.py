@@ -1,16 +1,19 @@
 """Unique-factorization analysis for cluster seeds.
 
-The pipeline: cheap necessary conditions on the exchange polynomials first
-(reducible or coinciding f_i refute unique factorization outright), then an
-inductive certificate: each of three combinatorial lemmas holds on a subcube
-of the supports of mutable indices, and the certificate is a set of such
-cubes that covers every nonempty support; a complete certificate proves
-that products of the exchange ideals agree with their intersections for
-every multi-index, which is the criterion for the upper cluster algebra to
-be a UFD.  Certificates are re-checked, never trusted, and a UFD verdict
-is additionally cross-validated against direct Groebner computations at
-small multi-indices; disagreement there raises ``ConsistencyError`` because
-it can only mean a bug.
+One pipeline, ``certify``, decides a seed in four stages, in this order:
+the necessary conditions on the exchange polynomials (reducible or
+coinciding f_i refute unique factorization outright), the standing
+assumptions (a connected exchange matrix, an acyclic principal quiver), the
+certificate cover and the certificate's verification.  In the cover, each
+of three combinatorial lemmas holds on a subcube of the supports of mutable
+indices, and the certificate is a set of such cubes that covers every
+nonempty support; a complete certificate proves that products of the
+exchange ideals agree with their intersections for every multi-index, which
+is the criterion for the upper cluster algebra to be a UFD.  Certificates
+are re-checked, never trusted, and ``ufd_verdict`` additionally
+cross-validates a UFD verdict against direct Groebner computations at small
+multi-indices; disagreement there raises ``ConsistencyError`` because it
+can only mean a bug.
 """
 from __future__ import annotations
 
@@ -28,8 +31,6 @@ from .poly import (LaurentPolynomial, Polynomial, divide_exact, grevlex_order)
 # it, so the certificate commands never load it.
 if TYPE_CHECKING:
     from .groebner import GroebnerBudget, Ideal
-
-_UNCHECKED = object()
 
 
 class ConsistencyError(RuntimeError):
@@ -55,7 +56,6 @@ class ExchangeIdeals:
                         for j in range(1, matrix.n + 1))
         self._f_powers: dict[tuple[int, int], Polynomial] = {}
         self._power_ideals: dict[tuple[int, int], Ideal] = {}
-        self._necessary = _UNCHECKED  # necessary_conditions' answer, once known
 
     def exchange_poly(self, i: int) -> Polynomial:
         if not 1 <= i <= self.n:
@@ -370,15 +370,7 @@ def necessary_conditions(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
     coincidences in ascending (i, j)) so the reported witness is stable.
     Every f_i is a binomial with both coefficients one, so proportional
     exchange polynomials are equal and the coincidence check covers them.
-    The answer is kept on ``ideals``, so the checks run once however many
-    stages ask.
     """
-    if ideals._necessary is _UNCHECKED:
-        ideals._necessary = _necessary_witness(ideals)
-    return ideals._necessary
-
-
-def _necessary_witness(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
     if ideals.m < 2:
         raise ValueError("single-variable seeds are outside the supported scope")
     polys = [ideals.exchange_poly(i) for i in range(1, ideals.n + 1)]
@@ -412,13 +404,23 @@ class ConjectureOutcome(NamedTuple):
     detail: str = ""
 
 
-def check_assumptions(ideals: ExchangeIdeals) -> Optional[str]:
-    """A human-readable reason the standing assumptions fail, or None."""
-    report = structure_report(ideals.matrix)
+def _structure_problem(matrix: ExchangeMatrix) -> Optional[str]:
+    """Why the matrix is not connected and acyclic, or None."""
+    report = structure_report(matrix)
     if not report.connected:
         return "the exchange matrix is not connected"
     if not report.acyclic:
         return "the principal quiver has an oriented cycle"
+    return None
+
+
+def check_assumptions(ideals: ExchangeIdeals) -> Optional[str]:
+    """A human-readable reason the standing assumptions fail, or None: the
+    gate of ``conjecture_check``, which asks for a connected acyclic matrix
+    and then for the necessary conditions."""
+    problem = _structure_problem(ideals.matrix)
+    if problem is not None:
+        return problem
     witness = necessary_conditions(ideals)
     if witness is not None:
         return f"necessary conditions already fail: {witness}"
@@ -795,7 +797,8 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
     """Certify when the cubes of the rule table cover every nonempty support.
 
     Assumes the standing assumptions (connected, acyclic, coprime
-    irreducible exchange polynomials) were already verified by the caller.
+    irreducible exchange polynomials) were already verified, as ``certify``
+    does before it calls this.
     When the cover has a hole, the stuck supports are every support no rule
     holds on, for n <= ``MAX_CERTIFICATE_N``, and past that one stuck
     support: the smallest support of the hole found, shrunk by
@@ -843,6 +846,32 @@ class Inconclusive(NamedTuple):
 UFDVerdict = Union[NotUFD, UFD, Inconclusive]
 
 
+def certify(ideals: ExchangeIdeals) -> UFDVerdict:
+    """The four stages in order: the necessary conditions, the standing
+    assumptions, the certificate cover and its verification.
+
+    NotUFD with the first necessary condition that fails; Inconclusive with
+    the standing assumption that fails (and no stuck supports), or with the
+    stuck supports of the cover; else UFD with a verified certificate.  No
+    weight sweep runs here, so the verdict's bound is 0.  A certificate
+    that fails its verification raises ``ConsistencyError``.
+    """
+    witness = necessary_conditions(ideals)
+    if witness is not None:
+        return NotUFD(witness)
+    problem = _structure_problem(ideals.matrix)
+    if problem is not None:
+        return Inconclusive(problem, (), 0)
+    result = inductive_prover(ideals)
+    if result.certificate is None:
+        return Inconclusive("no applicable lemma for some supports",
+                            result.stuck_supports, 0)
+    problems = result.certificate.verify(ideals.matrix, ideals)
+    if problems:
+        raise ConsistencyError(f"freshly built certificate fails to verify: {problems}")
+    return UFD(result.certificate, 0)
+
+
 def _swept_bound(ideals: ExchangeIdeals, degree_bound: int,
                  budget: Optional[GroebnerBudget]) -> tuple[int, Optional[ConjectureOutcome]]:
     """Largest weight L <= degree_bound with every |a| <= L conjecture check
@@ -870,8 +899,9 @@ def _inconclusive(ideals: ExchangeIdeals, reason: str,
 
 def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
                 budget: Optional[GroebnerBudget] = None) -> UFDVerdict:
-    """Necessary conditions, standing assumptions, certificate search, then
-    cross-validation.
+    """``certify``, then the direct weight sweep up to ``degree_bound``:
+    how far it holds on an Inconclusive verdict, and a cross-validation of
+    a UFD verdict.
 
     A passing bounded search never upgrades to a UFD verdict on its own:
     only a complete verified certificate does.  Conversely a certificate
@@ -879,30 +909,24 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
     """
     if degree_bound < 0:
         raise ValueError("the cross-check degree bound must be non-negative")
-    witness = necessary_conditions(ideals)
-    if witness is not None:
-        return NotUFD(witness)
-    reason = check_assumptions(ideals)
-    if reason == "the principal quiver has an oriented cycle":
-        reason += "; the certificate search needs an acyclic seed"
-    if reason is not None:
-        return _inconclusive(ideals, reason, (), degree_bound, budget)
-    result = inductive_prover(ideals)
-    if result.certificate is None:
-        return _inconclusive(ideals, "no applicable lemma for some supports",
-                             result.stuck_supports, degree_bound, budget)
-    problems = result.certificate.verify(ideals.matrix, ideals)
-    if problems:
-        raise ConsistencyError(f"freshly built certificate fails to verify: {problems}")
-    if ideals.n > 8:
-        return UFD(result.certificate, 0, notes="cross-check skipped (n > 8)")
+    verdict = certify(ideals)
+    if isinstance(verdict, NotUFD):
+        return verdict
+    if isinstance(verdict, Inconclusive):
+        reason = verdict.reason
+        if reason == "the principal quiver has an oriented cycle":
+            reason += "; the certificate search needs an acyclic seed"
+        return _inconclusive(ideals, reason, verdict.stuck_supports,
+                             degree_bound, budget)
+    if ideals.n > 8 and degree_bound > 0:
+        return verdict._replace(notes="cross-check skipped (n > 8)")
     bound, stop = _swept_bound(ideals, degree_bound, budget)
     if stop is not None and stop.status == "fails":
         raise ConsistencyError(
             f"certificate contradicts a direct check at {stop.multi_index}: "
             f"witness {stop.witness}")
     notes = "" if stop is None else f"cross-check stopped by budget at {stop.multi_index}"
-    return UFD(result.certificate, bound, notes=notes)
+    return verdict._replace(cross_checked_bound=bound, notes=notes)
 
 
 # -- membership and normal forms under a verified certificate ----------------

@@ -209,15 +209,6 @@ class Polynomial:
                 out[exp[:p] + (0,) + exp[p + 1:]] = c
         return Polynomial._raw(self.m, self.field, out)
 
-    def support_vars(self) -> set[int]:
-        """The 1-based indices of variables that actually appear."""
-        out = set()
-        for exp in self.terms:
-            for p, e in enumerate(exp):
-                if e:
-                    out.add(p + 1)
-        return out
-
     def min_exponents(self) -> Exponent:
         """Componentwise minimum exponent over all terms (the monomial content)."""
         if not self.terms:

@@ -356,6 +356,14 @@ class TestInternalErrors:
         assert body["error"] == ("ConsistencyError: certificate contradicts "
                                  "a direct check")
 
+    def test_certificate_failing_verification_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(factoriality.SupportCertificate, "verify",
+                            lambda self, matrix, ideals=None: ["tampered"])
+        code, body = run_json(capsys, "prove-ufd", "--builtin", "A:2")
+        assert code == 4
+        assert body["error"] == ("ConsistencyError: freshly built certificate "
+                                 "fails to verify: ['tampered']")
+
     def test_escaped_budget_exceeded_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(factoriality, "inductive_prover",
                             self.broken(BudgetExceeded(7, 3)))
@@ -694,13 +702,13 @@ class TestNecessaryConditionsOnce:
                                       ("verdict", "--builtin", "A:3")])
     def test_checks_run_once(self, capsys, monkeypatch, argv):
         calls = []
-        witness = factoriality._necessary_witness
+        witness = factoriality.necessary_conditions
 
         def counted(ideals):
             calls.append(ideals)
             return witness(ideals)
 
-        monkeypatch.setattr(factoriality, "_necessary_witness", counted)
+        monkeypatch.setattr(factoriality, "necessary_conditions", counted)
         code, _ = run_json(capsys, *argv)
         assert code in (0, 1)
         assert len(calls) == 1
@@ -715,6 +723,65 @@ class TestNecessaryConditionsOnce:
         assert code == 3
         assert body["verdict"] == "error"
         assert "column 2 is zero" in body["error"]
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+
+# the four commands that rest on ``certify``; x1 and x1 + 1 suit every seed
+CERTIFICATE_COMMANDS = [("prove-ufd",), ("verdict", "--bound", "0"),
+                        ("member", "--expr", "x1"),
+                        ("normal-form", "--expr", "x1 + 1")]
+
+AGREEMENT_BUILTINS = ["A:2", "A:3", "A:4", "A:5", "A:6", "A:17", "D:4", "D:5",
+                      "E:6", "E:7", "E:8", "rank2:1,2", "rank2:2,2",
+                      "rank2:1,4", "kronecker", "cyclicA3"]
+
+
+def agreement_seeds() -> dict[str, dict]:
+    """The golden seed files, among them seeds that fail a necessary
+    condition and a standing assumption at once, and random acyclic seeds
+    with frozen rows."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        seeds = dict(json.load(fh)["seeds"])
+    rng = random.Random(13)
+    for k in range(20):
+        rows = random_acyclic_seed(rng, rng.randint(2, 6), rng.randint(1, 2))
+        seeds[f"random{k}"] = {"n": len(rows[0]), "m": len(rows), "matrix": rows}
+    return seeds
+
+
+AGREEMENT_SEEDS = agreement_seeds()
+
+
+def certificate_outcome(body: dict) -> str:
+    """What a certificate command concluded: "decided" on a verified
+    certificate, "refuted" by a necessary condition, else "inconclusive",
+    or "error" on an input error."""
+    verdict = body["verdict"]
+    if verdict in ("certified", "UFD", "member", "non-member", "ok"):
+        return "decided"
+    if verdict == "NotUFD" or body.get("reason", "").startswith(
+            "necessary conditions already fail"):
+        return "refuted"
+    assert verdict in ("inconclusive", "Inconclusive", "error"), verdict
+    return verdict.lower()
+
+
+@pytest.mark.parametrize("option, name",
+                         [("--builtin", name) for name in AGREEMENT_BUILTINS]
+                         + [("--seed", name) for name in sorted(AGREEMENT_SEEDS)])
+def test_certificate_commands_agree(capsys, tmp_path, option, name):
+    """``prove-ufd``, ``verdict --bound 0``, ``member`` and ``normal-form``
+    run the same pipeline, so on every seed they certify together, refute
+    together or are inconclusive together."""
+    if option == "--seed":
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(AGREEMENT_SEEDS[name]))
+        name = str(path)
+    outcomes = {argv[0]: certificate_outcome(
+                    run_json(capsys, argv[0], option, name, *argv[1:])[1])
+                for argv in CERTIFICATE_COMMANDS}
+    assert len(set(outcomes.values())) == 1, outcomes
 
 
 class TestSeedFileEntries:

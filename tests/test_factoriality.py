@@ -34,6 +34,7 @@ from clusterufd.factoriality import (
     binomial_irreducible,
     binomial_witness_factors,
     brute_force_factor,
+    certify,
     check_assumptions,
     conjecture_check,
     conjecture_sweep,
@@ -717,9 +718,9 @@ class TestVerdictStages:
     @pytest.mark.parametrize("name", ["A:2", "cyclicA3"])
     def test_assumptions_checked_once(self, monkeypatch, name):
         calls = []
-        original = factoriality.check_assumptions
-        monkeypatch.setattr(factoriality, "check_assumptions",
-                            lambda ideals: calls.append(ideals) or original(ideals))
+        original = factoriality.structure_report
+        monkeypatch.setattr(factoriality, "structure_report",
+                            lambda matrix: calls.append(matrix) or original(matrix))
         ufd_verdict(ideals_for(name), degree_bound=2)
         assert len(calls) == 1
 
@@ -887,6 +888,35 @@ class TestCertificateImpliesSweep:
         n = len(rows[0])
         outcomes = conjecture_sweep(ExchangeIdeals(ExchangeMatrix(rows)), 2)
         assert [o.status for o in outcomes] == ["holds"] * (n + n * (n + 1) // 2)
+
+
+def within_mutations(matrix: ExchangeMatrix, steps: int) -> set[ExchangeMatrix]:
+    """Every matrix reached from ``matrix`` by at most ``steps`` mutations."""
+    seen = layer = {matrix}
+    for _ in range(steps):
+        layer = {mu.mutate(k) for mu in layer
+                 for k in range(1, matrix.n + 1)} - seen
+        seen = seen | layer
+    return seen
+
+
+class TestNecessaryConditionsUnderMutation:
+    """The necessary conditions of Geiss, Leclerc and Schroer are properties
+    of the cluster algebra, not of one seed, so a UFD verdict requires them
+    at every seed: checked at every matrix within three mutations."""
+
+    def test_every_nearby_matrix_of_a_ufd_seed(self):
+        matrices = [builtin_matrix(name)
+                    for name in ("A:2", "A:3", "A:4", "A:5", "A:6", "E:6")]
+        rng = random.Random(13)
+        matrices += [ExchangeMatrix(random_acyclic_seed(
+            rng, rng.randint(2, 5), rng.randint(1, 2))) for _ in range(20)]
+        ufd = [mu for mu in matrices if isinstance(certify(ExchangeIdeals(mu)), UFD)]
+        assert len(ufd) >= 10
+        for matrix in ufd:
+            for nearby in within_mutations(matrix, 3):
+                assert necessary_conditions(ExchangeIdeals(nearby)) is None, \
+                    (matrix.rows, nearby.rows)
 
 
 def all_subsets(items):

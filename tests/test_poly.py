@@ -110,7 +110,6 @@ class TestArithmetic:
 
     def test_support_and_content(self):
         p = P("x1^2*x2 + x1^3", m=3)
-        assert p.support_vars() == {1, 2}
         assert p.min_exponents() == (2, 0, 0)
 
     def test_coefficient_of_examples(self):
