@@ -37,9 +37,8 @@ _EXPORTS = {
         "normal_form"),
     "parse": ("ParseError", "parse_expression", "parse_polynomial"),
     "poly": (
-        "LaurentPolynomial", "MonomialOrder", "Polynomial", "divide_exact",
-        "elimination_order", "grevlex_order", "lex_order", "render_laurent",
-        "render_polynomial"),
+        "ELIMINATE_LAST", "GREVLEX", "LaurentPolynomial", "MonomialOrder",
+        "Polynomial", "divide_exact", "render_laurent", "render_polynomial"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

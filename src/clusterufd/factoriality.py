@@ -25,7 +25,7 @@ from typing import (TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence,
 
 from .cluster import ExchangeMatrix, exchange_polynomial, structure_report
 from .fields import FieldTag, GaussianRational
-from .poly import (LaurentPolynomial, Polynomial, divide_exact, grevlex_order)
+from .poly import GREVLEX, LaurentPolynomial, Polynomial, divide_exact
 
 # The Groebner kernel is imported where the ideals and the weight sweep use
 # it, so the certificate commands never load it.
@@ -266,7 +266,7 @@ def _normalize_factor(g: Polynomial) -> Polynomial:
     c0 = g.constant_coefficient()
     if c0:
         return g * g.field.div(g.field.one(), c0)
-    _, lc = g.leading(grevlex_order(g.m))
+    _, lc = g.leading(GREVLEX)
     return g * g.field.div(g.field.one(), lc)
 
 
@@ -322,10 +322,8 @@ def _sympy_factor_to_poly(expr, symbols, m: int, fld: FieldTag) -> Polynomial:
 
 def _match_scale(f: Polynomial, g: Polynomial, h: Polynomial):
     """The unit c with f = g * (c * h), read off leading coefficients."""
-    order = grevlex_order(f.m)
-    _, f_lc = f.leading(order)
-    prod = g * h
-    _, p_lc = prod.leading(order)
+    _, f_lc = f.leading(GREVLEX)
+    _, p_lc = (g * h).leading(GREVLEX)
     return f.field.div(f_lc, p_lc)
 
 
@@ -416,15 +414,19 @@ def _structure_problem(matrix: ExchangeMatrix) -> Optional[str]:
 
 def check_assumptions(ideals: ExchangeIdeals) -> Optional[str]:
     """A human-readable reason the standing assumptions fail, or None: the
-    gate of ``conjecture_check``, which asks for a connected acyclic matrix
-    and then for the necessary conditions."""
-    problem = _structure_problem(ideals.matrix)
-    if problem is not None:
+    gate of ``conjecture_check``.  It asks, in ``certify``'s order, for the
+    necessary conditions and then for a connected acyclic matrix."""
+    try:
+        witness = necessary_conditions(ideals)
+    except ValueError:
+        # a zero column leaves some f_i constant: name the disconnection
+        problem = _structure_problem(ideals.matrix)
+        if problem is None:
+            raise
         return problem
-    witness = necessary_conditions(ideals)
     if witness is not None:
         return f"necessary conditions already fail: {witness}"
-    return None
+    return _structure_problem(ideals.matrix)
 
 
 def conjecture_check(ideals: ExchangeIdeals, multi_index: Sequence[int],
@@ -448,7 +450,8 @@ def conjecture_check(ideals: ExchangeIdeals, multi_index: Sequence[int],
         problem = check_assumptions(ideals)
         if problem is not None:
             raise ValueError(
-                f"{problem}; pass override_assumptions=True to probe anyway")
+                f"{problem}; pass override_assumptions=True "
+                "(--override-assumptions) to probe anyway")
     active = [i for i in range(1, ideals.n + 1) if a[i - 1] > 0]
     if not active:
         return ConjectureOutcome("holds", a, detail="zero multi-index is trivial")
@@ -981,7 +984,7 @@ def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
         if e:
             raise ValueError(
                 f"x{pos + 1} divides the input; strip monomial factors first")
-    _, lc = p.leading(grevlex_order(p.m))
+    _, lc = p.leading(GREVLEX)
     normalized = p * p.field.div(p.field.one(), lc)
     monomial = ideals.normal_monomial(normalized)
     value = LaurentPolynomial(normalized, monomial)

@@ -14,11 +14,11 @@ on every run, so a budget that suffices once always suffices.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import FieldTag
-from .poly import (MonomialOrder, Polynomial, elimination_order, ev_add,
-                   ev_divides, ev_max, ev_sub, grevlex_order)
+from .poly import (ELIMINATE_LAST, GREVLEX, MonomialOrder, Polynomial,
+                   ev_add, ev_divides, ev_max, ev_sub)
 
 
 class BudgetExceeded(Exception):
@@ -231,13 +231,9 @@ class GroebnerBasis:
 
 
 def _canonical_gen_sort(gens: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
-    order = None
-    gens = list(gens)
-    if gens:
-        order = grevlex_order(gens[0].m)
-        gens.sort(key=lambda g: (g.total_degree(),
-                                 sorted(order.key(e) for e in g.terms)))
-    return tuple(gens)
+    key = GREVLEX.key
+    return tuple(sorted(gens, key=lambda g: (g.total_degree(),
+                                             sorted(map(key, g.terms)))))
 
 
 class Ideal:
@@ -264,24 +260,20 @@ class Ideal:
         self.m = m
         self.field = field
 
-    def groebner_basis(self, order: Optional[MonomialOrder] = None,
-                       budget: GroebnerBudget = DEFAULT_BUDGET) -> GroebnerBasis:
-        """Runs Buchberger on each call; ``order`` defaults to grevlex."""
-        if order is None:
-            order = grevlex_order(self.m)
-        return buchberger(self.generators, order, budget)
+    def groebner_basis(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> GroebnerBasis:
+        """The reduced grevlex basis; runs Buchberger on each call."""
+        return buchberger(self.generators, GREVLEX, budget)
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
 def ideal_membership(p: Polynomial, ideal: Ideal,
-                     order: Optional[MonomialOrder] = None,
                      budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
     """Whether p lies in the ideal, by reduction to zero."""
     if p.is_zero:
         return True
-    return normal_form(p, ideal.groebner_basis(order, budget)).is_zero
+    return normal_form(p, ideal.groebner_basis(budget)).is_zero
 
 
 def _lift(p: Polynomial, t_degree: int, m2: int, field: FieldTag) -> Polynomial:
@@ -293,8 +285,9 @@ def ideal_intersection(left: Ideal, right: Ideal,
                        budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """I ∩ J by elimination: t·I + (1-t)·J with t eliminated.
 
-    The t-free elements of the elimination basis, a reduced grevlex basis
-    of the intersection, generate the returned ideal.
+    t is appended as the last variable, x_{m+1}, and eliminated by
+    ``ELIMINATE_LAST``.  The t-free elements of the elimination basis, a
+    reduced grevlex basis of the intersection, generate the returned ideal.
     """
     if left.m != right.m or left.field is not right.field:
         raise ValueError("ideals live in different ambient rings")
@@ -306,9 +299,7 @@ def ideal_intersection(left: Ideal, right: Ideal,
     one_minus_t = Polynomial(m2, field, {(0,) * m2: 1, (0,) * m + (1,): -1})
     for h in right.generators:
         gens.append(_lift(h, 0, m2, field) * one_minus_t)
-    order = elimination_order(m2, block=1,
-                              permutation=(t_pos,) + tuple(range(m)))
-    basis = buchberger(gens, order, budget)
+    basis = buchberger(gens, ELIMINATE_LAST, budget)
     projected = []
     for g in basis:
         if all(exp[t_pos] == 0 for exp in g.terms):

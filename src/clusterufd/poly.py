@@ -5,13 +5,19 @@ nonzero coefficients.  A Laurent polynomial is a polynomial numerator plus a
 monomial denominator exponent vector, kept reduced so that no variable
 divides both.  Variables are addressed 1-based (x1..xm) in every public
 signature; exponent tuples are 0-indexed internally.
+
+Two monomial orders are fixed here: ``GREVLEX`` on x1..xm, used for
+leading terms, division, rendering and ideal bases, and ``ELIMINATE_LAST``,
+which compares the last exponent first and breaks ties by grevlex on the
+others.  ``groebner.ideal_intersection`` appends its auxiliary variable t
+last, so ``ELIMINATE_LAST`` eliminates it.
 """
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from operator import add, itemgetter, le, neg, sub
-from typing import Iterable, Optional, Sequence
+from operator import add, le, neg, sub
+from typing import Optional, Sequence
 
 from .fields import FieldTag, GaussianRational, nonzero_terms
 
@@ -44,62 +50,25 @@ def ev_divides(a: Exponent, b: Exponent) -> bool:
 # -- monomial orders --------------------------------------------------------
 
 class MonomialOrder:
-    """A monomial order on m variables, with an optional variable permutation.
+    """``GREVLEX``, or ``ELIMINATE_LAST``: the last exponent first, then
+    grevlex on the others.  Both apply to exponents of any length."""
 
-    ``permutation`` lists 0-based positions in decreasing comparison
-    priority; exponents are read through it before the order rule applies.
-    ``kind`` is one of "lex", "grevlex" or "block"; a block order compares
-    the first ``block`` permuted positions grevlex-first, which makes it an
-    elimination order for those variables.
-    """
+    __slots__ = ("eliminate_last",)
 
-    __slots__ = ("kind", "m", "permutation", "block", "_pick")
-
-    def __init__(self, kind: str, m: int, permutation: tuple[int, ...],
-                 block: int = 0):
-        if kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        if sorted(permutation) != list(range(m)):
-            raise ValueError("permutation must list the positions 0..m-1")
-        if kind == "block" and not 0 < block < m:
-            raise ValueError("block size must satisfy 0 < block < m")
-        self.kind = kind
-        self.m = m
-        self.permutation = permutation
-        self.block = block
-        # the identity permutation needs no reordering of exponents
-        self._pick = None if permutation == tuple(range(m)) else itemgetter(*permutation)
-
-    @staticmethod
-    def _grevlex_key(pe: Sequence[int]):
-        return (sum(pe), tuple(map(neg, reversed(pe))))
+    def __init__(self, eliminate_last: bool):
+        self.eliminate_last = eliminate_last
 
     def key(self, exp: Exponent):
         """A sort key; larger key means larger monomial."""
-        pe = exp if self._pick is None else self._pick(exp)
-        if self.kind == "grevlex":
-            return self._grevlex_key(pe)
-        if self.kind == "lex":
-            return tuple(pe)
-        return (self._grevlex_key(pe[: self.block]),
-                self._grevlex_key(pe[self.block:]))
+        rev = tuple(map(neg, reversed(exp)))
+        if self.eliminate_last:
+            # rev starts with -t, a constant once t ties
+            return (exp[-1], sum(exp) - exp[-1], rev)
+        return (sum(exp), rev)
 
 
-def grevlex_order(m: int, permutation: Optional[Iterable[int]] = None) -> MonomialOrder:
-    perm = tuple(permutation) if permutation is not None else tuple(range(m))
-    return MonomialOrder("grevlex", m, perm)
-
-
-def lex_order(m: int, permutation: Optional[Iterable[int]] = None) -> MonomialOrder:
-    perm = tuple(permutation) if permutation is not None else tuple(range(m))
-    return MonomialOrder("lex", m, perm)
-
-
-def elimination_order(m: int, block: int = 1,
-                      permutation: Optional[Iterable[int]] = None) -> MonomialOrder:
-    """Block order eliminating the first ``block`` permuted positions."""
-    perm = tuple(permutation) if permutation is not None else tuple(range(m))
-    return MonomialOrder("block", m, perm, block)
+GREVLEX = MonomialOrder(False)
+ELIMINATE_LAST = MonomialOrder(True)
 
 
 # -- polynomials ------------------------------------------------------------
@@ -371,24 +340,22 @@ def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
     return True
 
 
-def divide_exact(p: Polynomial, q: Polynomial,
-                 order: Optional[MonomialOrder] = None) -> Optional[Polynomial]:
+def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
     """The quotient p/q when q divides p exactly, else None.
 
-    Single-divisor multivariate division: whenever a term would land in the
-    remainder the division cannot be exact, so we stop early.
+    Single-divisor multivariate division under grevlex: whenever a term
+    would land in the remainder the division cannot be exact, so we stop
+    early.
     """
     p._check_compatible(q)
     if q.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return Polynomial.zero(p.m, p.field)
-    if order is None:
-        order = grevlex_order(p.m)
-    q_exp, q_coeff = q.leading(order)
+    q_exp, q_coeff = q.leading(GREVLEX)
     quot: dict = {}
     if not _division_steps(dict(p.terms), quot, q_exp, list(q.terms.items()),
-                           q_coeff, order.key, p.field.div):
+                           q_coeff, GREVLEX.key, p.field.div):
         return None
     return Polynomial._raw(p.m, p.field, quot)
 
@@ -599,14 +566,12 @@ def _coeff_parts(coeff) -> tuple[bool, str]:
     return coeff < 0, str(abs(coeff))
 
 
-def render_polynomial(p: Polynomial, order: Optional[MonomialOrder] = None) -> str:
-    """Canonical text form: terms in descending monomial order."""
+def render_polynomial(p: Polynomial) -> str:
+    """Canonical text form: terms in descending grevlex order."""
     if p.is_zero:
         return "0"
-    if order is None:
-        order = grevlex_order(p.m)
     pieces = []
-    for exp in sorted(p.terms, key=order.key, reverse=True):
+    for exp in sorted(p.terms, key=GREVLEX.key, reverse=True):
         neg, mag = _coeff_parts(p.terms[exp])
         mono = _monomial_str(exp)
         if not mono:
@@ -622,8 +587,8 @@ def render_polynomial(p: Polynomial, order: Optional[MonomialOrder] = None) -> s
     return "".join(pieces)
 
 
-def render_laurent(v: LaurentPolynomial, order: Optional[MonomialOrder] = None) -> str:
-    num_str = render_polynomial(v.num, order)
+def render_laurent(v: LaurentPolynomial) -> str:
+    num_str = render_polynomial(v.num)
     if not any(v.den):
         return num_str
     if len(v.num.terms) > 1:

@@ -261,6 +261,16 @@ class TestNecessaryConditions:
         assert check_assumptions(ideals_for("A:3")) \
             == "necessary conditions already fail: f_1 = f_3 = x2 + 1"
 
+    def test_gate_checks_in_certify_order(self):
+        # disconnected, and f_1 = x3^3 + 1 factors: both the gate and
+        # certify name the reducible f_1 first
+        ideals = ExchangeIdeals(ExchangeMatrix([[0, 0], [0, 0], [3, 0], [0, 3]]))
+        assert isinstance(certify(ideals), NotUFD)
+        assert check_assumptions(ideals) == ("necessary conditions already fail: "
+                                             "f_1 factors as (x3 + 1) * (x3^2 - x3 + 1)")
+        with pytest.raises(ValueError, match="--override-assumptions"):
+            conjecture_check(ideals, (1, 1))
+
 
 # -- the ideal-equality conjecture -------------------------------------------
 

@@ -12,15 +12,14 @@ from conftest import random_laurent, random_polynomial
 from clusterufd.fields import FieldTag, GaussianRational
 from clusterufd.parse import ParseError, parse_expression, parse_polynomial
 from clusterufd.poly import (
+    ELIMINATE_LAST,
+    GREVLEX,
     LaurentPolynomial,
     Polynomial,
     divide_exact,
-    elimination_order,
     ev_add,
     ev_divides,
     ev_sub,
-    grevlex_order,
-    lex_order,
     render_laurent,
     render_polynomial,
 )
@@ -156,65 +155,58 @@ class TestArithmetic:
 
 class TestOrders:
     def test_grevlex_comparisons(self):
-        key = grevlex_order(2).key
+        key = GREVLEX.key
         # degree first ...
         assert key((2, 2)) > key((3, 0))
         # ... ties broken against the last variable
         assert key((2, 1)) > key((1, 2))
 
     def test_grevlex_three_vars(self):
-        key = grevlex_order(3).key
+        key = GREVLEX.key
         assert key((1, 1, 0)) > key((1, 0, 1)) > key((0, 1, 1))
 
-    def test_lex_comparisons(self):
-        key = lex_order(2).key
-        assert key((3, 0)) > key((2, 5))
-        assert key((1, 0)) > key((0, 9))
-
-    def test_permuted_lex(self):
-        key = lex_order(2, permutation=(1, 0)).key
-        assert key((0, 1)) > key((5, 0))
-
     def test_elimination_order_blocks(self):
-        # First block dominates: any monomial containing x1 beats any without.
-        key = elimination_order(3, block=1).key
-        assert key((1, 0, 0)) > key((0, 9, 9))
-        assert key((2, 0, 1)) > key((1, 5, 5))
+        # The last variable dominates: any monomial containing x3 beats any
+        # without, and equal x3 powers fall back to grevlex on x1, x2.
+        key = ELIMINATE_LAST.key
+        assert key((0, 0, 1)) > key((9, 9, 0))
+        assert key((1, 0, 2)) > key((5, 5, 1))
+        assert key((2, 1, 1)) > key((1, 2, 1)) > key((2, 0, 1))
 
     @staticmethod
-    def reference_key(order, exp):
-        """The order key written out from its definition, as a list."""
-        def grevlex(pe):
-            return (sum(pe), tuple(-e for e in reversed(pe)))
-        pe = [exp[p] for p in order.permutation]
-        if order.kind == "lex":
-            return tuple(pe)
-        if order.kind == "grevlex":
-            return grevlex(pe)
-        return (grevlex(pe[:order.block]), grevlex(pe[order.block:]))
+    def reference_grevlex(exp):
+        """Grevlex written out from its definition: total degree first,
+        then the smaller exponent of the last differing variable wins."""
+        return (sum(exp), [-e for e in reversed(exp)])
+
+    @classmethod
+    def reference_eliminate_last(cls, exp):
+        """The block order that eliminates one variable, read through the
+        permutation that moves the last position first."""
+        pe = [exp[-1]] + list(exp[:-1])
+        return (cls.reference_grevlex(pe[:1]), cls.reference_grevlex(pe[1:]))
 
     def test_key_matches_reference_definition(self):
         rng = random.Random(41)
-        for m in range(1, 6):
-            for _ in range(20):
-                perm = list(range(m))
-                rng.shuffle(perm)
-                orders = [grevlex_order(m), lex_order(m), grevlex_order(m, perm),
-                          lex_order(m, perm)]
-                if m > 1:
-                    block = rng.randint(1, m - 1)
-                    orders += [elimination_order(m, block),
-                               elimination_order(m, block, perm)]
-                exp = tuple(rng.randint(0, 4) for _ in range(m))
-                for order in orders:
-                    assert order.key(exp) == self.reference_key(order, exp)
+        for m in range(1, 7):
+            exps = [tuple(rng.randint(0, 4) for _ in range(m)) for _ in range(20)]
+            for order, reference in ((GREVLEX, self.reference_grevlex),
+                                     (ELIMINATE_LAST, self.reference_eliminate_last)):
+                for a in exps:
+                    for b in exps:
+                        assert ((order.key(a) < order.key(b))
+                                == (reference(a) < reference(b)))
+                        assert ((order.key(a) == order.key(b))
+                                == (reference(a) == reference(b)) == (a == b))
 
     def test_leading_term(self):
         p = P("x1^3 + x1*x2^3")
-        assert p.leading(grevlex_order(2))[0] == (1, 3)
-        assert p.leading(lex_order(2))[0] == (3, 0)
+        assert p.leading(GREVLEX)[0] == (1, 3)
+        q = P("x1^3 + x2")
+        assert q.leading(GREVLEX)[0] == (3, 0)
+        assert q.leading(ELIMINATE_LAST)[0] == (0, 1)
         with pytest.raises(ValueError):
-            Polynomial.zero(2, Q).leading(grevlex_order(2))
+            Polynomial.zero(2, Q).leading(GREVLEX)
 
 
 # -- exact division ----------------------------------------------------------
@@ -448,7 +440,7 @@ def fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
 def fraction_divide(p: Polynomial, q: Polynomial):
     """Single-divisor grevlex division on the stored field elements, as an
     oracle: the quotient when the remainder is zero, else None."""
-    key = grevlex_order(p.m).key
+    key = GREVLEX.key
     q_exp = max(q.terms, key=key)
     rem, quot = dict(p.terms), {}
     while rem:

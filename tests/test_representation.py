@@ -17,8 +17,7 @@ from clusterufd.cluster import builtin_seed, enumerate_cluster_variables
 from clusterufd.fields import FieldTag, GaussianRational
 from clusterufd.groebner import buchberger, normal_form
 from clusterufd.parse import parse_expression
-from clusterufd.poly import (LaurentPolynomial, Polynomial, divide_exact,
-                             grevlex_order)
+from clusterufd.poly import GREVLEX, LaurentPolynomial, Polynomial, divide_exact
 
 Q = FieldTag.Q
 QI = FieldTag.QI
@@ -90,7 +89,7 @@ class TestRepresentation:
             g1 = random_polynomial(rng, 2, field, max_terms=3, max_exp=2,
                                    nonzero=True)
             g2 = integral_polynomial(rng, 2, field, nonzero=True)
-            basis = buchberger([g1, g2], grevlex_order(2))
+            basis = buchberger([g1, g2], GREVLEX)
             laurent = [u / v, v.inverse(), parse_expression(str(u), 3, field),
                        parse_expression(f"({u}) / ({v})", 3, field)]
             assert laurent[2] == u and laurent[3] == laurent[0]
