@@ -1,15 +1,18 @@
 """Exact scalar arithmetic for the supported coefficient fields.
 
-Two fields are available: the rationals and the Gaussian rationals a + b*i
-with Fraction components.  A rational is stored in canonical form: an
-``int`` when it is integral, else a ``Fraction``.  Exchange polynomials and
-cluster variables have integer coefficients, so their arithmetic runs on
-plain ints.  This module alone applies the rule: ``FieldTag.coerce``,
-``zero`` and ``one`` give canonical values, ``nonzero_terms`` cleans a
-product, and ``FieldTag.div`` is the one division of coefficients, since
-``int / int`` would give a float.  A sum of two Fractions may still be an
-integral Fraction, which equals and hashes like its int.  All arithmetic is
-exact; nothing here ever touches a float.
+Two fields are available: the rationals and the Gaussian rationals a + b*i.
+A rational is stored in canonical form: an ``int`` when it is integral,
+else a ``Fraction``.  Over Q(i) a real value is stored exactly as over Q,
+and only a value with a nonzero imaginary part is a ``GaussianRational``,
+whose parts are canonical rationals.  Exchange polynomials and cluster
+variables have integer coefficients, so their arithmetic runs on plain ints
+over either field.  This module alone applies the rule: ``FieldTag.coerce``,
+``zero`` and ``one`` give canonical values, ``GaussianRational`` arithmetic
+returns them, ``nonzero_terms`` cleans a product, and ``FieldTag.div`` is
+the one division of coefficients, since ``int / int`` would give a float.
+A sum of two Fractions may still be an integral Fraction, which equals and
+hashes like its int.  All arithmetic is exact; nothing here ever touches a
+float.
 """
 from __future__ import annotations
 
@@ -21,88 +24,79 @@ from typing import Union
 class GaussianRational:
     """A Gaussian rational ``re + im*i`` with exact components.
 
-    Supports mixed arithmetic with ``int`` and ``Fraction`` operands, which
-    are treated as purely real.  Division multiplies by the conjugate.
+    The parts are canonical rationals.  Supports mixed arithmetic with
+    ``int`` and ``Fraction`` operands, which are treated as purely real.
+    Every operation returns the canonical value, so a real result is an
+    ``int`` or a ``Fraction``: ``i * i`` is ``-1``.  Division multiplies by
+    the conjugate.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)) or isinstance(part, bool):
+                raise TypeError(
+                    f"a Gaussian rational part must be an int or a Fraction, "
+                    f"not {type(part).__name__}")
+        object.__setattr__(self, "re", _canonical(re))
+        object.__setattr__(self, "im", _canonical(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gauss(self.re + o[0], self.im + o[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gauss(self.re - o[0], self.im - o[1])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _gauss(o[0] - self.re, o[1] - self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        return _gauss(self.re * o[0] - self.im * o[1],
+                      self.re * o[1] + self.im * o[0])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _quotient(self.re, self.im, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(*o, self.re, self.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return (GaussianRational(1) / self) ** (-k)
-        out = GaussianRational(1)
-        base = self
+            return _quotient(1, 0, self.re, self.im) ** (-k)
+        out, base = 1, self
         while k:
             if k & 1:
                 out = out * base
@@ -112,24 +106,25 @@ class GaussianRational:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+    def conjugate(self) -> "FieldElement":
+        return _gauss(self.re, -self.im)
 
-    def norm(self) -> Fraction:
-        """The field norm re^2 + im^2 (a nonnegative rational)."""
+    def norm(self) -> Union[int, Fraction]:
+        """The field norm re^2 + im^2: a nonnegative rational, an int when
+        both parts are integral."""
         return self.re * self.re + self.im * self.im
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == o[0] and self.im == o[1]
 
     def __hash__(self):
-        # Must agree with Fraction when purely real, since __eq__ does.
+        # Must agree with int and Fraction when purely real, since __eq__ does.
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
@@ -145,6 +140,32 @@ class GaussianRational:
         return f"{self.re}{sign}{im_txt}"
 
     __repr__ = __str__
+
+
+def _parts(value):
+    """(re, im) of an int, Fraction or GaussianRational; None otherwise."""
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    if isinstance(value, (int, Fraction)):
+        return value, 0
+    return None
+
+
+def _gauss(re, im) -> "FieldElement":
+    """The canonical value re + im*i of two rationals: a canonical rational
+    when im is zero, else a GaussianRational."""
+    if im:
+        return GaussianRational(re, im)
+    return _canonical(re)
+
+
+def _quotient(a_re, a_im, b_re, b_im) -> "FieldElement":
+    """(a_re + a_im*i) / (b_re + b_im*i), canonical, with no float."""
+    n = b_re * b_re + b_im * b_im
+    if not n:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _gauss(Fraction(a_re * b_re + a_im * b_im, n),
+                  Fraction(a_im * b_re - a_re * b_im, n))
 
 
 FieldElement = Union[int, Fraction, GaussianRational]
@@ -171,10 +192,10 @@ class FieldTag(Enum):
         raise ValueError(f"unknown field {name!r}; expected 'Q' or 'Qi'")
 
     def zero(self) -> FieldElement:
-        return 0 if self is FieldTag.Q else GaussianRational(0)
+        return 0
 
     def one(self) -> FieldElement:
-        return 1 if self is FieldTag.Q else GaussianRational(1)
+        return 1
 
     def imaginary_unit(self) -> GaussianRational:
         if self is not FieldTag.QI:
@@ -187,15 +208,13 @@ class FieldTag(Enum):
         if not isinstance(value, (int, Fraction, GaussianRational)) \
                 or isinstance(value, bool):
             raise TypeError(f"cannot coerce {type(value).__name__} exactly")
-        if self is FieldTag.Q:
-            if isinstance(value, GaussianRational):
-                if value.im:
-                    raise ValueError(f"{value} has an imaginary part; not in Q")
-                value = value.re
-            return _canonical(value)
         if isinstance(value, GaussianRational):
+            if not value.im:
+                return value.re
+            if self is FieldTag.Q:
+                raise ValueError(f"{value} has an imaginary part; not in Q")
             return value
-        return GaussianRational(value)
+        return _canonical(value)
 
     def div(self, a: FieldElement, b: FieldElement) -> FieldElement:
         """The quotient a / b of two elements of this field, canonical."""
@@ -203,7 +222,9 @@ class FieldTag(Enum):
             q, r = divmod(a, b)
             return Fraction(a, b) if r else q
         quotient = a / b
-        return _canonical(quotient) if self is FieldTag.Q else quotient
+        if type(quotient) is GaussianRational:
+            return quotient
+        return _canonical(quotient)
 
     def is_integer_scalar(self, value: FieldElement) -> bool:
         """True when the value is a plain rational integer."""

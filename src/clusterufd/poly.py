@@ -555,14 +555,10 @@ def _monomial_str(exp: Exponent) -> str:
 def _coeff_parts(coeff) -> tuple[bool, str]:
     """(negative, magnitude-text) for a coefficient; mixed Gaussians get parens."""
     if isinstance(coeff, GaussianRational):
-        if not coeff.im:
-            coeff = coeff.re
-        elif not coeff.re:
-            im = coeff.im
-            mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
-            return im < 0, mag
-        else:
+        if coeff.re:
             return False, f"({coeff})"
+        im = coeff.im
+        return im < 0, "i" if abs(im) == 1 else f"{abs(im)}*i"
     return coeff < 0, str(abs(coeff))
 
 

@@ -71,7 +71,29 @@ class TestGaussianRational:
         big = 2 ** 300 + 1
         a = GaussianRational(Fraction(big, 3), 0)
         assert a * 3 == big
-        assert (a - a).re == 0
+        assert a - a == 0
+
+    def test_parts_must_be_exact(self):
+        for bad in (0.1, True, None):
+            with pytest.raises(TypeError):
+                GaussianRational(bad)
+            with pytest.raises(TypeError):
+                GaussianRational(1, bad)
+        a = GaussianRational(Fraction(4, 2), Fraction(3, 6))
+        assert type(a.re) is int and type(a.im) is Fraction
+
+    def test_real_results_are_canonical_rationals(self):
+        assert type(I * I) is int and I * I == -1
+        assert type((1 + I) * (1 - I)) is int
+        assert type((1 + I) / (1 + I)) is int
+        assert type((1 + I) ** 0) is int
+        assert type(I ** 4) is int
+        assert type((HALF + I) - I) is Fraction
+        assert type(-GaussianRational(HALF, 0)) is Fraction
+        assert type(GaussianRational(3, 1) + GaussianRational(Fraction(1, 3), -1)) \
+            is Fraction
+        assert type(2 / (1 + I)) is GaussianRational
+        assert (2 / (1 + I)) == 1 - I
 
     def test_str_forms(self):
         assert str(GaussianRational(HALF, 0)) == "1/2"
@@ -136,6 +158,21 @@ class TestFieldTag:
             FieldTag.Q.coerce(I)
         with pytest.raises(TypeError):
             FieldTag.Q.coerce(0.5)
+
+    def test_qi_stores_real_values_as_over_q(self):
+        assert type(FieldTag.QI.zero()) is int and FieldTag.QI.zero() == 0
+        assert type(FieldTag.QI.one()) is int and FieldTag.QI.one() == 1
+        assert type(FieldTag.QI.coerce(5)) is int
+        assert type(FieldTag.QI.coerce(Fraction(10, 2))) is int
+        assert type(FieldTag.QI.coerce(GaussianRational(4, 0))) is int
+        assert type(FieldTag.QI.coerce(GaussianRational(HALF, 0))) is Fraction
+        assert type(FieldTag.QI.coerce(I)) is GaussianRational
+        assert type(FieldTag.QI.div(Fraction(4), 2)) is int
+        assert type(FieldTag.QI.div(3, 6)) is Fraction
+        assert type(FieldTag.QI.div(2 * I, I)) is int
+        assert FieldTag.QI.div(1, I) == -I
+        with pytest.raises(TypeError):
+            FieldTag.QI.coerce(0.5)
 
     def test_integer_scalar_detection(self):
         # "Integer" means a plain rational integer: honest mutation arithmetic

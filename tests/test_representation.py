@@ -1,9 +1,12 @@
-"""The coefficient representation: over Q a coefficient is an int when it
-is integral and a Fraction otherwise, over Q(i) a GaussianRational with
-Fraction parts, and never a float or a bool."""
+"""The coefficient representation: a rational coefficient is an int when it
+is integral and a Fraction otherwise, over Q and over Q(i) alike; over Q(i)
+a non-real coefficient is a GaussianRational whose parts follow the same
+rule; never a float or a bool."""
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import os
 import random
 from fractions import Fraction
@@ -13,29 +16,41 @@ from hypothesis import strategies as st
 
 import clusterufd
 from conftest import random_laurent, random_polynomial
-from clusterufd.cluster import builtin_seed, enumerate_cluster_variables
+from clusterufd import cli
+from clusterufd.cluster import (builtin_matrix, builtin_seed,
+                                enumerate_cluster_variables)
+from clusterufd.factoriality import ExchangeIdeals, conjecture_sweep
 from clusterufd.fields import FieldTag, GaussianRational
 from clusterufd.groebner import buchberger, normal_form
 from clusterufd.parse import parse_expression
 from clusterufd.poly import GREVLEX, LaurentPolynomial, Polynomial, divide_exact
+from test_golden import RECORD
 
 Q = FieldTag.Q
 QI = FieldTag.QI
 
 
 def exact(c, field: FieldTag) -> bool:
-    """Stored as the field stores its elements: never a float or a bool."""
-    if field is QI:
-        return (type(c) is GaussianRational
-                and type(c.re) is type(c.im) is Fraction)
+    """Stored as the field stores its elements: never a float or a bool.
+    Over Q(i) a real value is stored as over Q, and only a non-real one is
+    a GaussianRational."""
+    if field is QI and type(c) is GaussianRational:
+        return bool(c.im) and type(c.re) in (int, Fraction) \
+            and type(c.im) in (int, Fraction)
     return type(c) in (int, Fraction)
 
 
-def canonical(c, field: FieldTag) -> bool:
-    """Over Q an int exactly when integral, else a Fraction."""
-    if field is QI:
-        return exact(c, field)
+def _canonical_rational(c) -> bool:
     return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def canonical(c, field: FieldTag) -> bool:
+    """An int exactly when integral, else a Fraction; over Q(i) a non-real
+    value is a GaussianRational with parts of that form."""
+    if field is QI and type(c) is GaussianRational:
+        return exact(c, field) and _canonical_rational(c.re) \
+            and _canonical_rational(c.im)
+    return _canonical_rational(c)
 
 
 def coefficients(value):
@@ -115,6 +130,62 @@ class TestRepresentation:
                        for c in coefficients(variable)), variable
 
 
+def typed_terms(terms: dict) -> list:
+    """The (exponent, coefficient, coefficient type) triples of a term dict,
+    in its order."""
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+class TestRealCoefficientsOverQi:
+    """Over Q(i), a polynomial with rational coefficients is stored and
+    computed with exactly as over Q."""
+
+    @given(st.integers(0, 2 ** 32))
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None)
+    def test_buchberger_agrees_across_fields(self, rng_seed):
+        rng = random.Random(rng_seed)
+        gens = [{tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-5, 5)
+                 for _ in range(rng.randint(1, 3))}
+                for _ in range(rng.randint(1, 3))]
+        bases = {}
+        for field in (Q, QI):
+            polys = [Polynomial(3, field, terms) for terms in gens]
+            if all(p.is_zero for p in polys):
+                return
+            bases[field] = buchberger(polys, GREVLEX)
+        assert ([(lt, typed_terms(terms)) for lt, terms in bases[Q].reducers]
+                == [(lt, typed_terms(terms)) for lt, terms in bases[QI].reducers])
+
+    def test_conjecture_sweep_agrees_across_fields(self):
+        def outcomes(name, field):
+            return [(o.status, o.multi_index, o.detail,
+                     None if o.witness is None else typed_terms(o.witness.terms))
+                    for o in conjecture_sweep(
+                        ExchangeIdeals(builtin_matrix(name), field), 3,
+                        override_assumptions=True)]
+
+        for name in ("A:3", "A:4", "D:4"):
+            assert outcomes(name, Q) == outcomes(name, QI), name
+
+    def test_rational_verdict_builds_no_gaussian_rational(self, monkeypatch):
+        argv = ["verdict", "--builtin", "A:4", "--field", "Qi", "--bound", "3"]
+        golden = next(c for c in RECORD["cases"] if c["argv"] == argv)
+        built = []
+        init = GaussianRational.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + ["--json"])
+        assert (code, out.getvalue()) == (golden["exit"], golden["stdout"])
+        assert built == []
+
+
 # -- where a coefficient may be divided ---------------------------------------
 
 SRC_DIR = os.path.dirname(os.path.abspath(clusterufd.__file__))
@@ -123,9 +194,6 @@ SRC_DIR = os.path.dirname(os.path.abspath(clusterufd.__file__))
 # ``int / int`` gives a float and Polynomial._raw does not coerce.
 DIVISION_ALLOWED = {
     "cluster.find_skew_symmetrizer",
-    "fields.GaussianRational.__truediv__",
-    "fields.GaussianRational.__rtruediv__",
-    "fields.GaussianRational.__pow__",
     "fields.FieldTag.div",
     "parse._Parser.term",
     "poly.LaurentPolynomial.__rtruediv__",
