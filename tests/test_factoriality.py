@@ -193,6 +193,24 @@ class TestBruteForce:
         g, h = result.factors
         assert g * h == P("1 + x2^2", 2, QI)
 
+    # Three or more irreducible factors and a non-unit content: g is the
+    # first normalized factor by (degree, str), h the product of the rest
+    # scaled so that g * h is the input.
+    @pytest.mark.parametrize("text, field, g, h", [
+        ("2*(x2 + 1)*(x3 + 3)*(x2*x3 + 5)", Q,
+         "1/3*x3 + 1", "6*x2^2*x3 + 6*x2*x3 + 30*x2 + 30"),
+        ("-3*(x1 + x2)^2*(x1 - 2*x3 + 1)", Q,
+         "x1 + x2", "-3*x1^2 - 3*x1*x2 + 6*x1*x3 + 6*x2*x3 - 3*x1 - 3*x2"),
+        ("(x2 + i)*(x3 + 2)*(x2 + x3 + 1)", QI,
+         "-i*x2 + 1", "i*x2*x3 + i*x3^2 + 2*i*x2 + 3*i*x3 + 2*i"),
+        ("(1 + i)*(x1 - i)*(x2 + i)*(x3 + 1)", QI,
+         "-i*x2 + 1", "(-1+i)*x1*x3 + (-1+i)*x1 + (1+i)*x3 + (1+i)"),
+    ])
+    def test_pair_is_pinned(self, text, field, g, h):
+        result = brute_force_factor(P(text, 3, field))
+        assert [str(p) for p in result.factors] == [g, h]
+        assert result.exhausted
+
     def test_irreducible_input(self):
         result = brute_force_factor(P("1 + x1 + x2", 2))
         assert result.factors is None and result.exhausted
