@@ -29,7 +29,7 @@ _EXPORTS = {
         "conjecture_check", "conjecture_sweep", "necessary_conditions",
         "inductive_prover", "multi_indices_of_weight", "normal_form_element",
         "ufd_verdict"),
-    "fields": ("FieldTag", "GaussianRational", "conjugate"),
+    "fields": ("FieldTag", "GaussianRational"),
     "groebner": (
         "BudgetExceeded", "DEFAULT_BUDGET", "GroebnerBasis", "GroebnerBudget",
         "Ideal", "buchberger", "ideal_intersection",

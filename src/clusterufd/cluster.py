@@ -345,7 +345,7 @@ class Seed:
 # -- enumeration -------------------------------------------------------------
 
 class EnumerationResult(NamedTuple):
-    """Outcome of a breadth- or depth-first seed exploration."""
+    """Outcome of a breadth-first seed exploration."""
 
     variables: tuple[LaurentPolynomial, ...]
     complete: bool
@@ -356,8 +356,7 @@ class EnumerationResult(NamedTuple):
         return len(self.variables)
 
 
-def enumerate_cluster_variables(seed: Seed, max_seeds: int = 10_000,
-                                strategy: str = "bfs") -> EnumerationResult:
+def enumerate_cluster_variables(seed: Seed, max_seeds: int = 10_000) -> EnumerationResult:
     """All cluster variables reachable from the seed, up to a seed budget.
 
     Seeds are deduplicated by their unordered set of mutable entries, not by
@@ -365,15 +364,13 @@ def enumerate_cluster_variables(seed: Seed, max_seeds: int = 10_000,
     Mutation is an involution, so a seed found here is never mutated again
     in the direction it was reached by: that neighbour is its parent.
     """
-    if strategy not in ("bfs", "dfs"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     queue = deque([seed])
     visited = {seed.dedup_key()}
     variables = set(seed.mutable_entries())
     expanded = 0
     start_depth = len(seed.history)
     while queue and expanded < max_seeds:
-        current = queue.popleft() if strategy == "bfs" else queue.pop()
+        current = queue.popleft()
         expanded += 1
         back = current.history[-1] if len(current.history) > start_depth else None
         for k in range(1, seed.matrix.n + 1):

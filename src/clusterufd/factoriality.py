@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from typing import (TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -147,76 +147,50 @@ def binomial_irreducible(f: Polynomial) -> Optional[bool]:
     With disjoint supports and d the gcd of all exponents, f = A^d + B^d for
     coprime monomials A, B; over Q it is irreducible exactly when d is a
     power of two, over Q(i) exactly when d = 1.  A shared variable gives a
-    monomial factor, hence reducible.
+    monomial factor, hence reducible.  The decision is
+    ``binomial_witness_factors``: f is irreducible when it builds no pair.
     """
-    ev = _unit_binomial_exponents(f)
-    if ev is None:
+    if _unit_binomial_exponents(f) is None:
         return None
-    u, v = ev
-    if any(min(a, b) for a, b in zip(u, v)):
-        return False
-    d = 0
-    for e in (*u, *v):
-        d = gcd(d, e)
-    if f.field is FieldTag.QI:
-        return d == 1
-    return d & (d - 1) == 0
+    return binomial_witness_factors(f) is None
 
 
 def binomial_witness_factors(f: Polynomial) -> Optional[tuple[Polynomial, Polynomial]]:
     """An explicit nontrivial factor pair for a reducible unit binomial.
 
-    Shared variables give a monomial split; an odd prime p | d gives the
-    classical divisor A^(d/p) + B^(d/p); over Q(i) an even d splits as a
-    sum of two squares.  The pair is verified by multiplication.
+    Shared variables give a monomial split; the smallest odd prime p | d
+    gives the classical divisor A^(d/p) + B^(d/p); over Q(i) an even d
+    splits as a sum of two squares.  The pair is verified by multiplication.
     """
     ev = _unit_binomial_exponents(f)
     if ev is None:
         return None
     u, v = ev
     m, fld = f.m, f.field
-    common = tuple(min(a, b) for a, b in zip(u, v))
+    common = tuple(map(min, u, v))
     if any(common):
         g = Polynomial.monomial(1, common, m, fld)
         h = divide_exact(f, g)
     else:
-        d = 0
-        for e in (*u, *v):
-            d = gcd(d, e)
-        odd = next((p for p in _prime_factors(d) if p % 2), None)
-        base_u = tuple(e // d for e in u)
-        base_v = tuple(e // d for e in v)
-        if odd is not None:
-            e = d // odd
-            g = (Polynomial.monomial(1, tuple(x * e for x in base_u), m, fld)
-                 + Polynomial.monomial(1, tuple(x * e for x in base_v), m, fld))
+        d = gcd(*u, *v)
+        odd = d // (d & -d)
+        # trial division up to the square root: an odd part without a
+        # divisor there is itself prime (or 1)
+        p = next((q for q in range(3, isqrt(odd) + 1, 2) if odd % q == 0), odd)
+        if p > 1:
+            g = Polynomial(m, fld, {tuple(e // p for e in u): 1,
+                                    tuple(e // p for e in v): 1})
             h = divide_exact(f, g)
         elif fld is FieldTag.QI and d % 2 == 0:
-            half = d // 2
-            im = fld.imaginary_unit()
-            a_half = Polynomial.monomial(1, tuple(x * half for x in base_u), m, fld)
-            b_half = Polynomial.monomial(1, tuple(x * half for x in base_v), m, fld)
-            g = a_half + im * b_half
-            h = a_half - im * b_half
+            a = Polynomial.monomial(1, tuple(e // 2 for e in u), m, fld)
+            b = Polynomial.monomial(fld.imaginary_unit(),
+                                    tuple(e // 2 for e in v), m, fld)
+            g, h = a + b, a - b
         else:
             return None
     if h is None or g * h != f:
         raise ConsistencyError(f"constructed factors do not multiply back to {f}")
     return g, h
-
-
-def _prime_factors(k: int):
-    out = []
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            out.append(p)
-            while k % p == 0:
-                k //= p
-        p += 1
-    if k > 1:
-        out.append(k)
-    return out
 
 
 # -- brute-force factor search ----------------------------------------------
@@ -228,37 +202,12 @@ class FactorSearchResult(NamedTuple):
     exhausted: bool
 
 
-# sympy is imported inside the factor-oracle helpers only: it is the slowest
-# import by far, and no other path needs it.
-
-def _to_sympy(f: Polynomial, symbols):
-    import sympy
-    total = sympy.Integer(0)
-    for exp, c in f.terms.items():
-        if isinstance(c, GaussianRational):
-            coeff = (sympy.Rational(c.re.numerator, c.re.denominator)
-                     + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-        else:
-            coeff = sympy.Rational(c.numerator, c.denominator)
-        mono = sympy.Integer(1)
-        for p, e in enumerate(exp):
-            if e:
-                mono *= symbols[p] ** e
-        total += coeff * mono
-    return total
-
-def _coeff_from_sympy(c_expr, fld: FieldTag):
-    import sympy
-    re_part, im_part = c_expr.as_real_imag()
-    re_rat = sympy.Rational(re_part)
-    im_rat = sympy.Rational(im_part)
-    re_frac = Fraction(int(re_rat.p), int(re_rat.q))
-    im_frac = Fraction(int(im_rat.p), int(im_rat.q))
-    if im_frac and fld is not FieldTag.QI:
-        raise ConsistencyError(f"imaginary coefficient {c_expr} over Q")
+def _coeff_from_sympy(c, fld: FieldTag):
+    """A coefficient of a sympy QQ or QQ_I polynomial, as an element of fld."""
     if fld is FieldTag.QI:
-        return GaussianRational(re_frac, im_frac)
-    return re_frac
+        return fld.coerce(GaussianRational(_coeff_from_sympy(c.x, FieldTag.Q),
+                                           _coeff_from_sympy(c.y, FieldTag.Q)))
+    return fld.coerce(Fraction(int(c.numerator), int(c.denominator)))
 
 
 def _normalize_factor(g: Polynomial) -> Polynomial:
@@ -282,23 +231,20 @@ def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResul
         raise ValueError("factor search needs a nonconstant polynomial")
     if f.total_degree() > max_degree:
         return FactorSearchResult(None, exhausted=False)
+    # sympy is the slowest import by far, and no other path needs it
     import sympy
     fld = f.field
-    symbols = sympy.symbols(f"x1:{f.m + 1}")
-    expr = _to_sympy(f, symbols)
-    if fld is FieldTag.QI:
-        _, factors = sympy.factor_list(expr, *symbols, gaussian=True)
-    else:
-        _, factors = sympy.factor_list(expr, *symbols)
+    terms = {e: c.re + c.im * sympy.I if isinstance(c, GaussianRational) else c
+             for e, c in f.terms.items()}
+    poly = sympy.Poly.from_dict(terms, sympy.symbols(f"x1:{f.m + 1}"),
+                                domain="QQ_I" if fld is FieldTag.QI else "QQ")
     pieces = []
-    for factor_expr, mult in factors:
-        converted = _sympy_factor_to_poly(factor_expr, symbols, f.m, fld)
-        if converted.total_degree() < 1:
-            continue
-        pieces.extend([converted] * mult)
+    for factor, mult in poly.factor_list()[1]:
+        piece = Polynomial(f.m, fld, {e: _coeff_from_sympy(c, fld) for e, c
+                                      in factor.as_dict(native=True).items()})
+        pieces += [_normalize_factor(piece)] * mult
     if len(pieces) < 2:
         return FactorSearchResult(None, exhausted=True)
-    pieces = [_normalize_factor(p) for p in pieces]
     pieces.sort(key=lambda p: (p.total_degree(), str(p)))
     g = pieces[0]
     h = pieces[1]
@@ -309,15 +255,6 @@ def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResul
     if g * h != f:
         raise ConsistencyError("oracle factors do not multiply back to the input")
     return FactorSearchResult((g, h), exhausted=True)
-
-
-def _sympy_factor_to_poly(expr, symbols, m: int, fld: FieldTag) -> Polynomial:
-    import sympy
-    poly = sympy.Poly(expr, *symbols)
-    terms = {}
-    for exp, coeff in poly.terms():
-        terms[tuple(exp)] = _coeff_from_sympy(sympy.sympify(coeff), fld)
-    return Polynomial(m, fld, terms)
 
 
 def _match_scale(f: Polynomial, g: Polynomial, h: Polynomial):
@@ -376,14 +313,10 @@ def necessary_conditions(ideals: ExchangeIdeals) -> Optional[NotUFDWitness]:
         if f.total_degree() < 1:
             raise ValueError(
                 f"f_{i} is constant (column {i} is zero); the seed is disconnected")
-        verdict = binomial_irreducible(f)
-        if verdict is None:
+        if _unit_binomial_exponents(f) is None:
             raise ConsistencyError(f"exchange polynomial {f} is not a unit binomial")
-        if verdict is False:
-            factors = binomial_witness_factors(f)
-            if factors is None:
-                raise ConsistencyError(
-                    f"{f} judged reducible but no factors constructed")
+        factors = binomial_witness_factors(f)
+        if factors is not None:
             return ReducibleExchangePolynomial(i, factors)
     for i, j in combinations(range(1, ideals.n + 1), 2):
         if polys[i - 1] == polys[j - 1]:
@@ -509,9 +442,11 @@ def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
 class _Rule:
     """One lemma applied at given indices.  Rules are immutable, and two are
     equal, and hash equal, only when they apply the same lemma at the same
-    indices, so rules of different lemmas are distinct dict keys."""
+    indices, so rules of different lemmas are distinct dict keys.  Each
+    lemma names its JSON tag in ``tag``."""
 
     __slots__ = ("_key",)
+    tag: str
 
     def __init__(self, *indices: int):
         for name, value in zip(self.__slots__, indices, strict=True):
@@ -534,30 +469,30 @@ class _Rule:
                            for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def to_json(self) -> dict:
+        return {"rule": self.tag,
+                **{name: getattr(self, name) for name in self.__slots__}}
+
 
 class SinkSourceSplit(_Rule):
     """Index i is a sink or source, j is a support neighbor; coprimality
     of f_i and f_j lets the induction split off one power each."""
 
     __slots__ = ("i", "j")
+    tag = "sink_source"
 
     def __init__(self, i: int, j: int):
         super().__init__(i, j)
-
-    def to_json(self) -> dict:
-        return {"rule": "sink_source", "i": self.i, "j": self.j}
 
 
 class FreeIndex(_Rule):
     """No neighbor of i lies in the support, so f_i is regular modulo the rest."""
 
     __slots__ = ("i",)
+    tag = "free_index"
 
     def __init__(self, i: int):
         super().__init__(i)
-
-    def to_json(self) -> dict:
-        return {"rule": "free_index", "i": self.i}
 
 
 class FreeVariable(_Rule):
@@ -565,12 +500,10 @@ class FreeVariable(_Rule):
     support index adjacent to k, so x_k can absorb one power of f_i."""
 
     __slots__ = ("i", "k")
+    tag = "free_variable"
 
     def __init__(self, i: int, k: int):
         super().__init__(i, k)
-
-    def to_json(self) -> dict:
-        return {"rule": "free_variable", "i": self.i, "k": self.k}
 
 
 Justification = Union[SinkSourceSplit, FreeIndex, FreeVariable]

@@ -106,14 +106,6 @@ class GaussianRational:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "FieldElement":
-        return _gauss(self.re, -self.im)
-
-    def norm(self) -> Union[int, Fraction]:
-        """The field norm re^2 + im^2: a nonnegative rational, an int when
-        both parts are integral."""
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -169,13 +161,6 @@ def _quotient(a_re, a_im, b_re, b_im) -> "FieldElement":
 
 
 FieldElement = Union[int, Fraction, GaussianRational]
-
-
-def conjugate(value: FieldElement) -> FieldElement:
-    """Complex conjugation; the identity on rationals."""
-    if isinstance(value, GaussianRational):
-        return value.conjugate()
-    return value
 
 
 class FieldTag(Enum):

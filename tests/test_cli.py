@@ -600,10 +600,16 @@ SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
 
 
+# the binomial sweep exits nonzero on any disagreement with the factor oracle
+SCRIPT_ARGS = {"validate_binomial_criterion.py": ("--max-degree", "3")}
+
+
 @pytest.mark.parametrize("script", ["reproduce_dynkin_table.py",
-                                    "counterexample_walkthrough.py"])
+                                    "counterexample_walkthrough.py",
+                                    "validate_binomial_criterion.py"])
 def test_script_runs(script):
-    proc = run_python(os.path.join(SCRIPTS_DIR, script), timeout=300)
+    proc = run_python(os.path.join(SCRIPTS_DIR, script),
+                      *SCRIPT_ARGS.get(script, ()), timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 

@@ -309,13 +309,6 @@ class TestEnumeration:
         assert result.seeds_seen >= 25
         assert result.count > 10
 
-    def test_strategies_agree(self):
-        bfs = enumerate_cluster_variables(builtin_seed("A:3"), strategy="bfs")
-        dfs = enumerate_cluster_variables(builtin_seed("A:3"), strategy="dfs")
-        assert set(bfs.variables) == set(dfs.variables)
-        with pytest.raises(ValueError):
-            enumerate_cluster_variables(builtin_seed("A:2"), strategy="random")
-
     def test_deterministic(self):
         a = enumerate_cluster_variables(builtin_seed("A:3"))
         b = enumerate_cluster_variables(builtin_seed("A:3"))
@@ -535,12 +528,11 @@ class TestMutationWork:
         ("kronecker", (2, 1), 7),
         ("rank2:1,4", (2,), 5),
     ])
-    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
-    def test_start_history_does_not_matter(self, name, path, max_seeds, strategy):
+    def test_start_history_does_not_matter(self, name, path, max_seeds):
         walked = builtin_seed(name).mutate_sequence(path)
         fresh = Seed(walked.matrix, walked.cluster, walked.field)
         assert walked.history == path and fresh.history == ()
-        a = enumerate_cluster_variables(walked, max_seeds, strategy)
-        b = enumerate_cluster_variables(fresh, max_seeds, strategy)
+        a = enumerate_cluster_variables(walked, max_seeds)
+        b = enumerate_cluster_variables(fresh, max_seeds)
         assert (a.variables, a.seeds_seen, a.complete) \
             == (b.variables, b.seeds_seen, b.complete)
