@@ -128,7 +128,7 @@ class ExchangeIdeals:
         return tuple(out)
 
 
-# -- binomial irreducibility -------------------------------------------------
+# -- binomial and degree-one irreducibility ----------------------------------
 
 def _unit_binomial_exponents(f: Polynomial):
     """(u, v) when f = x^u + x^v with both coefficients 1, else None."""
@@ -191,6 +191,29 @@ def binomial_witness_factors(f: Polynomial) -> Optional[tuple[Polynomial, Polyno
     if h is None or g * h != f:
         raise ConsistencyError(f"constructed factors do not multiply back to {f}")
     return g, h
+
+
+def _linear_irreducible(f: Polynomial) -> bool:
+    """True when f is irreducible by the degree-one lemma; False when the
+    lemma does not apply (which says nothing about f).
+
+    The lemma: f has no monomial content and, for some variable x_k,
+    f = a*x_k + b with a != 0 and a, b free of x_k, where a or b is a single
+    term.  Proof: suppose f = g*h with neither factor a unit.  Degrees in
+    x_k add, so one factor, say g, has degree 0 in x_k; then g divides both
+    a and b.  One of them is a single term c*x^u, so g divides a monomial
+    and is itself c'*x^w with w != 0 (g is no unit).  Then x^w divides f,
+    contradicting "no monomial content".  The argument holds over any
+    field, so over Q and Q(i) alike.
+    """
+    if any(f.min_exponents()):
+        return False
+    for pos in range(f.m):
+        degrees = [e[pos] for e in f.terms]
+        # the terms of a*x_k number degrees.count(1), those of b count(0)
+        if max(degrees) == 1 and 1 in (degrees.count(0), degrees.count(1)):
+            return True
+    return False
 
 
 # -- brute-force factor search ----------------------------------------------
@@ -921,11 +944,13 @@ def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
     normalized = p * p.field.div(p.field.one(), lc)
     monomial = ideals.normal_monomial(normalized)
     value = LaurentPolynomial(normalized, monomial)
+    # the factor oracle loads sympy, so it runs only when neither in-package
+    # decision applies
     verdict = binomial_irreducible(normalized)
-    if verdict is True:
-        status = "irreducible"
-    elif verdict is False:
-        status = "reducible"
+    if verdict is None and _linear_irreducible(normalized):
+        verdict = True
+    if verdict is not None:
+        status = "irreducible" if verdict else "reducible"
     else:
         search = brute_force_factor(normalized, factor_bound)
         if search.factors is not None:

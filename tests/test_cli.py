@@ -404,21 +404,25 @@ loaded["certificate"] = layers()
 main(["verdict", "--builtin", "A:4", "--bound", "2", "--json"])
 stdlib["verdict"] = slow_stdlib()
 code = main(["verdict", "--builtin", "A:3", "--json"])
-before = "sympy" in sys.modules
+sympy = {"verdict": "sympy" in sys.modules}
 main(["normal-form", "--builtin", "A:2", "--expr", "x1 + x2 + 1", "--json"])
-print(json.dumps([code, before, "sympy" in sys.modules, loaded,
-                  "logging" in sys.modules, stdlib]))
+main(["normal-form", "--builtin", "A:4", "--expr", "x1*x2 + x3 + 1", "--json"])
+sympy["degree one"] = "sympy" in sys.modules
+main(["normal-form", "--builtin", "A:2", "--expr", "x1^2 + x2^2 + 1", "--json"])
+sympy["oracle"] = "sympy" in sys.modules
+print(json.dumps([code, sympy, loaded, "logging" in sys.modules, stdlib]))
 """
 
 
 def test_sympy_is_imported_only_by_the_factor_oracle():
     proc = run_python("-c", SYMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
-    code, before, after, loaded, logging, stdlib = json.loads(
+    code, sympy, loaded, logging, stdlib = json.loads(
         proc.stdout.splitlines()[-1])
     assert code == 1          # A:3 is refuted by coincident f_1 = f_3
-    assert before is False    # the verdict never touched sympy
-    assert after is True      # x1 + x2 + 1 is no binomial: the oracle ran
+    # neither the verdict nor inputs the degree-one lemma decides touch
+    # sympy; x1^2 + x2^2 + 1 has no variable of degree one, so the oracle ran
+    assert sympy == {"verdict": False, "degree one": False, "oracle": True}
     # each command loads only the layers it runs, and no logging at all
     assert loaded["import"] == loaded["help"] == ["clusterufd.cli"]
     assert loaded["mutation"] == ["clusterufd.cli", "clusterufd.cluster",

@@ -16,7 +16,7 @@ from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
 from clusterufd.groebner import GroebnerBudget, ideal_membership, normal_form
 from clusterufd.parse import parse_expression, parse_polynomial
-from clusterufd.poly import Polynomial
+from clusterufd.poly import Polynomial, divide_exact
 from clusterufd.factoriality import (
     MAX_CERTIFICATE_N,
     CoincidentExchangePolynomials,
@@ -215,6 +215,22 @@ class TestBruteForce:
         result = brute_force_factor(P("1 + x1 + x2", 2))
         assert result.factors is None and result.exhausted
 
+    def test_degree_one_input_still_reaches_sympy(self, monkeypatch):
+        # the degree-one lemma lives in normal_form_element, not here, so
+        # the oracle stays an independent check of it
+        import sympy
+        calls = []
+        factor_list = sympy.Poly.factor_list
+
+        def counted(poly, *args, **kwargs):
+            calls.append(poly)
+            return factor_list(poly, *args, **kwargs)
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", counted)
+        result = brute_force_factor(P("1 + x1 + x2", 2))
+        assert len(calls) == 1
+        assert result.factors is None and result.exhausted
+
     def test_degree_cap(self):
         result = brute_force_factor(P("1 + x1 + x1^2*x2^13", 2), max_degree=12)
         assert result.factors is None and not result.exhausted
@@ -231,6 +247,56 @@ class TestBruteForce:
             if result.factors is not None:
                 a, b = result.factors
                 assert a * b == product
+
+
+def strip_content(f: Polynomial) -> Polynomial:
+    """f divided by its monomial content."""
+    return divide_exact(f, Polynomial.monomial(1, f.min_exponents(), f.m, f.field))
+
+
+class TestLinearIrreducible:
+    @pytest.mark.parametrize("text, field, fires", [
+        ("x1*x3 + x1", Q, False),           # monomial content x1
+        ("1 + x1 + x2 + x1*x2", Q, False),  # a and b have two terms each
+        ("x1*x2 + x1 + x2", Q, True),
+        ("x1^2 + x2", Q, True),
+        ("i*x1 + 1", QI, True),
+    ])
+    def test_edge_cases(self, text, field, fires):
+        assert factoriality._linear_irreducible(P(text, 3, field)) is fires
+
+    # fewer draws over Q(i), where sympy factors far more slowly
+    @pytest.mark.parametrize("field, draws", [(Q, 300), (QI, 60)])
+    def test_agrees_with_the_oracle_wherever_it_fires(self, field, draws):
+        rng = random.Random(17)
+        fired = 0
+        for _ in range(draws):
+            f = strip_content(random_polynomial(rng, 3, field, max_terms=4,
+                                                max_exp=2, nonzero=True))
+            if f.total_degree() < 1 or not factoriality._linear_irreducible(f):
+                continue
+            fired += 1
+            result = brute_force_factor(f)
+            assert result.factors is None and result.exhausted, str(f)
+        assert fired >= draws // 3
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_never_fires_on_a_product(self, field):
+        rng = random.Random(23)
+        candidates = 0
+        for _ in range(600):
+            g, h = (strip_content(random_polynomial(rng, 3, field, max_terms=3,
+                                                    max_exp=2, nonzero=True))
+                    for _ in range(2))
+            if g.total_degree() < 1 or h.total_degree() < 1:
+                continue
+            f = g * h
+            # content-free factors give a content-free product, so the
+            # lemma's content check is not what turns these down
+            assert not any(f.min_exponents())
+            candidates += any(f.degree_in(k) == 1 for k in (1, 2, 3))
+            assert not factoriality._linear_irreducible(f), f"({g}) * ({h})"
+        assert candidates >= 50
 
 
 # -- necessary conditions ----------------------------------------------------
@@ -662,6 +728,16 @@ class TestNormalFormElement:
         result = normal_form_element(
             ideals, P("1 + x1 + x1^2*x2^2", 2), cert, factor_bound=3)
         assert result.irreducibility == "unverified"
+
+    def test_degree_one_lemma_runs_before_the_oracle(self, a2, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the factor oracle ran")
+
+        monkeypatch.setattr(factoriality, "brute_force_factor", no_oracle)
+        ideals, cert = a2
+        # past the oracle's degree cap, yet decided: x1 has degree one
+        result = normal_form_element(ideals, P("1 + x1 + x2^13", 2), cert)
+        assert result.irreducibility == "irreducible"
 
     def test_rejected_inputs(self, a2):
         ideals, cert = a2
