@@ -20,10 +20,10 @@ _EXPORTS = {
         "structure_report", "verify_laurent_property"),
     "factoriality": (
         "CoincidentExchangePolynomials", "ConjectureOutcome",
-        "ConsistencyError", "ExchangeIdeals", "FactorSearchResult",
-        "FreeIndex", "FreeVariable", "Inconclusive", "NormalFormResult",
-        "NotUFD", "ProverResult", "ReducibleExchangePolynomial",
-        "SinkSourceSplit", "SupportCertificate", "UFD", "algebra_membership",
+        "ConsistencyError", "ExchangeIdeals", "FreeIndex", "FreeVariable",
+        "Inconclusive", "NormalFormResult", "NotUFD", "ProverResult",
+        "ReducibleExchangePolynomial", "SinkSourceSplit", "SupportCertificate",
+        "UFD", "algebra_membership",
         "binomial_irreducible", "binomial_witness_factors",
         "brute_force_factor", "certify", "check_assumptions",
         "conjecture_check", "conjecture_sweep", "necessary_conditions",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import (TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -135,8 +135,7 @@ def _unit_binomial_exponents(f: Polynomial):
     if len(f.terms) != 2:
         return None
     (u, cu), (v, cv) = sorted(f.terms.items())
-    one = f.field.one()
-    if cu != one or cv != one:
+    if cu != 1 or cv != 1:
         return None
     return u, v
 
@@ -218,13 +217,6 @@ def _linear_irreducible(f: Polynomial) -> bool:
 
 # -- brute-force factor search ----------------------------------------------
 
-class FactorSearchResult(NamedTuple):
-    """A factor pair if one was found, plus whether the search was complete."""
-
-    factors: Optional[tuple[Polynomial, Polynomial]]
-    exhausted: bool
-
-
 def _coeff_from_sympy(c, fld: FieldTag):
     """A coefficient of a sympy QQ or QQ_I polynomial, as an element of fld."""
     if fld is FieldTag.QI:
@@ -237,23 +229,26 @@ def _normalize_factor(g: Polynomial) -> Polynomial:
     """Scale so the constant term (else the leading coefficient) is one."""
     c0 = g.constant_coefficient()
     if c0:
-        return g * g.field.div(g.field.one(), c0)
+        return g * g.field.div(1, c0)
     _, lc = g.leading(GREVLEX)
-    return g * g.field.div(g.field.one(), lc)
+    return g * g.field.div(1, lc)
 
 
-def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResult:
-    """Search for a nontrivial factor pair g * h = f.
+def brute_force_factor(f: Polynomial, max_degree: int = 12) -> Optional[tuple[Polynomial, ...]]:
+    """The irreducible factors of f, or None when f is not searched.
 
-    Backed by an exact factorization oracle whose output is re-verified by
-    multiplication in our own arithmetic.  Inputs of total degree beyond
-    ``max_degree`` are not searched (``exhausted=False``); finding nothing
-    within an exhausted search does prove irreducibility.
+    Backed by an exact factorization oracle whose answer is re-verified by
+    multiplication in our own arithmetic.  Each factor is normalized by
+    ``_normalize_factor`` and repeated by its multiplicity, and the list is
+    sorted by (total degree, str), so f is irreducible exactly when the list
+    has one factor.  Inputs of total degree beyond ``max_degree`` are not
+    searched.  An answer that does not multiply back to f, up to the unit
+    read off the leading coefficients, raises ``ConsistencyError``.
     """
     if f.is_zero or f.total_degree() < 1:
         raise ValueError("factor search needs a nonconstant polynomial")
     if f.total_degree() > max_degree:
-        return FactorSearchResult(None, exhausted=False)
+        return None
     # sympy is the slowest import by far, and no other path needs it
     import sympy
     fld = f.field
@@ -261,30 +256,18 @@ def brute_force_factor(f: Polynomial, max_degree: int = 12) -> FactorSearchResul
              for e, c in f.terms.items()}
     poly = sympy.Poly.from_dict(terms, sympy.symbols(f"x1:{f.m + 1}"),
                                 domain="QQ_I" if fld is FieldTag.QI else "QQ")
-    pieces = []
+    factors = []
     for factor, mult in poly.factor_list()[1]:
         piece = Polynomial(f.m, fld, {e: _coeff_from_sympy(c, fld) for e, c
                                       in factor.as_dict(native=True).items()})
-        pieces += [_normalize_factor(piece)] * mult
-    if len(pieces) < 2:
-        return FactorSearchResult(None, exhausted=True)
-    pieces.sort(key=lambda p: (p.total_degree(), str(p)))
-    g = pieces[0]
-    h = pieces[1]
-    for extra in pieces[2:]:
-        h = h * extra
-    scale = _match_scale(f, g, h)
-    h = h * scale
-    if g * h != f:
-        raise ConsistencyError("oracle factors do not multiply back to the input")
-    return FactorSearchResult((g, h), exhausted=True)
-
-
-def _match_scale(f: Polynomial, g: Polynomial, h: Polynomial):
-    """The unit c with f = g * (c * h), read off leading coefficients."""
+        factors += [_normalize_factor(piece)] * mult
+    factors.sort(key=lambda p: (p.total_degree(), str(p)))
+    product = prod(factors, start=Polynomial.one(f.m, fld))
     _, f_lc = f.leading(GREVLEX)
-    _, p_lc = (g * h).leading(GREVLEX)
-    return f.field.div(f_lc, p_lc)
+    _, p_lc = product.leading(GREVLEX)
+    if product * fld.div(f_lc, p_lc) != f:
+        raise ConsistencyError("oracle factors do not multiply back to the input")
+    return tuple(factors)
 
 
 # -- necessary conditions ----------------------------------------------------
@@ -537,8 +520,7 @@ def _bits(indices) -> int:
     return sum(1 << (i - 1) for i in indices)
 
 
-def _rule_cubes(matrix: ExchangeMatrix,
-                ideals: ExchangeIdeals) -> dict[Justification, tuple[int, int]]:
+def _rule_cubes(matrix: ExchangeMatrix) -> dict[Justification, tuple[int, int]]:
     """Every justification the matrix admits, in search order, mapped to the
     subcube of supports it justifies: ``(inside, outside)`` bitmasks, and the
     rule holds on a support S exactly when inside <= S and outside & S = 0.
@@ -555,12 +537,16 @@ def _rule_cubes(matrix: ExchangeMatrix,
                 cubes[SinkSourceSplit(i, j)] = (_bits((i, j)), 0)
     for i in range(1, n + 1):
         cubes[FreeIndex(i)] = (_bits((i,)), _bits(neighbors[i - 1]))
-    one = ideals.field.one()
     for i in range(1, n + 1):
-        # the terms x_k of f_i; k != i, since b_ii = 0 keeps x_i out of f_i
-        f = ideals.exchange_poly(i)
-        for k in sorted(e.index(1) + 1 for e, c in f.terms.items()
-                        if c == one and sum(e) == 1):
+        # the terms x_k of f_i: |b_ki| = 1 and no other entry of column i
+        # has that sign; k != i, since b_ii = 0 keeps x_i out of f_i
+        column = matrix.column(i)
+        pivots = []
+        for sign in (1, -1):
+            part = [k for k, b in enumerate(column, start=1) if sign * b > 0]
+            if len(part) == 1 and column[part[0] - 1] == sign:
+                pivots += part
+        for k in sorted(pivots):
             outside = [j for j in neighbors[k - 1] if j != i]
             if k <= n:
                 outside.append(k)
@@ -706,15 +692,13 @@ class SupportCertificate:
                  for inside, outside, rule in self.cubes]
         return dict(_first_matches(cubes, self.n))
 
-    def verify(self, matrix: ExchangeMatrix, ideals: Optional[ExchangeIdeals] = None) -> list[str]:
+    def verify(self, matrix: ExchangeMatrix) -> list[str]:
         """A list of problems; empty means the certificate checks out."""
-        if ideals is None:
-            ideals = ExchangeIdeals(matrix)
         problems = []
         if self.n != matrix.n:
             problems.append(f"certificate is for n = {self.n}, "
                             f"the matrix has n = {matrix.n}")
-        table = _rule_cubes(matrix, ideals)
+        table = _rule_cubes(matrix)
         held = []
         for inside, outside, rule in self.cubes:
             cube = table.get(rule)
@@ -764,7 +748,7 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
     ``_shrink_stuck``.
     """
     n = ideals.n
-    table = _rule_cubes(ideals.matrix, ideals)
+    table = _rule_cubes(ideals.matrix)
     hole = _uncovered(table.values(), n)
     if hole is None:
         return ProverResult(SupportCertificate(
@@ -825,7 +809,7 @@ def certify(ideals: ExchangeIdeals) -> UFDVerdict:
     if result.certificate is None:
         return Inconclusive("no applicable lemma for some supports",
                             result.stuck_supports, 0)
-    problems = result.certificate.verify(ideals.matrix, ideals)
+    problems = result.certificate.verify(ideals.matrix)
     if problems:
         raise ConsistencyError(f"freshly built certificate fails to verify: {problems}")
     return UFD(result.certificate, 0)
@@ -900,7 +884,7 @@ def algebra_membership(ideals: ExchangeIdeals, value: LaurentPolynomial,
     valuations detect membership exactly); without one, fall back to
     explicit Groebner product-ideal computations.
     """
-    problems = certificate.verify(ideals.matrix, ideals)
+    problems = certificate.verify(ideals.matrix)
     if problems:
         raise ValueError(
             f"certificate does not verify ({problems[0]}); use the "
@@ -927,10 +911,9 @@ class NormalFormResult(NamedTuple):
 
 
 def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
-                        certificate: SupportCertificate,
-                        factor_bound: int = 12) -> NormalFormResult:
+                        certificate: SupportCertificate) -> NormalFormResult:
     """P / M(P) for a unit-normalized polynomial not divisible by any variable."""
-    problems = certificate.verify(ideals.matrix, ideals)
+    problems = certificate.verify(ideals.matrix)
     if problems:
         raise ValueError(f"certificate does not verify ({problems[0]})")
     if p.is_zero or p.total_degree() < 1:
@@ -941,7 +924,7 @@ def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
             raise ValueError(
                 f"x{pos + 1} divides the input; strip monomial factors first")
     _, lc = p.leading(GREVLEX)
-    normalized = p * p.field.div(p.field.one(), lc)
+    normalized = p * p.field.div(1, lc)
     monomial = ideals.normal_monomial(normalized)
     value = LaurentPolynomial(normalized, monomial)
     # the factor oracle loads sympy, so it runs only when neither in-package
@@ -949,14 +932,9 @@ def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
     verdict = binomial_irreducible(normalized)
     if verdict is None and _linear_irreducible(normalized):
         verdict = True
-    if verdict is not None:
-        status = "irreducible" if verdict else "reducible"
-    else:
-        search = brute_force_factor(normalized, factor_bound)
-        if search.factors is not None:
-            status = "reducible"
-        elif search.exhausted:
-            status = "irreducible"
-        else:
-            status = "unverified"
+    if verdict is None:
+        factors = brute_force_factor(normalized)
+        if factors is not None:
+            verdict = len(factors) == 1
+    status = {True: "irreducible", False: "reducible", None: "unverified"}[verdict]
     return NormalFormResult(value, monomial, status)

@@ -6,10 +6,11 @@ else a ``Fraction``.  Over Q(i) a real value is stored exactly as over Q,
 and only a value with a nonzero imaginary part is a ``GaussianRational``,
 whose parts are canonical rationals.  Exchange polynomials and cluster
 variables have integer coefficients, so their arithmetic runs on plain ints
-over either field.  This module alone applies the rule: ``FieldTag.coerce``,
-``zero`` and ``one`` give canonical values, ``GaussianRational`` arithmetic
-returns them, ``nonzero_terms`` cleans a product, and ``FieldTag.div`` is
-the one division of coefficients, since ``int / int`` would give a float.
+over either field, and the constants 0 and 1 are the ints.  This module
+alone applies the rule: ``FieldTag.coerce`` gives canonical values,
+``GaussianRational`` arithmetic returns them, ``nonzero_terms`` cleans a
+product, and ``FieldTag.div`` is the one division of coefficients, since
+``int / int`` would give a float.
 A sum of two Fractions may still be an integral Fraction, which equals and
 hashes like its int.  All arithmetic is exact; nothing here ever touches a
 float.
@@ -175,12 +176,6 @@ class FieldTag(Enum):
             if tag.value == name:
                 return tag
         raise ValueError(f"unknown field {name!r}; expected 'Q' or 'Qi'")
-
-    def zero(self) -> FieldElement:
-        return 0
-
-    def one(self) -> FieldElement:
-        return 1
 
     def imaginary_unit(self) -> GaussianRational:
         if self is not FieldTag.QI:

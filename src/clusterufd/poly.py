@@ -124,7 +124,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, m: int, field: FieldTag) -> "Polynomial":
-        return cls._raw(m, field, {(0,) * m: field.one()})
+        return cls._raw(m, field, {(0,) * m: 1})
 
     @classmethod
     def constant(cls, value, m: int, field: FieldTag) -> "Polynomial":
@@ -137,7 +137,7 @@ class Polynomial:
         if not 1 <= var <= m:
             raise ValueError(f"variable index {var} outside 1..{m}")
         exp = tuple(1 if p == var - 1 else 0 for p in range(m))
-        return cls._raw(m, field, {exp: field.one()})
+        return cls._raw(m, field, {exp: 1})
 
     @classmethod
     def monomial(cls, coeff, exp: Exponent, m: int, field: FieldTag) -> "Polynomial":
@@ -189,7 +189,7 @@ class Polynomial:
         return acc
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.m, self.field.zero())
+        return self.terms.get((0,) * self.m, 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -494,7 +494,7 @@ class LaurentPolynomial:
         if not self.is_unit():
             raise ValueError("only single-term Laurent polynomials are invertible")
         ((exp, coeff),) = self.num.terms.items()
-        inv_num = Polynomial.monomial(self.field.div(self.field.one(), coeff),
+        inv_num = Polynomial.monomial(self.field.div(1, coeff),
                                       self.den, self.m, self.field)
         return LaurentPolynomial(inv_num, exp)
 

@@ -179,7 +179,7 @@ def test_criterion_5_certified_factorial_seeds():
         assert isinstance(verdict, UFD), name
         assert verdict.cross_checked_bound == bound, name
         assert len(verdict.certificate) == 2 ** ideals.n - 1, name
-        assert verdict.certificate.verify(ideals.matrix, ideals) == [], name
+        assert verdict.certificate.verify(ideals.matrix) == [], name
 
 
 @criterion(6, limit_seconds=60)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, seed, settings
@@ -16,7 +17,7 @@ from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
 from clusterufd.groebner import GroebnerBudget, ideal_membership, normal_form
 from clusterufd.parse import parse_expression, parse_polynomial
-from clusterufd.poly import Polynomial, divide_exact
+from clusterufd.poly import GREVLEX, Polynomial, divide_exact
 from clusterufd.factoriality import (
     MAX_CERTIFICATE_N,
     CoincidentExchangePolynomials,
@@ -184,36 +185,48 @@ class TestBinomialCriterion:
 
 class TestBruteForce:
     def test_cyclotomic_split(self):
-        result = brute_force_factor(P("1 + x2^3", 2))
-        assert [str(g) for g in result.factors] == ["x2 + 1", "x2^2 - x2 + 1"]
-        assert result.exhausted
+        factors = brute_force_factor(P("1 + x2^3", 2))
+        assert [str(g) for g in factors] == ["x2 + 1", "x2^2 - x2 + 1"]
 
     def test_gaussian_split(self):
-        result = brute_force_factor(P("1 + x2^2", 2, QI))
-        g, h = result.factors
+        g, h = brute_force_factor(P("1 + x2^2", 2, QI))
         assert g * h == P("1 + x2^2", 2, QI)
 
-    # Three or more irreducible factors and a non-unit content: g is the
-    # first normalized factor by (degree, str), h the product of the rest
-    # scaled so that g * h is the input.
-    @pytest.mark.parametrize("text, field, g, h", [
+    # Three or more irreducible factors and a non-unit content: each factor
+    # normalized, repeated by its multiplicity and sorted by (degree, str);
+    # the content is the unit the oracle reads off the leading coefficients.
+    @pytest.mark.parametrize("text, field, factors", [
         ("2*(x2 + 1)*(x3 + 3)*(x2*x3 + 5)", Q,
-         "1/3*x3 + 1", "6*x2^2*x3 + 6*x2*x3 + 30*x2 + 30"),
+         ["1/3*x3 + 1", "x2 + 1", "1/5*x2*x3 + 1"]),
         ("-3*(x1 + x2)^2*(x1 - 2*x3 + 1)", Q,
-         "x1 + x2", "-3*x1^2 - 3*x1*x2 + 6*x1*x3 + 6*x2*x3 - 3*x1 - 3*x2"),
+         ["x1 + x2", "x1 + x2", "x1 - 2*x3 + 1"]),
         ("(x2 + i)*(x3 + 2)*(x2 + x3 + 1)", QI,
-         "-i*x2 + 1", "i*x2*x3 + i*x3^2 + 2*i*x2 + 3*i*x3 + 2*i"),
+         ["-i*x2 + 1", "1/2*x3 + 1", "x2 + x3 + 1"]),
         ("(1 + i)*(x1 - i)*(x2 + i)*(x3 + 1)", QI,
-         "-i*x2 + 1", "(-1+i)*x1*x3 + (-1+i)*x1 + (1+i)*x3 + (1+i)"),
+         ["-i*x2 + 1", "i*x1 + 1", "x3 + 1"]),
     ])
-    def test_pair_is_pinned(self, text, field, g, h):
-        result = brute_force_factor(P(text, 3, field))
-        assert [str(p) for p in result.factors] == [g, h]
-        assert result.exhausted
+    def test_pair_is_pinned(self, text, field, factors):
+        assert [str(p) for p in brute_force_factor(P(text, 3, field))] == factors
 
     def test_irreducible_input(self):
-        result = brute_force_factor(P("1 + x1 + x2", 2))
-        assert result.factors is None and result.exhausted
+        assert brute_force_factor(P("1 + x1 + x2", 2)) == (P("1 + x1 + x2", 2),)
+
+    @pytest.mark.parametrize("answer", [
+        [("x1^2 + x2^2 + 2", 1)],           # one factor, not the input
+        [("x1^2 + x2^2 + 1", 2)],           # the input, with multiplicity 2
+        [],                                 # no factor at all
+    ])
+    def test_answer_that_does_not_multiply_back(self, monkeypatch, answer):
+        import sympy
+        x = sympy.symbols("x1:3")
+
+        def garbled(poly, *args, **kwargs):
+            return 1, [(sympy.Poly(text, *x, domain="QQ"), mult)
+                       for text, mult in answer]
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", garbled)
+        with pytest.raises(factoriality.ConsistencyError):
+            brute_force_factor(P("x1^2 + x2^2 + 1", 2))
 
     def test_degree_one_input_still_reaches_sympy(self, monkeypatch):
         # the degree-one lemma lives in normal_form_element, not here, so
@@ -227,13 +240,12 @@ class TestBruteForce:
             return factor_list(poly, *args, **kwargs)
 
         monkeypatch.setattr(sympy.Poly, "factor_list", counted)
-        result = brute_force_factor(P("1 + x1 + x2", 2))
+        factors = brute_force_factor(P("1 + x1 + x2", 2))
         assert len(calls) == 1
-        assert result.factors is None and result.exhausted
+        assert len(factors) == 1
 
     def test_degree_cap(self):
-        result = brute_force_factor(P("1 + x1 + x1^2*x2^13", 2), max_degree=12)
-        assert result.factors is None and not result.exhausted
+        assert brute_force_factor(P("1 + x1 + x1^2*x2^13", 2), max_degree=12) is None
 
     def test_factors_are_verified_products(self):
         rng = random.Random(137)
@@ -243,10 +255,14 @@ class TestBruteForce:
             product = g * h
             if product.total_degree() < 2 or product.min_exponents() != (0, 0):
                 continue
-            result = brute_force_factor(product)
-            if result.factors is not None:
-                a, b = result.factors
-                assert a * b == product
+            factors = brute_force_factor(product)
+            assert all(factor.total_degree() >= 1 for factor in factors)
+            back = prod(factors, start=Polynomial.one(2, Q))
+            # equal up to the unit that the leading coefficients give
+            assert (product * back.leading(GREVLEX)[1]
+                    == back * product.leading(GREVLEX)[1])
+            if g.total_degree() >= 1 and h.total_degree() >= 1:
+                assert len(factors) >= 2
 
 
 def strip_content(f: Polynomial) -> Polynomial:
@@ -276,8 +292,7 @@ class TestLinearIrreducible:
             if f.total_degree() < 1 or not factoriality._linear_irreducible(f):
                 continue
             fired += 1
-            result = brute_force_factor(f)
-            assert result.factors is None and result.exhausted, str(f)
+            assert len(brute_force_factor(f)) == 1, str(f)
         assert fired >= draws // 3
 
     @pytest.mark.parametrize("field", [Q, QI])
@@ -463,11 +478,10 @@ class TestCertificates:
 
     def test_justification_side_conditions(self):
         matrix = builtin_matrix("A:3")
-        ideals = ExchangeIdeals(matrix)
 
         def cube_problems(rule, inside, outside):
             cert = SupportCertificate([(inside, outside, rule)], 3)
-            return [p for p in cert.verify(matrix, ideals)
+            return [p for p in cert.verify(matrix)
                     if not p.endswith("is not covered")]
 
         assert cube_problems(SinkSourceSplit(1, 2), (1, 2), ()) == []
@@ -487,17 +501,16 @@ class TestCertificates:
 
     def test_frozen_pivot_variable(self):
         matrix = ExchangeMatrix([[0, 1], [-1, 0], [1, 0]])
-        ideals = ExchangeIdeals(matrix)
         cert = SupportCertificate([
             ((1,), (), FreeVariable(1, 3)),   # f_1 = x2 + x3, pivot frozen
             ((2,), (1,), FreeIndex(2)),
         ], 2)
-        assert cert.verify(matrix, ideals) == []
+        assert cert.verify(matrix) == []
         bad = SupportCertificate([
             ((1,), (), FreeVariable(1, 2)),   # pivot x2 may lie in no support
             ((2,), (1,), FreeIndex(2)),
         ], 2)
-        assert bad.verify(matrix, ideals) == [
+        assert bad.verify(matrix) == [
             "FreeVariable(i=1, k=2) holds on the cube (1,) in, (2,) out, "
             "not on (1,) in, () out",
             "support (1,) is not covered"]
@@ -691,9 +704,12 @@ class TestAlgebraMembership:
         ideals, cert = a2
         with pytest.raises(ValueError):
             algebra_membership(ideals, parse_expression("x1", 3, Q), cert)
-        broken = SupportCertificate({(1,): FreeIndex(1)}, 2)
-        with pytest.raises(ValueError):
+        # FreeIndex(1) is a rule of A:2, but its cube is (1,) in, (2,) out
+        broken = SupportCertificate([((1,), (), FreeIndex(1))], 2)
+        with pytest.raises(ValueError, match="certificate does not verify"):
             algebra_membership(ideals, parse_expression("x1", 2, Q), broken)
+        with pytest.raises(ValueError, match="certificate does not verify"):
+            normal_form_element(ideals, P("1 + x2", 2), broken)
 
 
 class TestNormalFormElement:
@@ -725,8 +741,8 @@ class TestNormalFormElement:
 
     def test_unverified_beyond_bound(self, a2):
         ideals, cert = a2
-        result = normal_form_element(
-            ideals, P("1 + x1 + x1^2*x2^2", 2), cert, factor_bound=3)
+        # degree 13, past the oracle's cap of 12, and no variable of degree one
+        result = normal_form_element(ideals, P("1 + x1^2 + x1^7*x2^6", 2), cert)
         assert result.irreducibility == "unverified"
 
     def test_degree_one_lemma_runs_before_the_oracle(self, a2, monkeypatch):
@@ -873,7 +889,6 @@ class TestRuleTable:
         oracle = RowsOracle(rows)
         n, m = oracle.n, oracle.m
         matrix = ExchangeMatrix(rows)
-        ideals = ExchangeIdeals(matrix)
         supports = supports_in_order(n)
         candidates = ([SinkSourceSplit(i, j) for i in range(1, n + 1)
                        for j in range(1, n + 1)]
@@ -883,7 +898,7 @@ class TestRuleTable:
 
         def cube_problems(inside, outside, just):
             cert = SupportCertificate([(inside, outside, just)], n)
-            return [p for p in cert.verify(matrix, ideals)
+            return [p for p in cert.verify(matrix)
                     if not p.endswith("is not covered")]
 
         for just in candidates:
@@ -959,7 +974,7 @@ class TestCoverOracle:
         stuck = {s for s, just in expected if just is None}
         ideals = ExchangeIdeals(ExchangeMatrix(rows))
         hole = factoriality._uncovered(
-            factoriality._rule_cubes(ideals.matrix, ideals).values(), n)
+            factoriality._rule_cubes(ideals.matrix).values(), n)
         assert (hole is None) == (not stuck)
         result = inductive_prover(ideals)
         if hole is None:
@@ -1046,7 +1061,7 @@ class TestCoverTiming:
         ideals = ExchangeIdeals(ExchangeMatrix(rows))
         result = inductive_prover(ideals)
         if result.certificate is not None:
-            assert result.certificate.verify(ideals.matrix, ideals) == []
+            assert result.certificate.verify(ideals.matrix) == []
         elapsed = time.perf_counter() - start
         assert elapsed < 5, f"{name}: {elapsed:.2f} s"
         oracle = RowsOracle(rows)
@@ -1068,7 +1083,7 @@ class TestProverWork:
                     calls.append(_name) or _original(self, i))
         ideals = ideals_for("A:16")
         result = inductive_prover(ideals)
-        assert result.certificate.verify(ideals.matrix, ideals) == []
+        assert result.certificate.verify(ideals.matrix) == []
         # per pass: 16 neighbor rows, 16 source flags, and 15 sink flags
         # (the source 1 short-circuits its sink test)
         assert len(calls) == 94

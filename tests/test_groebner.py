@@ -92,12 +92,11 @@ class TestBuchberger:
 
     def test_reduced_and_monic(self):
         rng = random.Random(71)
-        one = Q.one()
         for _ in range(25):
             gb = random_ideal(rng).groebner_basis()
             leads = [g.leading(GREVLEX)[0] for g in gb]
             for i, g in enumerate(gb):
-                assert g.leading(GREVLEX)[1] == one
+                assert g.leading(GREVLEX)[1] == 1
                 # No monomial of g may be divisible by another leading term,
                 # and only the leading term of g is divisible by its own.
                 for exp in g.terms:

@@ -433,7 +433,7 @@ def fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
             exp = ev_add(e1, e2)
-            out[exp] = out.get(exp, p.field.zero()) + c1 * c2
+            out[exp] = out.get(exp, 0) + c1 * c2
     return Polynomial(p.m, p.field, out)
 
 
@@ -452,7 +452,7 @@ def fraction_divide(p: Polynomial, q: Polynomial):
         quot[shift] = factor
         for e2, c2 in q.terms.items():
             tgt = ev_add(shift, e2)
-            rem[tgt] = rem.get(tgt, p.field.zero()) - factor * c2
+            rem[tgt] = rem.get(tgt, 0) - factor * c2
             if not rem[tgt]:
                 del rem[tgt]
     return Polynomial(p.m, p.field, quot)
