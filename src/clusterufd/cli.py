@@ -414,6 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin seed, e.g. A:4, D:5, E:6, rank2:2,3, "
                             "kronecker, cyclicA3")
 
+    max_seeds_help = ("expand at most N seeds (default %(default)s); the "
+                      "reported seed count is every distinct seed found, "
+                      "so it can exceed N")
+
     parser = argparse.ArgumentParser(
         prog="clusterufd",
         description="Exact unique-factorization analysis for cluster seeds")
@@ -435,12 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common, seedful],
                        help="enumerate cluster variables up to a seed budget")
-    p.add_argument("--max-seeds", type=int, default=10_000, metavar="N")
+    p.add_argument("--max-seeds", type=int, default=10_000, metavar="N",
+                   help=max_seeds_help)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify-laurent", parents=[common, seedful],
                        help="check enumerated variables are integer Laurent")
-    p.add_argument("--max-seeds", type=int, default=1_000, metavar="N")
+    p.add_argument("--max-seeds", type=int, default=1_000, metavar="N",
+                   help=max_seeds_help)
     p.set_defaults(handler=_cmd_verify_laurent)
 
     p = sub.add_parser("check-conjecture", parents=[common, seedful, budgeted],

@@ -267,18 +267,16 @@ def structure_report(matrix: ExchangeMatrix) -> StructureReport:
 class Seed:
     """An exchange matrix together with m Laurent cluster entries."""
 
-    __slots__ = ("matrix", "cluster", "field", "history")
+    __slots__ = ("matrix", "cluster", "field")
 
     def __init__(self, matrix: ExchangeMatrix,
-                 cluster: Sequence[LaurentPolynomial], field: FieldTag,
-                 history: tuple[int, ...] = ()):
+                 cluster: Sequence[LaurentPolynomial], field: FieldTag):
         cluster = tuple(cluster)
         if len(cluster) != matrix.m:
             raise ValueError(f"cluster has {len(cluster)} entries, expected {matrix.m}")
         self.matrix = matrix
         self.cluster = cluster
         self.field = field
-        self.history = history
 
     @classmethod
     def initial(cls, matrix: ExchangeMatrix, field: FieldTag = FieldTag.Q) -> "Seed":
@@ -304,8 +302,7 @@ class Seed:
                 f"mutated entry {new_entry} has a frozen variable in its denominator")
         cluster = list(self.cluster)
         cluster[k - 1] = new_entry
-        return Seed(self.matrix.mutate(k), tuple(cluster), self.field,
-                    self.history + (k,))
+        return Seed(self.matrix.mutate(k), tuple(cluster), self.field)
 
     @staticmethod
     def _divide_laurent(total: LaurentPolynomial,
@@ -359,25 +356,37 @@ class EnumerationResult(NamedTuple):
 def enumerate_cluster_variables(seed: Seed, max_seeds: int = 10_000) -> EnumerationResult:
     """All cluster variables reachable from the seed, up to a seed budget.
 
-    Seeds are deduplicated by their unordered set of mutable entries, not by
-    mutation path, so finite types terminate with ``complete=True``.
-    Mutation is an involution, so a seed found here is never mutated again
-    in the direction it was reached by: that neighbour is its parent.
+    A breadth-first search over clusters: seeds are deduplicated by their
+    unordered set of mutable entries, not by mutation path, so finite types
+    terminate with ``complete=True``.  ``max_seeds`` bounds the seeds
+    expanded; ``seeds_seen`` counts every distinct cluster found.
+
+    Each exchange-graph edge is computed once.  Mutating a seed with key C
+    at an entry x yields x' and a neighbour with key K; the pair (K, x') is
+    then known, and a seed with key K is never mutated at x'.  Mutation is an
+    involution, so that exchange leads back to C, which is already visited.
+    The skip rests on the premise ``visited`` already rests on: a cluster
+    determines its seed up to relabelling (Fomin-Zelevinsky, Cluster
+    algebras II, Invent. Math. 2003, for finite type).  Skipped exchanges
+    never find a new cluster, so the result and the queue order are those
+    of a search that mutates every seed in every direction.  A complete
+    enumeration of rank n with N seeds makes exactly n*N/2 mutations.
     """
     queue = deque([seed])
     visited = {seed.dedup_key()}
+    known = set()  # (cluster key, entry) pairs whose exchange has been done
     variables = set(seed.mutable_entries())
     expanded = 0
-    start_depth = len(seed.history)
     while queue and expanded < max_seeds:
         current = queue.popleft()
         expanded += 1
-        back = current.history[-1] if len(current.history) > start_depth else None
+        current_key = current.dedup_key()
         for k in range(1, seed.matrix.n + 1):
-            if k == back:
+            if (current_key, current.cluster[k - 1]) in known:
                 continue
             neighbor = current.mutate(k)
             key = neighbor.dedup_key()
+            known.add((key, neighbor.cluster[k - 1]))
             if key not in visited:
                 visited.add(key)
                 variables.update(neighbor.mutable_entries())

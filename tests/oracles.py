@@ -3,9 +3,11 @@ what the package computes, kept out of the package because nothing but the
 tests uses them."""
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
+from clusterufd.cluster import Seed
 from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
                                      SinkSourceSplit)
 from clusterufd.groebner import (DEFAULT_BUDGET, GroebnerBasis, GroebnerBudget,
@@ -156,3 +158,30 @@ def certificate_list(certificate) -> list[dict]:
     rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
     return [{"support": list(support), **rules[rule]}
             for support, rule in certificate.entries.items()]
+
+
+def every_direction_search(seed: Seed):
+    """A breadth-first search over clusters that mutates every expanded seed
+    in every direction, with no exchange skipped.  After the k-th seed is
+    expanded it yields ``(variables, seeds_seen, complete)``, which is what
+    ``enumerate_cluster_variables`` must return at ``max_seeds=k``."""
+    queue = deque([seed])
+    visited = {seed.dedup_key()}
+    variables = set(seed.mutable_entries())
+    while queue:
+        current = queue.popleft()
+        for k in range(1, seed.matrix.n + 1):
+            neighbor = current.mutate(k)
+            key = neighbor.dedup_key()
+            if key not in visited:
+                visited.add(key)
+                variables.update(neighbor.mutable_entries())
+                queue.append(neighbor)
+        yield tuple(sorted(variables, key=str)), len(visited), not queue
+
+
+def enumerate_every_direction(seed: Seed, max_seeds: int):
+    """``every_direction_search``'s answer with at most ``max_seeds`` seeds
+    expanded."""
+    *_, last = islice(every_direction_search(seed), max_seeds)
+    return last

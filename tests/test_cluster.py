@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import islice
 
 import pytest
 
-from conftest import random_skew_symmetrizable
+from conftest import random_acyclic_seed, random_skew_symmetrizable
+from oracles import enumerate_every_direction, every_direction_search
 from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_expression
 from clusterufd.poly import (LaurentPolynomial, MonomialOrder, Polynomial,
@@ -195,7 +197,6 @@ class TestSeedMutation:
         assert render_laurent(s1.cluster[0]) == "(x2 + 1)/x1"
         s12 = s1.mutate(2)
         assert render_laurent(s12.cluster[1]) == "(x1 + x2 + 1)/(x1*x2)"
-        assert s12.history == (1, 2)
 
     def test_pentagon_periodicity(self):
         seed = builtin_seed("A:2")
@@ -291,12 +292,25 @@ class TestEnumeration:
         ("A:4", 14, 42),
         ("D:4", 16, 50),
         ("D:5", 25, 182),
+        ("cyclicA3", 9, 14),
     ])
-    def test_finite_type_counts(self, name, variables, seeds):
-        result = enumerate_cluster_variables(builtin_seed(name))
+    def test_finite_type_counts(self, monkeypatch, name, variables, seeds):
+        calls = []
+        mutate = Seed.mutate
+
+        def counted_mutate(seed, k):
+            calls.append(k)
+            return mutate(seed, k)
+
+        monkeypatch.setattr(Seed, "mutate", counted_mutate)
+        seed = builtin_seed(name)
+        result = enumerate_cluster_variables(seed)
         assert result.complete
         assert result.count == variables
         assert result.seeds_seen == seeds
+        # each of the n * seeds / 2 edges of the n-regular exchange graph
+        # is mutated once
+        assert len(calls) == seed.matrix.n * seeds // 2
 
     def test_rank1(self):
         result = enumerate_cluster_variables(builtin_seed("A:1"))
@@ -503,9 +517,10 @@ class TestMutationWork:
         monkeypatch.setattr(Polynomial, "__rmul__", counted_mul)
         result = enumerate_cluster_variables(builtin_seed("A:6"))
         assert (result.count, result.seeds_seen, result.complete) == (27, 429, True)
-        # 429 seeds, each mutated in its 6 directions except the one back
-        # to its parent (2,574 mutations and 14,850 products before)
-        assert counts == {"mutate": 2146, "mul": 822}
+        # each of the 429 * 6 / 2 edges of the exchange graph is computed
+        # from one end only (2,146 mutations and 822 products while the
+        # search skipped just the direction back to a seed's parent)
+        assert counts == {"mutate": 1287, "mul": 495}
 
     def test_enumerate_a6_order_keys(self, monkeypatch):
         calls = []
@@ -518,8 +533,9 @@ class TestMutationWork:
         monkeypatch.setattr(MonomialOrder, "key", counted_key)
         enumerate_cluster_variables(builtin_seed("A:6"))
         # exact division keys each remainder term once, when it enters
-        # (44,407 keys before, when every step re-keyed the whole remainder)
-        assert len(calls) == 21307
+        # (44,407 keys when every step re-keyed the whole remainder, and
+        # 21,307 while the search computed most edges from both ends)
+        assert len(calls) == 11850
 
     @pytest.mark.parametrize("name, path, max_seeds", [
         ("A:4", (2, 3, 1), 10_000),
@@ -530,9 +546,47 @@ class TestMutationWork:
     ])
     def test_start_history_does_not_matter(self, name, path, max_seeds):
         walked = builtin_seed(name).mutate_sequence(path)
-        fresh = Seed(walked.matrix, walked.cluster, walked.field)
-        assert walked.history == path and fresh.history == ()
-        a = enumerate_cluster_variables(walked, max_seeds)
-        b = enumerate_cluster_variables(fresh, max_seeds)
-        assert (a.variables, a.seeds_seen, a.complete) \
-            == (b.variables, b.seeds_seen, b.complete)
+        result = enumerate_cluster_variables(walked, max_seeds)
+        assert (result.variables, result.seeds_seen, result.complete) \
+            == enumerate_every_direction(walked, max_seeds)
+
+
+class TestEveryDirectionOracle:
+    """Skipping known exchanges changes no result of the search."""
+
+    @pytest.mark.parametrize("name", [
+        "A:1", "A:2", "A:3", "A:4", "A:5", "D:4", "D:5", "cyclicA3"])
+    def test_finite_builtins(self, name):
+        seed = builtin_seed(name)
+        result = enumerate_cluster_variables(seed)
+        assert result.complete
+        assert (result.variables, result.seeds_seen, result.complete) \
+            == enumerate_every_direction(seed, 10_000)
+
+    @pytest.mark.parametrize("rows, budget", [
+        (kronecker_matrix().rows, 30),
+        (rank2_matrix(1, 4).rows, 30),
+        (rank2_matrix(2, 3).rows, 11),  # its entries pass 1,000 terms at 12
+        (((0, 2, -2), (-2, 0, 2), (2, -2, 0)), 30),  # the Markov quiver
+    ], ids=["kronecker", "rank2_1_4", "rank2_2_3", "markov"])
+    def test_infinite_types_at_every_budget(self, rows, budget):
+        seed = Seed.initial(ExchangeMatrix(rows))
+        oracle = islice(every_direction_search(seed), budget)
+        for max_seeds, expected in enumerate(oracle, start=1):
+            result = enumerate_cluster_variables(seed, max_seeds)
+            assert (result.variables, result.seeds_seen, result.complete) \
+                == expected, max_seeds
+
+    def test_random_acyclic_seeds(self):
+        # some weighted rank-3 seeds take seconds each past 30 seeds
+        # expanded; this stream's 16 seeds, n = 2..5 at budgets up to 58,
+        # take under 2 s in all, the oracle's searches included
+        rng = random.Random(9)
+        for _ in range(16):
+            rows = random_acyclic_seed(rng, rng.randint(2, 5),
+                                       rng.randint(0, 2))
+            seed = Seed.initial(ExchangeMatrix(rows))
+            max_seeds = rng.randint(1, 60)
+            result = enumerate_cluster_variables(seed, max_seeds)
+            assert (result.variables, result.seeds_seen, result.complete) \
+                == enumerate_every_direction(seed, max_seeds), rows
