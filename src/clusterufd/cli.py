@@ -39,20 +39,21 @@ _LISTING_SLOT = "\0certificate"
 def _listing_json(certificate) -> str:
     """The per-support listing under a report's "certificate" key, byte for
     byte as ``json.dumps(sort_keys=True, indent=2)`` renders its dicts
-    ``{"support": [...], **rule.to_json()}``, from one template per rule."""
-    templates = {}
+    ``{"support": [...], **rule.to_json()}``, from one template per cube
+    and the certificate's first-cube table."""
+    heads, tails = [], []
     for _, _, rule in certificate.cubes:
         entry = json.dumps({**rule.to_json(), "support": _LISTING_SLOT},
                            sort_keys=True, indent=2)
         # an entry sits at depth 2 of the report, its support list at depth 3
         head, _, tail = entry.replace("\n", "\n    ").partition(
             json.dumps(_LISTING_SLOT))
-        templates[rule] = (head + "[\n        ", "\n      ]" + tail)
-    sep, decimal = ",\n        ", [str(i) for i in range(certificate.n + 1)]
-    entries = []
-    for support, rule in certificate.entries.items():
-        head, tail = templates[rule]
-        entries.append(head + sep.join(map(decimal.__getitem__, support)) + tail)
+        heads.append(head + "[\n        ")
+        tails.append("\n      ]" + tail)
+    sep = ",\n        "
+    decimal = [str(i) for i in range(1, certificate.n + 1)]
+    entries = [f"{heads[first]}{sep.join(support)}{tails[first]}"
+               for support, first in certificate.listing(decimal)]
     return "[\n    " + ",\n    ".join(entries) + "\n  ]"
 
 
@@ -86,11 +87,12 @@ class _Report:
                 body["certificate"] = _LISTING_SLOT
                 rendered = json.dumps(body, sort_keys=True, indent=2)
                 head, _, tail = rendered.partition(json.dumps(_LISTING_SLOT))
-                print(head + _listing_json(self.certificate) + tail)
+                # three writes, so the listing is never copied into one string
+                sys.stdout.write(head)
+                sys.stdout.write(_listing_json(self.certificate))
+                sys.stdout.write(tail + "\n")
         else:
-            for line in self.lines:
-                print(line)
-            print(f"verdict: {verdict}")
+            sys.stdout.write("\n".join([*self.lines, f"verdict: {verdict}\n"]))
         return EXIT_CODES[verdict]
 
 
@@ -307,9 +309,9 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
         report.certificate = certificate
     else:
         report.text(f"certificate covers {certificate.supports} supports:")
-        rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
-        for support, rule in certificate.entries.items():
-            report.text(f"  {list(support)}: {rules[rule]}")
+        rules = [rule.to_json() for _, _, rule in certificate.cubes]
+        for support, first in certificate.listing(range(1, certificate.n + 1)):
+            report.text(f"  {list(support)}: {rules[first]}")
     return report.emit("certified")
 
 

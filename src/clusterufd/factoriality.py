@@ -18,7 +18,7 @@ can only mean a bug.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt, prod
 from typing import (TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence,
                     Union)
@@ -639,21 +639,65 @@ def _uncovered(cubes, n: int) -> Optional[tuple[int, int]]:
     return _hole([*cubes, (0, (1 << n) - 1)])
 
 
+def _first_cubes(cubes: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """For every support bitmask of 1..n, the index of the first cube of
+    ``cubes`` (``(inside, outside)`` bitmasks) that holds on it, or
+    ``len(cubes)`` when none does; n is at most ``MAX_CERTIFICATE_N``.
+
+    The table is built by the subcube split of ``_hole``.  Each step fixes
+    some indices in and some out, and keeps a candidate list with the
+    invariant: it holds, in order, exactly the cubes that the fixed indices
+    do not contradict.  So once every condition of its head is fixed, the
+    head holds on the whole subcube and every earlier cube fails there: the
+    head is the first match on each support of the subcube, and these are
+    filled by submask enumeration.  Otherwise the step splits on the highest
+    unfixed index of the head, and each side drops the cubes it contradicts.
+    (On A:16 that makes 2,435 steps, against 8,095 with the lowest.)
+    """
+    table = [len(cubes)] * (1 << n)
+    full = (1 << n) - 1
+    ins = [inside for inside, _ in cubes]
+    outs = [outside for _, outside in cubes]
+
+    def split(live: list[int], inside: int, outside: int):
+        if not live:
+            return                  # no cube holds: the table says so already
+        head = live[0]
+        unfixed = ins[head] & ~inside | outs[head] & ~outside
+        if not unfixed:
+            free = full & ~(inside | outside)
+            sub = free
+            while True:
+                table[inside | sub] = head
+                if not sub:
+                    return
+                sub = (sub - 1) & free
+        bit = 1 << (unfixed.bit_length() - 1)
+        split([c for c in live if not outs[c] & bit], inside | bit, outside)
+        split([c for c in live if not ins[c] & bit], inside, outside | bit)
+
+    split(list(range(len(cubes))), 0, 0)
+    return table
+
+
+def _listing(table: Sequence[int], labels: Sequence) -> Iterator[tuple[tuple, int]]:
+    """Every nonempty support of 1..n, n = len(labels), by size and then in
+    ``combinations`` order, with index i written as ``labels[i - 1]``, each
+    paired with its entry of a ``_first_cubes`` table."""
+    bits = [1 << i for i in range(len(labels))]
+    sizes = range(1, len(labels) + 1)
+    # each support and its bitmask, in the same order
+    supports = chain.from_iterable(combinations(labels, k) for k in sizes)
+    masks = chain.from_iterable(map(sum, combinations(bits, k)) for k in sizes)
+    return zip(supports, map(table.__getitem__, masks))
+
+
 def _first_matches(cubes, n: int) -> Iterator[tuple[tuple[int, ...], Optional[Justification]]]:
-    """Every nonempty support of 1..n, by size and then in ``combinations``
-    order, with the rule of the first cube that holds on it, or None."""
-    indices = range(1, n + 1)
-    bits = [1 << (i - 1) for i in indices]
-    for size in indices:
-        # each support together with its bitmask, in the same order
-        for support, mask in zip(combinations(indices, size),
-                                 map(sum, combinations(bits, size))):
-            for inside, outside, rule in cubes:
-                if inside & mask == inside and not outside & mask:
-                    break
-            else:
-                rule = None
-            yield support, rule
+    """Every nonempty support of 1..n, in ``_listing`` order, with the rule
+    of the first cube ``(inside, outside, rule)`` that holds on it, or None."""
+    table = _first_cubes([(inside, outside) for inside, outside, _ in cubes], n)
+    rules = [rule for _, _, rule in cubes] + [None]
+    return _listing(list(map(rules.__getitem__, table)), range(1, n + 1))
 
 
 # The per-support listing of a certificate has 2^n - 1 entries, so it is
@@ -683,6 +727,13 @@ class SupportCertificate:
     def supports(self) -> int:
         """How many supports the certificate covers: 2^n - 1."""
         return (1 << self.n) - 1
+
+    def listing(self, labels: Sequence) -> Iterator[tuple[tuple, int]]:
+        """Each nonempty support in ``_listing`` order, index i written as
+        ``labels[i - 1]``, with the position in ``cubes`` of its first cube
+        (``len(cubes)`` when none holds); for n <= ``MAX_CERTIFICATE_N``."""
+        cubes = [(_bits(inside), _bits(outside)) for inside, outside, _ in self.cubes]
+        return _listing(_first_cubes(cubes, self.n), labels)
 
     @property
     def entries(self) -> dict[tuple[int, ...], Justification]:

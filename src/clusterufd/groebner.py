@@ -56,8 +56,21 @@ class _Work:
             raise BudgetExceeded(self.reductions, basis_size)
 
 
-def _reduce_full(terms: dict, reducers: Sequence[tuple], order: MonomialOrder) -> dict:
-    """Fully reduce a term dict modulo monic reducers [(lt_exp, terms)].
+def _support_mask(exp) -> int:
+    """The variables of the monomial x^exp as a bitmask: bit k for x_(k+1).
+    x^a can divide x^b only when mask(a) & ~mask(b) is zero, which is
+    cheaper to test than the divisibility itself."""
+    mask = 0
+    for k, e in enumerate(exp):
+        if e:
+            mask |= 1 << k
+    return mask
+
+
+def _reduce_full(terms: dict, reducers: Sequence[tuple], masks: Sequence[int],
+                 order: MonomialOrder) -> dict:
+    """Fully reduce a term dict modulo monic reducers [(lt_exp, terms)],
+    whose leading exponents have the support masks ``masks``.
 
     The result lists its terms in descending order, so its first key is the
     leading exponent.  Each exponent's order key is computed once.
@@ -69,8 +82,9 @@ def _reduce_full(terms: dict, reducers: Sequence[tuple], order: MonomialOrder) -
     while rem:
         exp = max(rem, key=keys.__getitem__)
         coeff = rem.pop(exp)
-        for lt_exp, g_terms in reducers:
-            if ev_divides(lt_exp, exp):
+        absent = ~_support_mask(exp)
+        for lt_mask, (lt_exp, g_terms) in zip(masks, reducers):
+            if not lt_mask & absent and ev_divides(lt_exp, exp):
                 shift = ev_sub(exp, lt_exp)
                 for e2, c2 in g_terms.items():
                     if e2 == lt_exp:
@@ -101,7 +115,8 @@ def normal_form(p: Polynomial, basis: "GroebnerBasis") -> Polynomial:
     """The fully reduced remainder of p modulo the basis (unique when reduced)."""
     if p.is_zero:
         return p
-    out = _reduce_full(p.terms, basis.reducers, basis.order)
+    masks = [_support_mask(lt_exp) for lt_exp, _ in basis.reducers]
+    out = _reduce_full(p.terms, basis.reducers, masks, basis.order)
     return Polynomial._raw(p.m, p.field, out)
 
 
@@ -140,6 +155,7 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             monic.setdefault(Polynomial._raw(m, field, _monic(g.terms, lt_coeff, field)), lt_exp)
     # (lt_exp, monic terms), one per basis element
     reducers: list[tuple] = [(lt_exp, g.terms) for g, lt_exp in monic.items()]
+    masks = [_support_mask(lt_exp) for lt_exp, _ in reducers]
 
     if not reducers:
         raise ValueError("cannot compute a basis for the zero ideal")
@@ -161,14 +177,14 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     while queue:
         _, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
-        lead_i, lead_j = reducers[i][0], reducers[j][0]
         # coprime leading terms: S-polynomial reduces to zero
-        if not any(a and b for a, b in zip(lead_i, lead_j)):
+        if not masks[i] & masks[j]:
             continue
-        # chain criterion
+        # chain criterion; the lcm's variables are those of either lead
+        absent = ~(masks[i] | masks[j])
         skip = False
         for k in range(len(reducers)):
-            if k in (i, j):
+            if k in (i, j) or masks[k] & absent:
                 continue
             if (ev_divides(reducers[k][0], lcm)
                     and (min(i, k), max(i, k)) not in pairs
@@ -181,12 +197,13 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         s = _s_terms(reducers[i], reducers[j], lcm)
         if not s:
             continue
-        reduced = _reduce_full(s, reducers, order)
+        reduced = _reduce_full(s, reducers, masks, order)
         if not reduced:
             continue
         lt_exp = next(iter(reduced))
         new_index = len(reducers)
         reducers.append((lt_exp, _monic(reduced, reduced[lt_exp], field)))
+        masks.append(_support_mask(lt_exp))
         for k in range(new_index):
             add_pair(k, new_index)
 
@@ -201,9 +218,12 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     # inter-reduce tails; the leading terms survive, so sort by them
     reduced = []
     for i in sorted(keep, key=lambda i: key(reducers[i][0]), reverse=True):
-        others = [reducers[j] for j in keep if j != i]
+        others = [j for j in keep if j != i]
         lt_exp, terms = reducers[i]
-        reduced.append((lt_exp, _reduce_full(terms, others, order) if others else terms))
+        if others:
+            terms = _reduce_full(terms, [reducers[j] for j in others],
+                                 [masks[j] for j in others], order)
+        reduced.append((lt_exp, terms))
     return GroebnerBasis(tuple(Polynomial._raw(m, field, terms) for _, terms in reduced),
                          order, reduced)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice
 
 from clusterufd.cluster import Seed
 from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
@@ -151,13 +151,15 @@ class RowsOracle:
         return next((c for c in candidates if self.holds(support, c)), None)
 
 
-def certificate_list(certificate) -> list[dict]:
-    """The per-support listing as a list of dicts, the way reports built it
-    before it was rendered from per-rule templates: ``json.dumps`` of these
-    under the "certificate" key is the byte-exact reference."""
-    rules = {rule: rule.to_json() for _, _, rule in certificate.cubes}
-    return [{"support": list(support), **rules[rule]}
-            for support, rule in certificate.entries.items()]
+def oracle_listing(rows) -> list[dict]:
+    """The per-support listing of a certified seed as a list of dicts, each
+    support's rule taken from ``RowsOracle.first_match``, so it shares no
+    code with the package's first-cube table: ``json.dumps`` of these under
+    the "certificate" key is the byte-exact reference."""
+    oracle = RowsOracle(rows)
+    indices = range(1, oracle.n + 1)
+    return [{"support": list(support), **oracle.first_match(support).to_json()}
+            for size in indices for support in combinations(indices, size)]
 
 
 def every_direction_search(seed: Seed):

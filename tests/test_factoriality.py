@@ -988,6 +988,47 @@ class TestCoverOracle:
             assert tuple(sorted(inside | set(extra))) in stuck
 
 
+class TestFirstCubeTable:
+    """``_first_cubes`` is the only per-support first-match computation in
+    the package, so it is checked against a plain scan and the row oracle."""
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(random_seed_rows_to_10)
+    def test_table_against_scan_and_oracle(self, rows):
+        oracle = RowsOracle(rows)
+        n = oracle.n
+        table = factoriality._rule_cubes(ExchangeMatrix(rows))
+        cubes = list(table.values())
+        first = factoriality._first_cubes(cubes, n)
+        assert len(first) == 1 << n
+        for mask in range(1 << n):
+            scan = next((k for k, (inside, outside) in enumerate(cubes)
+                         if inside & mask == inside and not outside & mask),
+                        len(cubes))
+            assert first[mask] == scan
+        matches = dict(factoriality._first_matches(
+            [(inside, outside, rule) for rule, (inside, outside) in table.items()], n))
+        assert list(matches) == supports_in_order(n)
+        for support, rule in matches.items():
+            assert rule == oracle.first_match(support)
+        hole = factoriality._uncovered(cubes, n)
+        if hole is not None:
+            inside, outside = hole
+            free = ((1 << n) - 1) & ~(inside | outside)
+            for extra in all_subsets(factoriality._support(free)):
+                support = factoriality._support(inside | factoriality._bits(extra))
+                assert matches[support] is None
+
+    def test_weighted_chain_stuck_list_is_every_uncovered_support(self):
+        for n in (4, 7, 12):
+            rows = weighted_chain_rows(n)
+            oracle = RowsOracle(rows)
+            stuck = inductive_prover(ExchangeIdeals(ExchangeMatrix(rows))).stuck_supports
+            assert stuck == tuple(s for s in supports_in_order(n)
+                                  if oracle.first_match(s) is None)
+
+
 class TestCertificateImpliesSweep:
     """A UFD verdict rests on the certificate alone, so the direct weight
     sweep, run on its own, must hold wherever one is given."""
