@@ -298,9 +298,9 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
     certificate = verdict.certificate
     cover = _cover_list(certificate)
     report.set("cover", cover)
-    report.set("supports", certificate.supports)
+    report.set("supports", len(certificate))
     if certificate.n > MAX_CERTIFICATE_N:
-        report.text(f"certificate covers {certificate.supports} supports "
+        report.text(f"certificate covers {len(certificate)} supports "
                     f"with {len(cover)} cubes:")
         for inside, outside, rule in certificate.cubes:
             report.text(f"  in {list(inside)}, out {list(outside)}: "
@@ -308,7 +308,7 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
     elif report.as_json:
         report.certificate = certificate
     else:
-        report.text(f"certificate covers {certificate.supports} supports:")
+        report.text(f"certificate covers {len(certificate)} supports:")
         rules = [rule.to_json() for _, _, rule in certificate.cubes]
         for support, first in certificate.listing(range(1, certificate.n + 1)):
             report.text(f"  {list(support)}: {rules[first]}")
@@ -330,7 +330,7 @@ def _cmd_verdict(args, report: _Report) -> int:
         report.set("cross_checked_bound", verdict.cross_checked_bound)
         if verdict.notes:
             report.set("notes", verdict.notes)
-        report.text(f"UFD: certificate covers {certificate.supports} "
+        report.text(f"UFD: certificate covers {len(certificate)} "
                     f"supports, cross-checked to weight "
                     f"{verdict.cross_checked_bound}")
         return report.emit("UFD")

@@ -183,7 +183,8 @@ def exchange_polynomial(matrix: ExchangeMatrix, j: int,
 
 # -- graphs on the matrix ----------------------------------------------------
 
-def _is_connected(matrix: ExchangeMatrix) -> bool:
+def is_connected(matrix: ExchangeMatrix) -> bool:
+    """Whether the rows 1..m are connected by the nonzero entries b_ij."""
     m, n = matrix.m, matrix.n
     if m == 1:
         return True
@@ -204,31 +205,23 @@ def _is_connected(matrix: ExchangeMatrix) -> bool:
     return len(seen) == m
 
 
-def _is_acyclic(matrix: ExchangeMatrix) -> bool:
-    """No oriented cycle among mutable vertices (arrow i -> j iff b_ij > 0)."""
-    n = matrix.n
-    out_edges = [[j for j in range(n) if matrix.rows[i][j] > 0] for i in range(n)]
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, iter(out_edges[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return False
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(out_edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return True
+def is_acyclic(matrix: ExchangeMatrix) -> bool:
+    """No oriented cycle among mutable vertices (arrow i -> j iff b_ij > 0).
+
+    Kahn's algorithm (A. B. Kahn, *Topological sorting of large networks*,
+    CACM 1962): vertices are removed as their in-degree reaches 0, and the
+    quiver is acyclic exactly when every vertex is removed.
+    """
+    n, rows = matrix.n, matrix.rows
+    indegree = [sum(rows[i][j] > 0 for i in range(n)) for j in range(n)]
+    ready = [j for j in range(n) if not indegree[j]]
+    for i in ready:                 # the list grows while it is read
+        for j in range(n):
+            if rows[i][j] > 0:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+    return len(ready) == n
 
 
 class StructureReport(NamedTuple):
@@ -254,8 +247,8 @@ def structure_report(matrix: ExchangeMatrix) -> StructureReport:
         n=matrix.n,
         m=matrix.m,
         skew_symmetrizer=symmetrizer,
-        connected=_is_connected(matrix),
-        acyclic=_is_acyclic(matrix),
+        connected=is_connected(matrix),
+        acyclic=is_acyclic(matrix),
         sources=sources,
         sinks=sinks,
         neighbors=tuple(matrix.neighbors(i) for i in range(1, matrix.m + 1)),

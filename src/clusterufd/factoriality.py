@@ -17,13 +17,14 @@ can only mean a bug.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, isqrt, prod
 from typing import (TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence,
                     Union)
 
-from .cluster import ExchangeMatrix, exchange_polynomial, structure_report
+from .cluster import ExchangeMatrix, exchange_polynomial, is_acyclic, is_connected
 from .fields import FieldTag, GaussianRational
 from .poly import GREVLEX, LaurentPolynomial, Polynomial, divide_exact
 
@@ -341,13 +342,17 @@ class ConjectureOutcome(NamedTuple):
     detail: str = ""
 
 
+# Why ``certify`` is Inconclusive on an oriented cycle; ``ufd_verdict``
+# recognizes that case by this text.
+_CYCLE_REASON = "the principal quiver has an oriented cycle"
+
+
 def _structure_problem(matrix: ExchangeMatrix) -> Optional[str]:
     """Why the matrix is not connected and acyclic, or None."""
-    report = structure_report(matrix)
-    if not report.connected:
+    if not is_connected(matrix):
         return "the exchange matrix is not connected"
-    if not report.acyclic:
-        return "the principal quiver has an oriented cycle"
+    if not is_acyclic(matrix):
+        return _CYCLE_REASON
     return None
 
 
@@ -446,70 +451,49 @@ def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
 # -- the inductive certificate search ---------------------------------------
 
 class _Rule:
-    """One lemma applied at given indices.  Rules are immutable, and two are
-    equal, and hash equal, only when they apply the same lemma at the same
-    indices, so rules of different lemmas are distinct dict keys.  Each
-    lemma names its JSON tag in ``tag``."""
+    """One lemma applied at given indices, mixed into a namedtuple of the
+    indices.  Two rules are equal, and hash equal, only when they apply the
+    same lemma at the same indices, so rules of different lemmas, and plain
+    tuples, are distinct dict keys.  Each lemma names its JSON tag in
+    ``tag``."""
 
-    __slots__ = ("_key",)
+    __slots__ = ()
     tag: str
 
-    def __init__(self, *indices: int):
-        for name, value in zip(self.__slots__, indices, strict=True):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", (type(self), *indices))
-
     def __eq__(self, other):
-        if not isinstance(other, _Rule):
-            return NotImplemented
-        return self._key == other._key
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash(self._key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a rule")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return hash((type(self), *self))
 
     def to_json(self) -> dict:
-        return {"rule": self.tag,
-                **{name: getattr(self, name) for name in self.__slots__}}
+        return {"rule": self.tag, **self._asdict()}
 
 
-class SinkSourceSplit(_Rule):
+class SinkSourceSplit(_Rule, namedtuple("SinkSourceSplit", "i j")):
     """Index i is a sink or source, j is a support neighbor; coprimality
     of f_i and f_j lets the induction split off one power each."""
 
-    __slots__ = ("i", "j")
+    __slots__ = ()
     tag = "sink_source"
 
-    def __init__(self, i: int, j: int):
-        super().__init__(i, j)
 
-
-class FreeIndex(_Rule):
+class FreeIndex(_Rule, namedtuple("FreeIndex", "i")):
     """No neighbor of i lies in the support, so f_i is regular modulo the rest."""
 
-    __slots__ = ("i",)
+    __slots__ = ()
     tag = "free_index"
 
-    def __init__(self, i: int):
-        super().__init__(i)
 
-
-class FreeVariable(_Rule):
+class FreeVariable(_Rule, namedtuple("FreeVariable", "i k")):
     """f_i = x_k + monomial with x_k outside the support and no other
     support index adjacent to k, so x_k can absorb one power of f_i."""
 
-    __slots__ = ("i", "k")
+    __slots__ = ()
     tag = "free_variable"
-
-    def __init__(self, i: int, k: int):
-        super().__init__(i, k)
 
 
 Justification = Union[SinkSourceSplit, FreeIndex, FreeVariable]
@@ -692,14 +676,6 @@ def _listing(table: Sequence[int], labels: Sequence) -> Iterator[tuple[tuple, in
     return zip(supports, map(table.__getitem__, masks))
 
 
-def _first_matches(cubes, n: int) -> Iterator[tuple[tuple[int, ...], Optional[Justification]]]:
-    """Every nonempty support of 1..n, in ``_listing`` order, with the rule
-    of the first cube ``(inside, outside, rule)`` that holds on it, or None."""
-    table = _first_cubes([(inside, outside) for inside, outside, _ in cubes], n)
-    rules = [rule for _, _, rule in cubes] + [None]
-    return _listing(list(map(rules.__getitem__, table)), range(1, n + 1))
-
-
 # The per-support listing of a certificate has 2^n - 1 entries, so it is
 # rendered, and a stuck search lists every stuck support, up to here only.
 MAX_CERTIFICATE_N = 16
@@ -723,11 +699,6 @@ class SupportCertificate:
         self.cubes = tuple(cubes)
         self.n = n
 
-    @property
-    def supports(self) -> int:
-        """How many supports the certificate covers: 2^n - 1."""
-        return (1 << self.n) - 1
-
     def listing(self, labels: Sequence) -> Iterator[tuple[tuple, int]]:
         """Each nonempty support in ``_listing`` order, index i written as
         ``labels[i - 1]``, with the position in ``cubes`` of its first cube
@@ -736,12 +707,13 @@ class SupportCertificate:
         return _listing(_first_cubes(cubes, self.n), labels)
 
     @property
-    def entries(self) -> dict[tuple[int, ...], Justification]:
-        """Each support's first rule, in ``combinations`` order; this lists
-        all 2^n - 1 supports, so it is for small n only."""
-        cubes = [(_bits(inside), _bits(outside), rule)
-                 for inside, outside, rule in self.cubes]
-        return dict(_first_matches(cubes, self.n))
+    def entries(self) -> dict[tuple[int, ...], Optional[Justification]]:
+        """Each support's first rule (None when no cube holds), in
+        ``combinations`` order; this lists all 2^n - 1 supports, so it is for
+        small n only."""
+        rules = [rule for _, _, rule in self.cubes] + [None]
+        return {support: rules[first]
+                for support, first in self.listing(range(1, self.n + 1))}
 
     def verify(self, matrix: ExchangeMatrix) -> list[str]:
         """A list of problems; empty means the certificate checks out."""
@@ -767,7 +739,8 @@ class SupportCertificate:
         return problems
 
     def __len__(self):
-        return self.supports
+        """How many supports the certificate covers: 2^n - 1."""
+        return (1 << self.n) - 1
 
 
 def _shrink_stuck(cubes, mask: int) -> int:
@@ -801,16 +774,17 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
     n = ideals.n
     table = _rule_cubes(ideals.matrix)
     hole = _uncovered(table.values(), n)
-    if hole is None:
-        return ProverResult(SupportCertificate(
-            [(_support(inside), _support(outside), rule)
-             for rule, (inside, outside) in table.items()], n), ())
-    if n > MAX_CERTIFICATE_N:
+    if hole is not None and n > MAX_CERTIFICATE_N:
         return ProverResult(None, (_support(_shrink_stuck(table.values(),
                                                           hole[0])),))
-    cubes = [(inside, outside, rule) for rule, (inside, outside) in table.items()]
-    return ProverResult(None, tuple(support for support, rule
-                                    in _first_matches(cubes, n) if rule is None))
+    certificate = SupportCertificate(
+        [(_support(inside), _support(outside), rule)
+         for rule, (inside, outside) in table.items()], n)
+    if hole is None:
+        return ProverResult(certificate, ())
+    return ProverResult(None, tuple(
+        support for support, first in certificate.listing(range(1, n + 1))
+        if first == len(table)))
 
 
 # -- the full verdict pipeline ----------------------------------------------
@@ -866,61 +840,46 @@ def certify(ideals: ExchangeIdeals) -> UFDVerdict:
     return UFD(result.certificate, 0)
 
 
-def _swept_bound(ideals: ExchangeIdeals, degree_bound: int,
-                 budget: Optional[GroebnerBudget]) -> tuple[int, Optional[ConjectureOutcome]]:
-    """Largest weight L <= degree_bound with every |a| <= L conjecture check
-    passing, plus the outcome that stopped the sweep early, if any.  The
-    caller has already checked the standing assumptions."""
-    outcomes = conjecture_sweep(ideals, degree_bound, budget,
-                                override_assumptions=True)
-    if outcomes and outcomes[-1].status != "holds":
-        return sum(outcomes[-1].multi_index) - 1, outcomes[-1]
-    return degree_bound, None
-
-
-def _inconclusive(ideals: ExchangeIdeals, reason: str,
-                  stuck: tuple[tuple[int, ...], ...], degree_bound: int,
-                  budget: Optional[GroebnerBudget]) -> Inconclusive:
-    """Inconclusive, recording how far the direct weight sweep got."""
-    bound, stop = _swept_bound(ideals, degree_bound, budget)
-    if stop is not None and stop.status == "fails":
-        reason += (f"; ideal equality fails at {stop.multi_index} "
-                   f"(witness {stop.witness})")
-    elif stop is not None:
-        reason += f"; budget exhausted at {stop.multi_index}"
-    return Inconclusive(reason, stuck, bound)
-
-
 def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
                 budget: Optional[GroebnerBudget] = None) -> UFDVerdict:
     """``certify``, then the direct weight sweep up to ``degree_bound``:
     how far it holds on an Inconclusive verdict, and a cross-validation of
     a UFD verdict.
 
-    A passing bounded search never upgrades to a UFD verdict on its own:
-    only a complete verified certificate does.  Conversely a certificate
-    that contradicts a direct Groebner check raises ``ConsistencyError``.
+    The sweep's bound is the largest weight L <= degree_bound with every
+    |a| <= L check passing.  A passing bounded search never upgrades to a
+    UFD verdict on its own: only a complete verified certificate does.
+    Conversely a certificate that contradicts a direct Groebner check
+    raises ``ConsistencyError``.
     """
     if degree_bound < 0:
         raise ValueError("the cross-check degree bound must be non-negative")
     verdict = certify(ideals)
     if isinstance(verdict, NotUFD):
         return verdict
-    if isinstance(verdict, Inconclusive):
-        reason = verdict.reason
-        if reason == "the principal quiver has an oriented cycle":
-            reason += "; the certificate search needs an acyclic seed"
-        return _inconclusive(ideals, reason, verdict.stuck_supports,
-                             degree_bound, budget)
-    if ideals.n > 8 and degree_bound > 0:
+    if isinstance(verdict, UFD) and ideals.n > 8 and degree_bound > 0:
         return verdict._replace(notes="cross-check skipped (n > 8)")
-    bound, stop = _swept_bound(ideals, degree_bound, budget)
-    if stop is not None and stop.status == "fails":
-        raise ConsistencyError(
-            f"certificate contradicts a direct check at {stop.multi_index}: "
-            f"witness {stop.witness}")
-    notes = "" if stop is None else f"cross-check stopped by budget at {stop.multi_index}"
-    return verdict._replace(cross_checked_bound=bound, notes=notes)
+    # certify has already checked the standing assumptions
+    outcomes = conjecture_sweep(ideals, degree_bound, budget,
+                                override_assumptions=True)
+    stop = outcomes[-1] if outcomes and outcomes[-1].status != "holds" else None
+    bound = degree_bound if stop is None else sum(stop.multi_index) - 1
+    fails = stop is not None and stop.status == "fails"
+    if isinstance(verdict, UFD):
+        if fails:
+            raise ConsistencyError(
+                f"certificate contradicts a direct check at {stop.multi_index}: "
+                f"witness {stop.witness}")
+        notes = "" if stop is None else f"cross-check stopped by budget at {stop.multi_index}"
+        return verdict._replace(cross_checked_bound=bound, notes=notes)
+    reason = verdict.reason
+    if reason == _CYCLE_REASON:
+        reason += "; the certificate search needs an acyclic seed"
+    if fails:
+        reason += f"; ideal equality fails at {stop.multi_index} (witness {stop.witness})"
+    elif stop is not None:
+        reason += f"; budget exhausted at {stop.multi_index}"
+    return verdict._replace(reason=reason, verified_bound=bound)
 
 
 # -- membership and normal forms under a verified certificate ----------------

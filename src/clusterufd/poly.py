@@ -304,25 +304,35 @@ class Polynomial:
         return acc
 
 
-def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
-                    q_coeff, key, div) -> bool:
-    """Divide ``rem`` by q in place, writing quotient terms into ``quot``.
+def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
+    """The quotient p/q when q divides p exactly, else None.
 
-    True when ``rem`` is used up (exact), False when a term would land in
-    the remainder (not exact).
+    Single-divisor multivariate division under grevlex: whenever a term
+    would land in the remainder the division cannot be exact, so we stop
+    early.
 
-    Each term is keyed once, when it enters ``rem``, into a queue sorted by
-    key.  Every term a step adds lies below the leading term it cancels, so
-    the largest queued term still in ``rem`` is the leading term; a queued
-    term that has since cancelled is skipped when it comes up.
+    Each term is keyed once, when it enters the remainder, into a queue
+    sorted by key.  Every term a step adds lies below the leading term it
+    cancels, so the largest queued term still in the remainder is the
+    leading term; a queued term that has since cancelled is skipped when it
+    comes up.
     """
+    p._check_compatible(q)
+    if q.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    if p.is_zero:
+        return Polynomial.zero(p.m, p.field)
+    q_exp, q_coeff = q.leading(GREVLEX)
+    q_terms = list(q.terms.items())
+    key, div = GREVLEX.key, p.field.div
+    rem, quot = dict(p.terms), {}
     queue = sorted((key(e), e) for e in rem)
     while rem:
         exp = queue.pop()[1]
         if exp not in rem:
             continue
         if not ev_divides(q_exp, exp):
-            return False
+            return None
         factor = div(rem[exp], q_coeff)
         shift = ev_sub(exp, q_exp)
         quot[shift] = factor
@@ -337,26 +347,6 @@ def _division_steps(rem: dict, quot: dict, q_exp: Exponent, q_terms,
             else:
                 rem[tgt] = -factor * c2
                 insort(queue, (key(tgt), tgt))
-    return True
-
-
-def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
-    """The quotient p/q when q divides p exactly, else None.
-
-    Single-divisor multivariate division under grevlex: whenever a term
-    would land in the remainder the division cannot be exact, so we stop
-    early.
-    """
-    p._check_compatible(q)
-    if q.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero:
-        return Polynomial.zero(p.m, p.field)
-    q_exp, q_coeff = q.leading(GREVLEX)
-    quot: dict = {}
-    if not _division_steps(dict(p.terms), quot, q_exp, list(q.terms.items()),
-                           q_coeff, GREVLEX.key, p.field.div):
-        return None
     return Polynomial._raw(p.m, p.field, quot)
 
 

@@ -31,6 +31,7 @@ from clusterufd.cluster import (
     find_skew_symmetrizer,
     hypersurface_relation,
     hypersurface_relation_check,
+    is_acyclic,
     kronecker_matrix,
     linear_a_matrix,
     load_seed_file,
@@ -283,6 +284,25 @@ class TestStructure:
         report = structure_report(
             ExchangeMatrix([[0, 0], [0, 0]]))
         assert not report.connected
+
+    def test_acyclic_against_transitive_closure(self):
+        """``is_acyclic`` against a cycle oracle: the transitive closure of
+        the arrows i -> j (b_ij > 0 among mutable indices), by Warshall's
+        algorithm, has no loop.  Frozen rows carry no arrow of the quiver."""
+        rng = random.Random(107)
+        draws, cyclic = 600, 0
+        for _ in range(draws):
+            n = rng.randint(1, 7)
+            rows = random_skew_symmetrizable(rng, n, frozen=rng.randint(0, 2))
+            reach = [[rows[i][j] > 0 for j in range(n)] for i in range(n)]
+            for k in range(n):
+                for i in range(n):
+                    if reach[i][k]:
+                        reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+            has_cycle = any(reach[i][i] for i in range(n))
+            cyclic += has_cycle
+            assert is_acyclic(ExchangeMatrix(rows)) == (not has_cycle), rows
+        assert 0 < cyclic < draws
 
 
 class TestEnumeration:

@@ -838,11 +838,23 @@ class TestVerdictStages:
     @pytest.mark.parametrize("name", ["A:2", "cyclicA3"])
     def test_assumptions_checked_once(self, monkeypatch, name):
         calls = []
-        original = factoriality.structure_report
-        monkeypatch.setattr(factoriality, "structure_report",
+        original = factoriality._structure_problem
+        monkeypatch.setattr(factoriality, "_structure_problem",
                             lambda matrix: calls.append(matrix) or original(matrix))
         ufd_verdict(ideals_for(name), degree_bound=2)
         assert len(calls) == 1
+
+    def test_certify_reuses_the_constructor_symmetrizer(self, monkeypatch):
+        """``ExchangeMatrix`` checks skew-symmetrizability when it is built,
+        so certifying never searches for a symmetrizer again."""
+        from clusterufd import cluster
+        ideals = ideals_for("A:16")
+        calls = []
+        original = cluster.find_skew_symmetrizer
+        monkeypatch.setattr(cluster, "find_skew_symmetrizer",
+                            lambda principal: calls.append(1) or original(principal))
+        assert isinstance(certify(ideals), UFD)
+        assert calls == []
 
     def test_cyclic_past_the_listing_cap_sweeps(self):
         n = MAX_CERTIFICATE_N + 1
@@ -942,6 +954,17 @@ class TestValueSemantics:
             assert hash(make(*args)) == hash(make(*args))
         assert SinkSourceSplit(1, 2) != SinkSourceSplit(2, 1)
 
+    def test_rules_are_not_plain_tuples(self):
+        """Equality needs the same lemma on both sides, whichever side the
+        plain tuple is on; written with ``!=`` so ``__ne__`` is checked too."""
+        assert SinkSourceSplit(1, 2) != (1, 2)
+        assert (1, 2) != SinkSourceSplit(1, 2)
+        assert FreeIndex(1) != (1,)
+        assert (1,) != FreeIndex(1)
+        cubes = factoriality._rule_cubes(builtin_matrix("A:3"))
+        assert SinkSourceSplit(1, 2) in cubes
+        assert all(tuple(rule) not in cubes for rule in cubes)
+
     @pytest.mark.parametrize("value, field", [
         (SinkSourceSplit(1, 2), "j"), (FreeIndex(1), "i"),
         (FreeVariable(1, 2), "k")])
@@ -1007,8 +1030,9 @@ class TestFirstCubeTable:
                          if inside & mask == inside and not outside & mask),
                         len(cubes))
             assert first[mask] == scan
-        matches = dict(factoriality._first_matches(
-            [(inside, outside, rule) for rule, (inside, outside) in table.items()], n))
+        matches = SupportCertificate(
+            [(factoriality._support(inside), factoriality._support(outside), rule)
+             for rule, (inside, outside) in table.items()], n).entries
         assert list(matches) == supports_in_order(n)
         for support, rule in matches.items():
             assert rule == oracle.first_match(support)
