@@ -12,14 +12,11 @@ from __future__ import annotations
 import json
 from collections import deque
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fields import FieldTag
-from .poly import (LaurentPolynomial, Polynomial, divide_exact, ev_add,
-                   ev_sub)
+from .poly import LaurentPolynomial, Polynomial
 
 
 class LaurentViolation(RuntimeError):
@@ -176,9 +173,11 @@ def exchange_polynomial(matrix: ExchangeMatrix, j: int,
     if not 1 <= j <= matrix.n:
         raise ValueError(f"column index {j} outside 1..{matrix.n}")
     col = matrix.column(j)
-    pos = tuple(b if b > 0 else 0 for b in col)
-    neg = tuple(-b if b < 0 else 0 for b in col)
-    return Polynomial(matrix.m, field, {pos: 1}) + Polynomial(matrix.m, field, {neg: 1})
+    pos = tuple([b if b > 0 else 0 for b in col])
+    neg = tuple([-b if b < 0 else 0 for b in col])
+    terms = {pos: 1}
+    terms[neg] = terms.get(neg, 0) + 1  # a zero column gives the constant 2
+    return Polynomial._raw(matrix.m, field, terms)
 
 
 # -- graphs on the matrix ----------------------------------------------------
@@ -281,45 +280,23 @@ class Seed:
         return self.cluster[: self.matrix.n]
 
     def mutate(self, k: int) -> "Seed":
-        """Exchange the k-th entry and mutate the matrix."""
-        if not 1 <= k <= self.matrix.n:
-            raise ValueError(f"mutation index {k} outside 1..{self.matrix.n}")
-        col = self.matrix.column(k)
-        pos = [self.cluster[i] ** b for i, b in enumerate(col) if b > 0]
-        neg = [self.cluster[i] ** -b for i, b in enumerate(col) if b < 0]
-        one = LaurentPolynomial.one(self.matrix.m, self.field)
-        total = (reduce(mul, pos) if pos else one) + (reduce(mul, neg) if neg else one)
-        new_entry = self._divide_laurent(total, self.cluster[k - 1])
+        """Exchange the k-th entry and mutate the matrix.
+
+        The new entry is f_k evaluated at the cluster, divided exactly by the
+        old entry; the Laurent phenomenon makes that quotient Laurent.
+        """
+        matrix = self.matrix.mutate(k)
+        total = exchange_polynomial(self.matrix, k, self.field).substitute(self.cluster)
+        try:
+            new_entry = total / self.cluster[k - 1]
+        except ValueError as exc:
+            raise LaurentViolation(f"exchange quotient is not Laurent: {exc}") from None
         if any(new_entry.den[p] for p in range(self.matrix.n, self.matrix.m)):
             raise LaurentViolation(
                 f"mutated entry {new_entry} has a frozen variable in its denominator")
         cluster = list(self.cluster)
         cluster[k - 1] = new_entry
-        return Seed(self.matrix.mutate(k), tuple(cluster), self.field)
-
-    @staticmethod
-    def _divide_laurent(total: LaurentPolynomial,
-                        old: LaurentPolynomial) -> LaurentPolynomial:
-        """total / old, where the quotient must again be Laurent.
-
-        Write old = x^w * g / x^d with g free of monomial factors; then the
-        quotient is (total.num / g) * x^d / x^(total.den + w), and g must
-        divide total.num exactly or the exchange relation is broken.
-        """
-        w = old.num.min_exponents()
-        if any(w):
-            g = Polynomial._raw(
-                old.num.m, old.num.field,
-                {ev_sub(e, w): c for e, c in old.num.terms.items()})
-        else:
-            g = old.num
-        h = divide_exact(total.num, g)
-        if h is None:
-            raise LaurentViolation(
-                f"exchange quotient is not Laurent: {g} does not divide {total.num}")
-        num = Polynomial._raw(
-            h.m, h.field, {ev_add(e, old.den): c for e, c in h.terms.items()})
-        return LaurentPolynomial(num, ev_add(total.den, w))
+        return Seed(matrix, tuple(cluster), self.field)
 
     def mutate_sequence(self, indices: Iterable[int]) -> "Seed":
         """Apply mutations in the order given (first index first)."""
@@ -563,12 +540,7 @@ def hypersurface_relation(n: int) -> Polynomial:
 
 def hypersurface_relation_check(n: int) -> bool:
     """Substitute the actual mutated entries and confirm the relation vanishes."""
-    relation = hypersurface_relation(n)
-    matrix = linear_a_matrix(n)
-    field = FieldTag.Q
-    values = [LaurentPolynomial.variable(1, n, field)]
-    for i in range(1, n + 1):
-        f_i = exchange_polynomial(matrix, i, field)
-        e_i = tuple(1 if p == i - 1 else 0 for p in range(n))
-        values.append(LaurentPolynomial(f_i, e_i))
-    return relation.substitute(values).is_zero
+    seed = Seed.initial(linear_a_matrix(n))
+    values = [seed.cluster[0]] + [seed.mutate(i).cluster[i - 1]
+                                  for i in range(1, n + 1)]
+    return hypersurface_relation(n).substitute(values).is_zero

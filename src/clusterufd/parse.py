@@ -7,9 +7,11 @@ Grammar (whitespace ignored)::
     factor := atom ['^' INT]
     atom   := '(' expr ')' | INT | 'i' | 'x' INT
 
-Division is evaluated in the Laurent ring and therefore requires a divisor
-whose reduced numerator is a single term; anything else is rejected with
-the position of the offending '/'.  The symbol ``i`` needs the field Qi.
+Division is evaluated in the Laurent ring.  The parser accepts only a
+divisor whose reduced numerator is a single term, and rejects anything else
+with the position of the offending '/'.  Parentheses nest at most
+``MAX_NESTING`` deep, so malformed input cannot exhaust the interpreter's
+stack.  The symbol ``i`` needs the field Qi.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(i)|([-+*/^()]))")
 
@@ -58,6 +62,7 @@ class _Parser:
     def __init__(self, text: str, m: int, field: FieldTag):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.m = m
         self.field = field
 
@@ -149,8 +154,13 @@ class _Parser:
             return LaurentPolynomial.constant(self.field.imaginary_unit(),
                                               self.m, self.field)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(
             f"unexpected {text!r}" if text else "unexpected end of input", pos)

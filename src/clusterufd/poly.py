@@ -3,8 +3,10 @@
 Polynomials over Q or Q(i) are stored as dicts mapping exponent tuples to
 nonzero coefficients.  A Laurent polynomial is a polynomial numerator plus a
 monomial denominator exponent vector, kept reduced so that no variable
-divides both.  Variables are addressed 1-based (x1..xm) in every public
-signature; exponent tuples are 0-indexed internally.
+divides both.  ``/`` on Laurent polynomials is exact division: it raises
+``ValueError`` unless the quotient is again Laurent.  Variables are
+addressed 1-based (x1..xm) in every public signature; exponent tuples are
+0-indexed internally.
 
 Two monomial orders are fixed here: ``GREVLEX`` on x1..xm, used for
 leading terms, division, rendering and ideal bases, and ``ELIMINATE_LAST``,
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from operator import add, le, neg, sub
+from functools import reduce
+from operator import add, le, mul, neg, sub
 from typing import Optional, Sequence
 
 from .fields import FieldTag, GaussianRational, nonzero_terms
@@ -291,17 +294,16 @@ class Polynomial:
             raise ValueError(f"expected {self.m} values, got {len(values)}")
         if not values:
             raise ValueError("cannot substitute in a 0-variable ring")
-        ambient_m = values[0].m
-        ambient_field = values[0].field
-        acc = LaurentPolynomial.zero(ambient_m, ambient_field)
+        ambient_m, ambient_field = values[0].m, values[0].field
+        if not self.terms:
+            return LaurentPolynomial.zero(ambient_m, ambient_field)
+        terms = []
         for exp, c in self.terms.items():
-            term = LaurentPolynomial.constant(ambient_field.coerce(c),
-                                              ambient_m, ambient_field)
-            for p, e in enumerate(exp):
-                if e:
-                    term = term * values[p] ** e
-            acc = acc + term
-        return acc
+            factors = [values[p] ** e for p, e in enumerate(exp) if e]
+            if c != 1 or not factors:
+                factors.append(LaurentPolynomial.constant(c, ambient_m, ambient_field))
+            terms.append(reduce(mul, factors))
+        return reduce(add, terms)
 
 
 def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
@@ -479,24 +481,29 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def inverse(self) -> "LaurentPolynomial":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        if not self.is_unit():
-            raise ValueError("only single-term Laurent polynomials are invertible")
-        ((exp, coeff),) = self.num.terms.items()
-        inv_num = Polynomial.monomial(self.field.div(1, coeff),
-                                      self.den, self.m, self.field)
-        return LaurentPolynomial(inv_num, exp)
+        return LaurentPolynomial.one(self.m, self.field) / self
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = LaurentPolynomial.constant(other, self.m, self.field)
+        """Exact division: the quotient must again be a Laurent polynomial.
+
+        Write other = x^w * g / x^d with g free of monomial factors; the
+        quotient is (self.num / g) * x^d / x^(self.den + w), so g must
+        divide self.num exactly, or a ``ValueError`` is raised.
+        """
         if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        self._check_compatible(other)
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                other = LaurentPolynomial.constant(other, self.m, self.field)
+            else:
+                return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        return self * other.inverse()
+        w = other.num.min_exponents()
+        g = self._scale_num(other.num, tuple(map(neg, w)))
+        h = divide_exact(self.num, g)  # also checks the ambient rings
+        if h is None:
+            raise ValueError(f"{g} does not divide {self.num}")
+        return LaurentPolynomial(self._scale_num(h, other.den),
+                                 ev_add(self.den, w))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -11,6 +11,9 @@ in scripts/validate_binomial_criterion.py.
 """
 from __future__ import annotations
 
+import importlib
+import os
+
 import pytest
 
 from clusterufd.factoriality import (
@@ -19,33 +22,20 @@ from clusterufd.factoriality import (
     brute_force_factor,
 )
 from clusterufd.fields import FieldTag
-from clusterufd.poly import Polynomial
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "scripts")
 
 
-def partitions_through(total: int):
-    """All non-increasing tuples of positive integers with sum <= total."""
-    out = [()]
-
-    def rec(remaining, cap, prefix):
-        for first in range(min(remaining, cap), 0, -1):
-            out.append(prefix + (first,))
-            rec(remaining - first, first, prefix + (first,))
-
-    for s in range(1, total + 1):
-        rec(s, s, ())
-    # Deduplicate: rec reaches the same prefix once per target sum.
-    return sorted(set(out))
+@pytest.fixture
+def shapes(monkeypatch):
+    """The shape helpers of scripts/validate_binomial_criterion.py."""
+    monkeypatch.syspath_prepend(SCRIPTS)
+    return importlib.import_module("validate_binomial_criterion")
 
 
-def shape_binomial(a: tuple, b: tuple, field: FieldTag) -> Polynomial:
-    m = max(len(a) + len(b), 1)
-    e1 = tuple(a) + (0,) * (m - len(a))
-    e2 = (0,) * len(a) + tuple(b) + (0,) * (m - len(a) - len(b))
-    return Polynomial(m, field, {e1: 1, e2: 1})
-
-
-def assert_criterion_matches_search(a, b, field):
-    f = shape_binomial(a, b, field)
+def assert_criterion_matches_search(shapes, a, b, field):
+    f = shapes.shape_binomial(a, b, field)
     claim = binomial_irreducible(f)
     assert claim is not None, (a, b)
     factors = brute_force_factor(f)
@@ -61,13 +51,13 @@ def assert_criterion_matches_search(a, b, field):
 
 @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.QI],
                          ids=["Q", "Qi"])
-def test_exhaustive_small_shapes(field):
-    shapes = partitions_through(5)
-    for i, a in enumerate(shapes):
-        for b in shapes[i:]:
+def test_exhaustive_small_shapes(shapes, field):
+    parts = shapes.partitions_through(5)
+    for i, a in enumerate(parts):
+        for b in parts[i:]:
             if not a and not b:
                 continue
-            assert_criterion_matches_search(a, b, field)
+            assert_criterion_matches_search(shapes, a, b, field)
 
 
 BOUNDARY_SHAPES = [
@@ -91,14 +81,16 @@ BOUNDARY_SHAPES = [
 @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.QI],
                          ids=["Q", "Qi"])
 @pytest.mark.parametrize("a,b", BOUNDARY_SHAPES)
-def test_higher_degree_boundary(a, b, field):
-    assert_criterion_matches_search(a, b, field)
+def test_higher_degree_boundary(shapes, a, b, field):
+    assert_criterion_matches_search(shapes, a, b, field)
 
 
-def test_sum_of_two_squares_shape():
+def test_sum_of_two_squares_shape(shapes):
     # gcd(6, 6, 4) = 2, so u^6 + v^6 w^4 = A^2 + B^2 with A, B coprime
     # monomials: irreducible over Q, splits as (A+iB)(A-iB) over Qi.
-    assert binomial_irreducible(shape_binomial((6,), (6, 4), FieldTag.Q)) is True
-    assert binomial_irreducible(shape_binomial((6,), (6, 4), FieldTag.QI)) is False
+    f = shapes.shape_binomial((6,), (6, 4), FieldTag.Q)
+    assert binomial_irreducible(f) is True
+    f = shapes.shape_binomial((6,), (6, 4), FieldTag.QI)
+    assert binomial_irreducible(f) is False
     for field in (FieldTag.Q, FieldTag.QI):
-        assert_criterion_matches_search((6,), (6, 4), field)
+        assert_criterion_matches_search(shapes, (6,), (6, 4), field)

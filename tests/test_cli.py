@@ -264,6 +264,14 @@ class TestMemberAndNormalForm:
         assert code == 3
         assert "position" in body["error"]
 
+    @pytest.mark.parametrize("command", ["member", "normal-form"])
+    def test_deep_nesting_is_an_input_error(self, capsys, command):
+        deep = "(" * 300 + "x1" + ")" * 300
+        code, body = run_json(capsys, command, "--builtin", "A:2",
+                              "--expr", deep)
+        assert code == 3 and body["verdict"] == "error"
+        assert "nested deeper" in body["error"]
+
 
 class TestHypersurface:
     def test_holds(self, capsys):

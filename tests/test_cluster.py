@@ -18,8 +18,10 @@ from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_expression
 from clusterufd.poly import (LaurentPolynomial, MonomialOrder, Polynomial,
                              render_laurent)
+from clusterufd import cluster
 from clusterufd.cluster import (
     ExchangeMatrix,
+    LaurentViolation,
     Seed,
     builtin_matrix,
     builtin_seed,
@@ -242,6 +244,21 @@ class TestSeedMutation:
                     for coeff in entry.num.terms.values():
                         assert Q.is_integer_scalar(coeff)
 
+    def test_non_laurent_quotient_raises(self):
+        seed = Seed(linear_a_matrix(2), [L("x1 + x2"), L("x2")], Q)
+        with pytest.raises(LaurentViolation) as err:
+            seed.mutate(1)
+        assert str(err.value) == ("exchange quotient is not Laurent: "
+                                  "x1 + x2 does not divide x2 + 1")
+
+    def test_frozen_denominator_raises(self):
+        matrix = ExchangeMatrix([[0, 1], [-1, 0], [1, 0]])
+        seed = Seed(matrix, [L("x1*x3", 3), L("x2", 3), L("x3", 3)], Q)
+        with pytest.raises(LaurentViolation) as err:
+            seed.mutate(1)
+        assert str(err.value) == ("mutated entry (x2 + x3)/(x1*x3) has a "
+                                  "frozen variable in its denominator")
+
     def test_dedup_key_ignores_order(self):
         # After five alternating flips the cluster is (x2, x1): a different
         # seed object carrying the same unordered cluster.
@@ -448,6 +465,11 @@ class TestHypersurface:
     def test_small_cases_vanish(self):
         for n in (2, 3, 4):
             assert hypersurface_relation_check(n)
+
+    def test_wrong_relation_fails(self, monkeypatch):
+        monkeypatch.setattr(cluster, "hypersurface_relation",
+                            lambda n: hypersurface_relation(n) + 1)
+        assert not hypersurface_relation_check(4)
 
     def test_rank2_shape(self):
         rel = hypersurface_relation(2)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_laurent, random_polynomial
 from clusterufd.fields import FieldTag, GaussianRational
-from clusterufd.parse import ParseError, parse_expression, parse_polynomial
+from clusterufd.parse import (MAX_NESTING, ParseError, parse_expression,
+                              parse_polynomial)
 from clusterufd.poly import (
     ELIMINATE_LAST,
     GREVLEX,
@@ -319,6 +320,20 @@ class TestLaurent:
         with pytest.raises(ValueError):
             L("x1 + 1") ** -1
 
+    def test_exact_division_by_a_non_unit(self):
+        num = L("x1^2 - 1") / L("x2")
+        den = L("x1 - 1") / L("x2^2")
+        assert num / den == L("(x1 + 1)*x2")
+        assert L("x1^2*x2 + x1*x2^2") / L("x1 + x2") == L("x1*x2")
+
+    def test_division_by_a_non_divisor(self):
+        with pytest.raises(ValueError, match="x1 - 1 does not divide x2 \\+ 1"):
+            L("(x2 + 1)/x1") / L("x1^2 - x1")
+        with pytest.raises(ZeroDivisionError):
+            L("x1 + 1") / LaurentPolynomial.zero(2, Q)
+        with pytest.raises(ZeroDivisionError):
+            L("x1 + 1") / 0
+
     def test_polynomial_detection(self):
         assert L("x1 + x2").is_polynomial()
         assert not L("(x2 + 1)/x1").is_polynomial()
@@ -406,6 +421,14 @@ class TestRenderParse:
             parse_expression("1/0", 2, Q)
         # Dividing by a fraction that *reduces* to a single term is fine.
         assert L("x1/(x1*x2/x1)") == L("x1/x2")
+
+    def test_nesting_depth(self):
+        deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert L(deep) == L("x1")
+        with pytest.raises(ParseError) as err:
+            parse_expression("(" + deep + ")", 2, Q)
+        assert err.value.position == MAX_NESTING + 1
+        assert f"deeper than {MAX_NESTING}" in str(err.value)
 
     def test_truncated_input(self):
         with pytest.raises(ParseError):

@@ -108,17 +108,25 @@ class TestRepresentation:
             laurent = [u / v, v.inverse(), parse_expression(str(u), 3, field),
                        parse_expression(f"({u}) / ({v})", 3, field)]
             assert laurent[2] == u and laurent[3] == laurent[0]
+            # exact division by a non-unit, with and without denominators
+            nonunit = b + Polynomial.monomial(1, (4, 0, 0), 3, field)
+            w = LaurentPolynomial(nonunit, (0, 0, 0)) * v
+            laurent_quotients = [LaurentPolynomial(a * nonunit, (0, 0, 0))
+                                 / LaurentPolynomial(nonunit, (0, 0, 0)),
+                                 (u * w) / w]
+            assert laurent_quotients[0] == LaurentPolynomial(a, (0, 0, 0))
+            assert laurent_quotients[1] == u
             others = [*basis, normal_form(g1 * g2 + g1 + 1, basis)]
 
             exact_quotients = [r for r in quotients if r is not None]
             for value in products + exact_quotients + laurent + others:
                 assert all(exact(c, field) for c in coefficients(value)), value
-            for value in products + exact_quotients:
+            for value in products + exact_quotients + laurent_quotients:
                 assert all(canonical(c, field)
                            for c in coefficients(value)), value
             if field is Q:
                 # integral operands, integral results: plain ints throughout
-                for value in (a * b, a ** 3, quotients[1]):
+                for value in (a * b, a ** 3, quotients[1], laurent_quotients[0]):
                     assert all(type(c) is int
                                for c in coefficients(value)), value
 
@@ -192,11 +200,15 @@ SRC_DIR = os.path.dirname(os.path.abspath(clusterufd.__file__))
 
 # Every other coefficient division goes through FieldTag.div, since
 # ``int / int`` gives a float and Polynomial._raw does not coerce.
+# The ``/`` of ``Seed.mutate``, ``LaurentPolynomial.inverse`` and
+# ``_Parser.term`` divides Laurent polynomials, not coefficients.
 DIVISION_ALLOWED = {
+    "cluster.Seed.mutate",
     "cluster.find_skew_symmetrizer",
     "fields.FieldTag.div",
     "parse._Parser.term",
     "poly.LaurentPolynomial.__rtruediv__",
+    "poly.LaurentPolynomial.inverse",
 }
 
 
