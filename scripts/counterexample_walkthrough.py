@@ -41,7 +41,7 @@ def main() -> int:
           [render_polynomial(g) for g in witnesses])
 
     for a in ((0, 1, 1), (1, 1, 0), (1, 1, 1)):
-        outcome = conjecture_check(ideals, a, override_assumptions=True)
+        outcome = conjecture_check(ideals, a)
         extra = f" witness {outcome.witness}" if outcome.witness is not None else ""
         print(f"multi-index {a}: {outcome.status}{extra}")
 

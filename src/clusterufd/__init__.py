@@ -25,8 +25,8 @@ _EXPORTS = {
         "ReducibleExchangePolynomial", "SinkSourceSplit", "SupportCertificate",
         "UFD", "algebra_membership",
         "binomial_irreducible", "binomial_witness_factors",
-        "brute_force_factor", "certify", "check_assumptions",
-        "conjecture_check", "conjecture_sweep", "necessary_conditions",
+        "brute_force_factor", "certify", "conjecture_check",
+        "conjecture_sweep", "gate", "necessary_conditions",
         "inductive_prover", "multi_indices_of_weight", "normal_form_element",
         "ufd_verdict"),
     "fields": ("FieldTag", "GaussianRational"),

@@ -141,19 +141,24 @@ def _cover_list(certificate) -> list[dict]:
             for inside, outside, rule in certificate.cubes]
 
 
+def _problem(verdict) -> str:
+    """Why a NotUFD or Inconclusive verdict gives no certificate."""
+    from .factoriality import NotUFD
+    if isinstance(verdict, NotUFD):
+        return f"necessary conditions already fail: {verdict.witness}"
+    if verdict.stuck_supports:
+        return f"certificate search stuck at supports {list(verdict.stuck_supports)}"
+    return verdict.reason
+
+
 def _require_certificate(ideals):
     """``certify``'s verified certificate, or a reason string why none is
     available."""
-    from .factoriality import UFD, NotUFD, certify
+    from .factoriality import UFD, certify
     verdict = certify(ideals)
     if isinstance(verdict, UFD):
         return verdict.certificate, None
-    if isinstance(verdict, NotUFD):
-        return None, f"necessary conditions already fail: {verdict.witness}"
-    if verdict.stuck_supports:
-        return None, (f"certificate search stuck at supports "
-                      f"{list(verdict.stuck_supports)}")
-    return None, verdict.reason
+    return None, _problem(verdict)
 
 
 # -- command handlers --------------------------------------------------------
@@ -243,7 +248,8 @@ def _cmd_verify_laurent(args, report: _Report) -> int:
 
 def _cmd_check_conjecture(args, report: _Report) -> int:
     seed = _load_seed(args)
-    from .factoriality import ExchangeIdeals, conjecture_check, conjecture_sweep
+    from .factoriality import (ExchangeIdeals, conjecture_check,
+                               conjecture_sweep, gate)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     budget = _budget(args)
     if (args.index is None) == (args.max_total_degree is None):
@@ -254,13 +260,16 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
         except ValueError:
             raise ValueError(f"--index must be comma-separated integers, "
                              f"got {args.index!r}")
-        outcomes = [conjecture_check(ideals, a, budget,
-                                     override_assumptions=args.override_assumptions)]
     elif args.max_total_degree < 1:
         raise ValueError("--max-total-degree must be positive")
+    stop = None if args.override_assumptions else gate(ideals)
+    if stop is not None:
+        raise ValueError(f"{_problem(stop)}; pass --override-assumptions "
+                         f"to probe anyway")
+    if args.index is not None:
+        outcomes = [conjecture_check(ideals, a, budget)]
     else:
-        outcomes = conjecture_sweep(ideals, args.max_total_degree, budget,
-                                    override_assumptions=args.override_assumptions)
+        outcomes = conjecture_sweep(ideals, args.max_total_degree, budget)
     last = outcomes[-1]
     report.set("checked", len(outcomes))
     report.set("multi_index", list(last.multi_index))

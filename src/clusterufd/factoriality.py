@@ -4,16 +4,18 @@ One pipeline, ``certify``, decides a seed in four stages, in this order:
 the necessary conditions on the exchange polynomials (reducible or
 coinciding f_i refute unique factorization outright), the standing
 assumptions (a connected exchange matrix, an acyclic principal quiver), the
-certificate cover and the certificate's verification.  In the cover, each
-of three combinatorial lemmas holds on a subcube of the supports of mutable
-indices, and the certificate is a set of such cubes that covers every
-nonempty support; a complete certificate proves that products of the
-exchange ideals agree with their intersections for every multi-index, which
-is the criterion for the upper cluster algebra to be a UFD.  Certificates
-are re-checked, never trusted, and ``ufd_verdict`` additionally
-cross-validates a UFD verdict against direct Groebner computations at small
-multi-indices; disagreement there raises ``ConsistencyError`` because it
-can only mean a bug.
+certificate cover and the certificate's verification.  The first two
+stages are ``gate``, the one place that orders them.  ``conjecture_check``
+and ``conjecture_sweep`` probe any seed; a caller that refuses a seed the
+gate stops asks ``gate`` first.  In the cover, each of three combinatorial
+lemmas holds on a subcube of the supports of mutable indices, and the
+certificate is a set of such cubes that covers every nonempty support; a
+complete certificate proves that products of the exchange ideals agree with
+their intersections for every multi-index, which is the criterion for the
+upper cluster algebra to be a UFD.  Certificates are re-checked, never
+trusted, and ``ufd_verdict`` additionally cross-validates a UFD verdict
+against direct Groebner computations at small multi-indices; disagreement
+there raises ``ConsistencyError`` because it can only mean a bug.
 """
 from __future__ import annotations
 
@@ -342,40 +344,8 @@ class ConjectureOutcome(NamedTuple):
     detail: str = ""
 
 
-# Why ``certify`` is Inconclusive on an oriented cycle; ``ufd_verdict``
-# recognizes that case by this text.
-_CYCLE_REASON = "the principal quiver has an oriented cycle"
-
-
-def _structure_problem(matrix: ExchangeMatrix) -> Optional[str]:
-    """Why the matrix is not connected and acyclic, or None."""
-    if not is_connected(matrix):
-        return "the exchange matrix is not connected"
-    if not is_acyclic(matrix):
-        return _CYCLE_REASON
-    return None
-
-
-def check_assumptions(ideals: ExchangeIdeals) -> Optional[str]:
-    """A human-readable reason the standing assumptions fail, or None: the
-    gate of ``conjecture_check``.  It asks, in ``certify``'s order, for the
-    necessary conditions and then for a connected acyclic matrix."""
-    try:
-        witness = necessary_conditions(ideals)
-    except ValueError:
-        # a zero column leaves some f_i constant: name the disconnection
-        problem = _structure_problem(ideals.matrix)
-        if problem is None:
-            raise
-        return problem
-    if witness is not None:
-        return f"necessary conditions already fail: {witness}"
-    return _structure_problem(ideals.matrix)
-
-
 def conjecture_check(ideals: ExchangeIdeals, multi_index: Sequence[int],
-                     budget: Optional[GroebnerBudget] = None,
-                     override_assumptions: bool = False) -> ConjectureOutcome:
+                     budget: Optional[GroebnerBudget] = None) -> ConjectureOutcome:
     """Does prod_i (x_i, f_i)^(a_i) equal the intersection of the powers?
 
     The containment product <= intersection is asserted unconditionally via
@@ -390,12 +360,6 @@ def conjecture_check(ideals: ExchangeIdeals, multi_index: Sequence[int],
     a = tuple(multi_index)
     if len(a) != ideals.n or any(x < 0 for x in a):
         raise ValueError(f"multi-index must have {ideals.n} non-negative entries")
-    if not override_assumptions:
-        problem = check_assumptions(ideals)
-        if problem is not None:
-            raise ValueError(
-                f"{problem}; pass override_assumptions=True "
-                "(--override-assumptions) to probe anyway")
     active = [i for i in range(1, ideals.n + 1) if a[i - 1] > 0]
     if not active:
         return ConjectureOutcome("holds", a, detail="zero multi-index is trivial")
@@ -432,17 +396,13 @@ def multi_indices_of_weight(n: int, weight: int):
 
 
 def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
-                     budget: Optional[GroebnerBudget] = None,
-                     override_assumptions: bool = False) -> list[ConjectureOutcome]:
+                     budget: Optional[GroebnerBudget] = None) -> list[ConjectureOutcome]:
     """``conjecture_check`` at every multi-index of weight 1..degree_bound,
-    in order, stopping after the first outcome that does not hold.  The
-    standing assumptions do not depend on the multi-index, so unless
-    overridden they are checked at the first one only."""
+    in order, stopping after the first outcome that does not hold."""
     outcomes = []
     for weight in range(1, degree_bound + 1):
         for a in multi_indices_of_weight(ideals.n, weight):
-            outcomes.append(conjecture_check(ideals, a, budget,
-                                             override_assumptions or bool(outcomes)))
+            outcomes.append(conjecture_check(ideals, a, budget))
             if outcomes[-1].status != "holds":
                 return outcomes
     return outcomes
@@ -706,15 +666,6 @@ class SupportCertificate:
         cubes = [(_bits(inside), _bits(outside)) for inside, outside, _ in self.cubes]
         return _listing(_first_cubes(cubes, self.n), labels)
 
-    @property
-    def entries(self) -> dict[tuple[int, ...], Optional[Justification]]:
-        """Each support's first rule (None when no cube holds), in
-        ``combinations`` order; this lists all 2^n - 1 supports, so it is for
-        small n only."""
-        rules = [rule for _, _, rule in self.cubes] + [None]
-        return {support: rules[first]
-                for support, first in self.listing(range(1, self.n + 1))}
-
     def verify(self, matrix: ExchangeMatrix) -> list[str]:
         """A list of problems; empty means the certificate checks out."""
         problems = []
@@ -765,7 +716,7 @@ def inductive_prover(ideals: ExchangeIdeals) -> ProverResult:
 
     Assumes the standing assumptions (connected, acyclic, coprime
     irreducible exchange polynomials) were already verified, as ``certify``
-    does before it calls this.
+    does through ``gate`` before it calls this.
     When the cover has a hole, the stuck supports are every support no rule
     holds on, for n <= ``MAX_CERTIFICATE_N``, and past that one stuck
     support: the smallest support of the hole found, shrunk by
@@ -813,23 +764,38 @@ class Inconclusive(NamedTuple):
 
 UFDVerdict = Union[NotUFD, UFD, Inconclusive]
 
+# Why ``gate`` is Inconclusive on an oriented cycle; ``ufd_verdict``
+# recognizes that case by this text.
+_CYCLE_REASON = "the principal quiver has an oriented cycle"
 
-def certify(ideals: ExchangeIdeals) -> UFDVerdict:
-    """The four stages in order: the necessary conditions, the standing
-    assumptions, the certificate cover and its verification.
 
-    NotUFD with the first necessary condition that fails; Inconclusive with
-    the standing assumption that fails (and no stuck supports), or with the
-    stuck supports of the cover; else UFD with a verified certificate.  No
-    weight sweep runs here, so the verdict's bound is 0.  A certificate
-    that fails its verification raises ``ConsistencyError``.
-    """
+def gate(ideals: ExchangeIdeals) -> Optional[Union[NotUFD, Inconclusive]]:
+    """The first two stages of ``certify``: NotUFD with the first necessary
+    condition that fails, else Inconclusive (no stuck supports, bound 0)
+    with the standing assumption that fails, else None when both hold.  A
+    zero column raises ``ValueError`` from ``necessary_conditions``."""
     witness = necessary_conditions(ideals)
     if witness is not None:
         return NotUFD(witness)
-    problem = _structure_problem(ideals.matrix)
-    if problem is not None:
-        return Inconclusive(problem, (), 0)
+    if not is_connected(ideals.matrix):
+        return Inconclusive("the exchange matrix is not connected", (), 0)
+    if not is_acyclic(ideals.matrix):
+        return Inconclusive(_CYCLE_REASON, (), 0)
+    return None
+
+
+def certify(ideals: ExchangeIdeals) -> UFDVerdict:
+    """The four stages in order: ``gate`` (the necessary conditions, then
+    the standing assumptions), the certificate cover and its verification.
+
+    ``gate``'s verdict when it has one; else Inconclusive with the stuck
+    supports of the cover, or UFD with a verified certificate.  No weight
+    sweep runs here, so the verdict's bound is 0.  A certificate that fails
+    its verification raises ``ConsistencyError``.
+    """
+    stop = gate(ideals)
+    if stop is not None:
+        return stop
     result = inductive_prover(ideals)
     if result.certificate is None:
         return Inconclusive("no applicable lemma for some supports",
@@ -859,9 +825,7 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
         return verdict
     if isinstance(verdict, UFD) and ideals.n > 8 and degree_bound > 0:
         return verdict._replace(notes="cross-check skipped (n > 8)")
-    # certify has already checked the standing assumptions
-    outcomes = conjecture_sweep(ideals, degree_bound, budget,
-                                override_assumptions=True)
+    outcomes = conjecture_sweep(ideals, degree_bound, budget)
     stop = outcomes[-1] if outcomes and outcomes[-1].status != "holds" else None
     bound = degree_bound if stop is None else sum(stop.multi_index) - 1
     fails = stop is not None and stop.status == "fails"

@@ -11,11 +11,16 @@ Division is evaluated in the Laurent ring.  The parser accepts only a
 divisor whose reduced numerator is a single term, and rejects anything else
 with the position of the offending '/'.  Parentheses nest at most
 ``MAX_NESTING`` deep, so malformed input cannot exhaust the interpreter's
-stack.  The symbol ``i`` needs the field Qi.
+stack.  A power is refused at its '^' before it is expanded when the
+exponent exceeds ``MAX_EXPONENT``, or when a base of t terms raised to k
+could have more than ``MAX_POWER_TERMS`` terms, the count of monomials of
+degree k in t symbols, C(t + k - 1, k); so a short input cannot ask for
+minutes of arithmetic.  The symbol ``i`` needs the field Qi.
 """
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .fields import FieldTag
 from .poly import LaurentPolynomial, Polynomial
@@ -30,6 +35,8 @@ class ParseError(ValueError):
 
 
 MAX_NESTING = 100
+MAX_EXPONENT = 1000
+MAX_POWER_TERMS = 5000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(i)|([-+*/^()]))")
 
@@ -127,14 +134,24 @@ class _Parser:
 
     def factor(self) -> LaurentPolynomial:
         value = self.atom()
-        kind, text, pos = self.peek()
+        kind, text, caret = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             kind, text, pos = self.peek()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.advance()
-            value = value ** int(text)
+            k = int(text)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", caret)
+            # the zero base has no terms; one keeps C(t + k - 1, k) defined at 0^0
+            t = max(len(value.num.terms), 1)
+            bound = comb(t + k - 1, k)
+            if bound > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"a {t}-term base to the power {k} may have {bound} "
+                    f"terms, more than {MAX_POWER_TERMS}", caret)
+            value = value ** k
         return value
 
     def atom(self) -> LaurentPolynomial:

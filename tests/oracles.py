@@ -151,6 +151,15 @@ class RowsOracle:
         return next((c for c in candidates if self.holds(support, c)), None)
 
 
+def certificate_entries(certificate) -> dict:
+    """Each nonempty support's first rule (None when no cube holds), in
+    ``combinations`` order, read from ``SupportCertificate.listing``; this
+    lists all 2^n - 1 supports, so it is for small n only."""
+    rules = [rule for _, _, rule in certificate.cubes] + [None]
+    return {support: rules[first]
+            for support, first in certificate.listing(range(1, certificate.n + 1))}
+
+
 def oracle_listing(rows) -> list[dict]:
     """The per-support listing of a certified seed as a list of dicts, each
     support's rule taken from ``RowsOracle.first_match``, so it shares no

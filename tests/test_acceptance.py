@@ -131,7 +131,7 @@ def test_criterion_2_laurent_and_counts():
 def test_criterion_3_cycle_counterexample():
     """The oriented triangle separates product from intersection."""
     ideals = ExchangeIdeals(builtin_matrix("cyclicA3"))
-    outcome = conjecture_check(ideals, (1, 1, 1), override_assumptions=True)
+    outcome = conjecture_check(ideals, (1, 1, 1))
     assert outcome.status == "fails"
     witness = outcome.witness
     assert str(witness) == "x1 + x2 + x3"

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import time
 from contextlib import redirect_stdout
 from importlib import import_module
 
@@ -21,7 +22,7 @@ from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
                                      ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
 from conftest import random_acyclic_seed, run_python
-from oracles import RowsOracle, oracle_listing
+from oracles import RowsOracle, certificate_entries, oracle_listing
 
 STUCK_SEED = {
     "n": 4, "m": 4,
@@ -272,6 +273,16 @@ class TestMemberAndNormalForm:
         assert code == 3 and body["verdict"] == "error"
         assert "nested deeper" in body["error"]
 
+    @pytest.mark.parametrize("expr", ["(x1 + x2 + 1)^200", "(x1 + 1)^5000",
+                                      "(x1 + x2 + 1)^1000"])
+    def test_large_power_is_refused_quickly(self, capsys, expr):
+        start = time.perf_counter()
+        code, body = run_json(capsys, "member", "--builtin", "A:2",
+                              "--expr", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and body["verdict"] == "error"
+        assert f"(at position {expr.index('^') + 1})" in body["error"]
+
 
 class TestHypersurface:
     def test_holds(self, capsys):
@@ -474,7 +485,7 @@ PROVE_UFD_STDOUT_SHA256 = {
         "6c48ce04b2393d6cd7a1f2d6325fc403641037075ee9a52a39a08604f20f54dd",
 }
 
-# sha256 of repr(list(certificate.entries.items())), insertion order
+# sha256 of repr(list(certificate_entries(certificate).items())), insertion order
 # included, so both the justifications and the search order are pinned.
 CERTIFICATE_ENTRIES_SHA256 = {
     "A:1": "7aba7d71df40383fb24feac7dc30ec30c9230347dd949f07f792b4a169b1ce84",
@@ -518,7 +529,7 @@ class TestCertificatePins:
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_ENTRIES_SHA256))
     def test_certificate_entries(self, name):
         result = inductive_prover(ExchangeIdeals(builtin_matrix(name)))
-        text = repr(list(result.certificate.entries.items()))
+        text = repr(list(certificate_entries(result.certificate).items()))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == CERTIFICATE_ENTRIES_SHA256[name]
 
@@ -664,8 +675,9 @@ class TestDisconnected:
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 2, "m": 3,
                                     "matrix": [[0, 0], [0, 0], [1, 0]]}))
-        for command in ("verdict", "prove-ufd"):
-            code, body = run_json(capsys, command, "--seed", str(path))
+        for command, *rest in (("verdict",), ("prove-ufd",),
+                               ("check-conjecture", "--index", "1,1")):
+            code, body = run_json(capsys, command, "--seed", str(path), *rest)
             assert code == 3
             assert "column 2 is zero" in body["error"]
 
@@ -710,13 +722,15 @@ class TestSweepBounds:
 
 class TestNecessaryConditionsOnce:
     """Every command that needs the necessary conditions runs them once, and
-    a zero column is an input error in all four certificate commands."""
+    a zero column is an input error in all five gated commands."""
 
     @pytest.mark.parametrize("argv", [("verdict", "--builtin", "E:6"),
                                       ("prove-ufd", "--builtin", "E:6"),
                                       ("member", "--builtin", "A:4",
                                        "--expr", "(x2 + 1)/x1"),
-                                      ("verdict", "--builtin", "A:3")])
+                                      ("verdict", "--builtin", "A:3"),
+                                      ("check-conjecture", "--builtin", "A:4",
+                                       "--max-total-degree", "2")])
     def test_checks_run_once(self, capsys, monkeypatch, argv):
         calls = []
         witness = factoriality.necessary_conditions

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_acyclic_seed, random_polynomial
-from oracles import RowsOracle, power_membership_linear
+from oracles import RowsOracle, certificate_entries, power_membership_linear
 from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
@@ -36,9 +36,9 @@ from clusterufd.factoriality import (
     binomial_witness_factors,
     brute_force_factor,
     certify,
-    check_assumptions,
     conjecture_check,
     conjecture_sweep,
+    gate,
     necessary_conditions,
     inductive_prover,
     multi_indices_of_weight,
@@ -351,24 +351,15 @@ class TestNecessaryConditions:
             necessary_conditions(
                 ExchangeIdeals(ExchangeMatrix([[0, 0], [0, 0]])))
 
-    def test_check_assumptions_messages(self):
-        assert check_assumptions(ideals_for("A:2")) is None
-        assert "cycle" in check_assumptions(ideals_for("cyclicA3"))
-        assert "connected" in check_assumptions(
-            ExchangeIdeals(ExchangeMatrix([[0, 0], [0, 0]])))
-        assert "necessary" in check_assumptions(ideals_for("A:3"))
-        assert check_assumptions(ideals_for("A:3")) \
-            == "necessary conditions already fail: f_1 = f_3 = x2 + 1"
-
     def test_gate_checks_in_certify_order(self):
-        # disconnected, and f_1 = x3^3 + 1 factors: both the gate and
-        # certify name the reducible f_1 first
+        # disconnected, and f_1 = x3^3 + 1 factors: certify's verdict is the
+        # gate's, which names the reducible f_1 first
         ideals = ExchangeIdeals(ExchangeMatrix([[0, 0], [0, 0], [3, 0], [0, 3]]))
         assert isinstance(certify(ideals), NotUFD)
-        assert check_assumptions(ideals) == ("necessary conditions already fail: "
-                                             "f_1 factors as (x3 + 1) * (x3^2 - x3 + 1)")
-        with pytest.raises(ValueError, match="--override-assumptions"):
-            conjecture_check(ideals, (1, 1))
+        assert gate(ideals) == certify(ideals)
+        assert gate(ideals_for("A:2")) is None
+        for name in ("A:3", "cyclicA3"):
+            assert gate(ideals_for(name)) == certify(ideals_for(name))
 
 
 # -- the ideal-equality conjecture -------------------------------------------
@@ -389,7 +380,7 @@ class TestConjecture:
     def test_cycle_counterexample(self):
         ideals = ideals_for("cyclicA3")
         for a in ((1, 1, 0), (1, 1, 1)):
-            outcome = conjecture_check(ideals, a, override_assumptions=True)
+            outcome = conjecture_check(ideals, a)
             assert outcome.status == "fails"
             assert str(outcome.witness) == "x1 + x2 + x3"
 
@@ -397,7 +388,7 @@ class TestConjecture:
         # Re-verify the counterexample without trusting conjecture_check:
         # the witness lies in each power yet misses the product ideal.
         ideals = ideals_for("cyclicA3")
-        outcome = conjecture_check(ideals, (1, 1, 1), override_assumptions=True)
+        outcome = conjecture_check(ideals, (1, 1, 1))
         w = outcome.witness
         for i in (1, 2, 3):
             assert ideals.power_membership(w, i, 1)
@@ -406,12 +397,6 @@ class TestConjecture:
             ideal_product(ideals.power_ideal(1, 1), ideals.power_ideal(2, 1)),
             ideals.power_ideal(3, 1))
         assert not ideal_membership(w, product)
-
-    def test_assumption_gate(self):
-        with pytest.raises(ValueError):
-            conjecture_check(ideals_for("cyclicA3"), (1, 1, 1))
-        with pytest.raises(ValueError):
-            conjecture_check(ideals_for("A:3"), (1, 1, 1))
 
     def test_bad_multi_index(self):
         ideals = ideals_for("A:2")
@@ -452,7 +437,7 @@ class TestCertificates:
     def test_single_vertex(self):
         result = inductive_prover(ideals_for("A:1"))
         assert len(result.certificate) == 1
-        assert isinstance(result.certificate.entries[(1,)], FreeIndex)
+        assert isinstance(certificate_entries(result.certificate)[(1,)], FreeIndex)
 
     def test_weighted_chain_gets_stuck(self):
         result = inductive_prover(ExchangeIdeals(ExchangeMatrix(STUCK_ROWS)))
@@ -460,8 +445,8 @@ class TestCertificates:
         assert result.stuck_supports == ((2, 3),)
 
     def test_deterministic(self):
-        a = inductive_prover(ideals_for("A:4")).certificate.entries
-        b = inductive_prover(ideals_for("A:4")).certificate.entries
+        a = certificate_entries(inductive_prover(ideals_for("A:4")).certificate)
+        b = certificate_entries(inductive_prover(ideals_for("A:4")).certificate)
         assert a == b
 
     def test_size_cap(self):
@@ -794,8 +779,7 @@ class TestConjectureSweep:
         assert outcomes == [conjecture_check(ideals, a) for a in expected]
 
     def test_stops_after_first_outcome_that_does_not_hold(self):
-        outcomes = conjecture_sweep(ideals_for("cyclicA3"), 3,
-                                    override_assumptions=True)
+        outcomes = conjecture_sweep(ideals_for("cyclicA3"), 3)
         assert [o.status for o in outcomes] == ["holds"] * 4 + ["fails"]
         assert outcomes[-1].multi_index == (0, 1, 1)
         budgeted = conjecture_sweep(ideals_for("A:4"), 2,
@@ -803,18 +787,11 @@ class TestConjectureSweep:
         assert budgeted[-1].status == "inconclusive"
         assert all(o.status == "holds" for o in budgeted[:-1])
 
-    def test_assumptions_checked_at_first_index_only(self, monkeypatch):
-        calls = []
-        original = factoriality.check_assumptions
-        monkeypatch.setattr(factoriality, "check_assumptions",
-                            lambda ideals: calls.append(ideals) or original(ideals))
-        assert len(conjecture_sweep(ideals_for("A:2"), 3)) == 9
-        assert len(calls) == 1
-
     def test_empty_and_gated(self):
         assert conjecture_sweep(ideals_for("A:2"), 0) == []
-        with pytest.raises(ValueError, match="override_assumptions"):
-            conjecture_sweep(ideals_for("cyclicA3"), 1)
+        # a seed the gate stops is probed all the same
+        swept = conjecture_sweep(ideals_for("cyclicA3"), 1)
+        assert [o.status for o in swept] == ["holds"] * 3
 
 
 class TestVerdictStages:
@@ -824,7 +801,7 @@ class TestVerdictStages:
         assert isinstance(verdict, Inconclusive)
         assert verdict.reason.startswith("the exchange matrix is not connected")
         assert verdict.stuck_supports == ()
-        swept = conjecture_sweep(ideals, 2, override_assumptions=True)
+        swept = conjecture_sweep(ideals, 2)
         assert all(o.status == "holds" for o in swept)
         assert verdict.verified_bound == 2
 
@@ -838,9 +815,9 @@ class TestVerdictStages:
     @pytest.mark.parametrize("name", ["A:2", "cyclicA3"])
     def test_assumptions_checked_once(self, monkeypatch, name):
         calls = []
-        original = factoriality._structure_problem
-        monkeypatch.setattr(factoriality, "_structure_problem",
-                            lambda matrix: calls.append(matrix) or original(matrix))
+        original = factoriality.gate
+        monkeypatch.setattr(factoriality, "gate",
+                            lambda ideals: calls.append(ideals) or original(ideals))
         ufd_verdict(ideals_for(name), degree_bound=2)
         assert len(calls) == 1
 
@@ -890,7 +867,7 @@ class TestRuleTable:
         if stuck:
             assert result.certificate is None
         else:
-            assert list(result.certificate.entries.items()) == expected
+            assert list(certificate_entries(result.certificate).items()) == expected
 
     @seed(20261018)
     @settings(max_examples=60, deadline=None)
@@ -1001,7 +978,7 @@ class TestCoverOracle:
         assert (hole is None) == (not stuck)
         result = inductive_prover(ideals)
         if hole is None:
-            assert list(result.certificate.entries.items()) == expected
+            assert list(certificate_entries(result.certificate).items()) == expected
             return
         assert result.certificate is None
         inside, outside = (set(factoriality._support(mask)) for mask in hole)
@@ -1030,9 +1007,9 @@ class TestFirstCubeTable:
                          if inside & mask == inside and not outside & mask),
                         len(cubes))
             assert first[mask] == scan
-        matches = SupportCertificate(
+        matches = certificate_entries(SupportCertificate(
             [(factoriality._support(inside), factoriality._support(outside), rule)
-             for rule, (inside, outside) in table.items()], n).entries
+             for rule, (inside, outside) in table.items()], n))
         assert list(matches) == supports_in_order(n)
         for support, rule in matches.items():
             assert rule == oracle.first_match(support)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_laurent, random_polynomial
 from clusterufd.fields import FieldTag, GaussianRational
-from clusterufd.parse import (MAX_NESTING, ParseError, parse_expression,
-                              parse_polynomial)
+from clusterufd.parse import (MAX_EXPONENT, MAX_NESTING, MAX_POWER_TERMS,
+                              ParseError, parse_expression, parse_polynomial)
 from clusterufd.poly import (
     ELIMINATE_LAST,
     GREVLEX,
@@ -429,6 +429,18 @@ class TestRenderParse:
             parse_expression("(" + deep + ")", 2, Q)
         assert err.value.position == MAX_NESTING + 1
         assert f"deeper than {MAX_NESTING}" in str(err.value)
+
+    def test_power_bounds(self):
+        # a power is refused at its '^' before anything is expanded
+        for text in (f"x1^{MAX_EXPONENT + 1}", "(x1 + x2 + 1)^100"):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text, 2, Q)
+            assert err.value.position == text.index("^") + 1
+        assert L(f"x1^{MAX_EXPONENT}") == L("x1") ** MAX_EXPONENT
+        # C(t + k - 1, k) terms, exact for these bases: 5,151 for the
+        # refused (x1 + x2 + 1)^100, 1,891 for (x1 + x2 + 1)^60
+        assert len(L("(x1 + x2 + 1)^60").num.terms) == 1891 <= MAX_POWER_TERMS
+        assert L("0^0") == L("1")
 
     def test_truncated_input(self):
         with pytest.raises(ParseError):

@@ -170,8 +170,7 @@ class TestRealCoefficientsOverQi:
             return [(o.status, o.multi_index, o.detail,
                      None if o.witness is None else typed_terms(o.witness.terms))
                     for o in conjecture_sweep(
-                        ExchangeIdeals(builtin_matrix(name), field), 3,
-                        override_assumptions=True)]
+                        ExchangeIdeals(builtin_matrix(name), field), 3)]
 
         for name in ("A:3", "A:4", "D:4"):
             assert outcomes(name, Q) == outcomes(name, QI), name
