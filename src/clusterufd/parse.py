@@ -14,8 +14,14 @@ with the position of the offending '/'.  Parentheses nest at most
 stack.  A power is refused at its '^' before it is expanded when the
 exponent exceeds ``MAX_EXPONENT``, or when a base of t terms raised to k
 could have more than ``MAX_POWER_TERMS`` terms, the count of monomials of
-degree k in t symbols, C(t + k - 1, k); so a short input cannot ask for
-minutes of arithmetic.  The symbol ``i`` needs the field Qi.
+degree k in t symbols, C(t + k - 1, k).  A product is refused at its '*'
+when its numerator could have more than ``MAX_POWER_TERMS`` terms: factors
+whose numerators have t1 and t2 terms and total degrees d1 and d2 give a
+numerator of at most min(t1 * t2, C(m + d1 + d2, m)) terms, the second
+count being that of the monomials of degree at most d1 + d2 in x1..xm.  So
+a short input cannot ask for minutes of arithmetic.  A number, literal or
+variable index, of more than ``MAX_DIGITS`` digits is refused where it
+stands.  The symbol ``i`` needs the field Qi.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ class ParseError(ValueError):
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 5000
+MAX_DIGITS = 4300  # Python's default limit on int() of a decimal string
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(i)|([-+*/^()]))")
 
@@ -52,6 +59,11 @@ def _tokenize(text: str):
                 break
             bad_at = len(text) - len(stripped) + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
+        digits = (match.group(1) or match.group(2) or "").lstrip("x")
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(
+                f"a number of {len(digits)} digits is longer than "
+                f"{MAX_DIGITS} digits", match.start(match.lastindex) + 1)
         if match.group(1) is not None:
             tokens.append(("int", match.group(1), match.start(1) + 1))
         elif match.group(2) is not None:
@@ -120,6 +132,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if text == "*":
+                    self.check_product(value, rhs, pos)
                     value = value * rhs
                 else:
                     if rhs.is_zero:
@@ -131,6 +144,19 @@ class _Parser:
                     value = value / rhs
             else:
                 return value
+
+    def check_product(self, a: LaurentPolynomial, b: LaurentPolynomial,
+                      star: int):
+        """Refuse a product whose numerator may pass ``MAX_POWER_TERMS``."""
+        bound = len(a.num.terms) * len(b.num.terms)
+        if bound > MAX_POWER_TERMS:
+            degree = a.num.total_degree() + b.num.total_degree()
+            bound = min(bound, comb(self.m + degree, self.m))
+        if bound > MAX_POWER_TERMS:
+            raise ParseError(
+                f"a product of {len(a.num.terms)}-term and "
+                f"{len(b.num.terms)}-term factors may have {bound} terms, "
+                f"more than {MAX_POWER_TERMS}", star)
 
     def factor(self) -> LaurentPolynomial:
         value = self.atom()

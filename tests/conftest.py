@@ -27,14 +27,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def python_env() -> dict:
+    """The environment with the package under test first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter with the package under test
     first on PYTHONPATH; ``run_python("-m", "clusterufd.cli", ...)`` runs
     the CLI the way users and the benchmark do."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=python_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 

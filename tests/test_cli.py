@@ -6,6 +6,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from importlib import import_module
@@ -21,7 +23,7 @@ from clusterufd.cluster import builtin_matrix
 from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
                                      ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
-from conftest import random_acyclic_seed, run_python
+from conftest import python_env, random_acyclic_seed, run_python
 from oracles import RowsOracle, certificate_entries, oracle_listing
 
 STUCK_SEED = {
@@ -283,6 +285,24 @@ class TestMemberAndNormalForm:
         assert code == 3 and body["verdict"] == "error"
         assert f"(at position {expr.index('^') + 1})" in body["error"]
 
+    def test_large_product_is_refused_at_the_star(self, capsys):
+        # both factors are expanded (1,891 terms each), then the '*'
+        # refuses a product that may have 7,381 terms, whose expansion
+        # took seconds
+        expr = "(x1 + x2 + 1)^60*(x1 + x2 + 1)^60"
+        code, body = run_json(capsys, "member", "--builtin", "A:2",
+                              "--expr", expr)
+        assert code == 3 and body["verdict"] == "error"
+        assert f"(at position {expr.index('*') + 1})" in body["error"]
+
+    @pytest.mark.parametrize("expr, position", [
+        ("x1^" + "9" * 5000, 4), ("9" * 5000, 1)])
+    def test_long_digit_run_is_an_input_error(self, capsys, expr, position):
+        code, body = run_json(capsys, "member", "--builtin", "A:2",
+                              "--expr", expr)
+        assert code == 3 and body["verdict"] == "error"
+        assert body["error"].endswith(f"(at position {position})")
+
 
 class TestHypersurface:
     def test_holds(self, capsys):
@@ -354,6 +374,22 @@ class TestContract:
         ("hypersurface", "--n", "3", "--field", "Qi")])
     def test_options_a_command_does_not_read_are_usage_errors(self, capsys, argv):
         assert run(capsys, *argv)[0] == 3
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_not_an_error(self):
+        # a report of about 190 KB, past Linux's default 64 KB pipe buffer,
+        # so the command is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "clusterufd.cli", "member", "--builtin",
+             "A:2", "--expr", "(x1 + x2 + 1)^90", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env())
+        head = proc.stdout.read(250)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head.startswith(b"{") and "Traceback" not in err, err
 
 
 class TestInternalErrors:

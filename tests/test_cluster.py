@@ -123,6 +123,22 @@ class TestExchangeMatrix:
         with pytest.raises(ValueError):
             linear_a_matrix(2).mutate(3)    # frozen rows are not mutable
 
+    def test_mutation_matches_entrywise_formula(self):
+        rng = random.Random(127)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            mat = ExchangeMatrix(
+                random_skew_symmetrizable(rng, n, frozen=rng.randint(0, 3)))
+            k = rng.randint(1, n)
+            b = mat.rows
+            expected = tuple(
+                tuple(-b[i][j] if k - 1 in (i, j) else
+                      b[i][j] + (abs(b[i][k - 1]) * b[k - 1][j]
+                                 + b[i][k - 1] * abs(b[k - 1][j])) // 2
+                      for j in range(n))
+                for i in range(mat.m))
+            assert mat.mutate(k).rows == expected, (b, k)
+
     def test_mutation_is_involution(self):
         rng = random.Random(97)
         for _ in range(100):
@@ -335,9 +351,9 @@ class TestEnumeration:
         calls = []
         mutate = Seed.mutate
 
-        def counted_mutate(seed, k):
+        def counted_mutate(seed, k, *rest):
             calls.append(k)
-            return mutate(seed, k)
+            return mutate(seed, k, *rest)
 
         monkeypatch.setattr(Seed, "mutate", counted_mutate)
         seed = builtin_seed(name)
@@ -546,9 +562,9 @@ class TestMutationWork:
         counts = {"mutate": 0, "mul": 0}
         mutate, mul = Seed.mutate, Polynomial.__mul__
 
-        def counted_mutate(seed, k):
+        def counted_mutate(seed, k, *rest):
             counts["mutate"] += 1
-            return mutate(seed, k)
+            return mutate(seed, k, *rest)
 
         def counted_mul(a, b):
             counts["mul"] += 1
@@ -561,8 +577,10 @@ class TestMutationWork:
         assert (result.count, result.seeds_seen, result.complete) == (27, 429, True)
         # each of the 429 * 6 / 2 edges of the exchange graph is computed
         # from one end only (2,146 mutations and 822 products while the
-        # search skipped just the direction back to a seed's parent)
-        assert counts == {"mutate": 1287, "mul": 495}
+        # search skipped just the direction back to a seed's parent), and
+        # each exchange relation is evaluated once (495 products while every
+        # mutation evaluated its own)
+        assert counts == {"mutate": 1287, "mul": 90}
 
     def test_enumerate_a6_order_keys(self, monkeypatch):
         calls = []
@@ -575,9 +593,66 @@ class TestMutationWork:
         monkeypatch.setattr(MonomialOrder, "key", counted_key)
         enumerate_cluster_variables(builtin_seed("A:6"))
         # exact division keys each remainder term once, when it enters
-        # (44,407 keys when every step re-keyed the whole remainder, and
-        # 21,307 while the search computed most edges from both ends)
-        assert len(calls) == 11850
+        # (44,407 keys when every step re-keyed the whole remainder,
+        # 21,307 while the search computed most edges from both ends, and
+        # 11,850 while every mutation divided its own exchange relation)
+        assert len(calls) == 1483
+
+    @pytest.mark.parametrize("name, relations", [("A:6", 126), ("E:6", 447)])
+    def test_each_exchange_relation_evaluated_once(self, monkeypatch, name,
+                                                   relations):
+        calls = []
+        substitute = Polynomial.substitute
+
+        def counted_substitute(poly, values):
+            calls.append(poly)
+            return substitute(poly, values)
+
+        monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
+        enumerate_cluster_variables(builtin_seed(name))
+        # A:6 has C(9, 4) = 126 relations, one per crossing pair of
+        # diagonals of the 9-gon, over its 1,287 mutations; E:6 has 447
+        # over 2,499
+        assert len(calls) == relations
+
+    def test_cached_entries_equal_entries_from_scratch(self, monkeypatch):
+        mutate = Seed.mutate
+        hits = []
+
+        def checked_mutate(seed, k, exchanges=None):
+            known = len(exchanges)
+            cached = mutate(seed, k, exchanges)
+            hits.append(len(exchanges) == known)
+            scratch = mutate(seed, k)
+            assert (cached.cluster, cached.matrix) \
+                == (scratch.cluster, scratch.matrix)
+            return cached
+
+        monkeypatch.setattr(Seed, "mutate", checked_mutate)
+        rng = random.Random(131)
+        for _ in range(12):
+            rows = random_acyclic_seed(rng, rng.randint(2, 5),
+                                       rng.randint(1, 3))
+            enumerate_cluster_variables(Seed.initial(ExchangeMatrix(rows)),
+                                        max_seeds=rng.randint(5, 40))
+        assert any(hits) and not all(hits)
+
+    def test_cache_key_tells_relations_apart(self):
+        # one cache shared by seeds on one cluster whose relations differ
+        # only in an exponent, in the side a row is on, or in the old entry
+        exchanges = {}
+        for rows in ([[0, 1], [-1, 0], [1, 0]],
+                     [[0, 1], [-2, 0], [1, 0]],
+                     [[0, 1], [-1, 0], [-1, 0]],
+                     [[0, -1], [1, 0], [-1, 0]],  # the first, sides swapped
+                     [[0, 0], [0, 0], [1, 1]]):
+            seed = Seed.initial(ExchangeMatrix(rows))
+            for k in (1, 2):
+                assert seed.mutate(k, exchanges).cluster \
+                    == seed.mutate(k).cluster, (rows, k)
+        # the first four seeds share x2*x2' = x1 + 1, and the fourth
+        # repeats the first's relation at 1
+        assert len(exchanges) == 6
 
     @pytest.mark.parametrize("name, path, max_seeds", [
         ("A:4", (2, 3, 1), 10_000),

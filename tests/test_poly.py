@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import random_laurent, random_polynomial
 from clusterufd.fields import FieldTag, GaussianRational
-from clusterufd.parse import (MAX_EXPONENT, MAX_NESTING, MAX_POWER_TERMS,
-                              ParseError, parse_expression, parse_polynomial)
+from clusterufd.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING,
+                              MAX_POWER_TERMS, ParseError, parse_expression,
+                              parse_polynomial)
 from clusterufd.poly import (
     ELIMINATE_LAST,
     GREVLEX,
@@ -441,6 +442,42 @@ class TestRenderParse:
         # refused (x1 + x2 + 1)^100, 1,891 for (x1 + x2 + 1)^60
         assert len(L("(x1 + x2 + 1)^60").num.terms) == 1891 <= MAX_POWER_TERMS
         assert L("0^0") == L("1")
+
+    @pytest.mark.parametrize("text, terms", [
+        # t1 * t2 = 5 * 1000 terms, exactly the bound
+        ("(x1 + 1)^4*(x2 + 1)^999", 5000),
+        # 50 * 1275 term pairs, but only C(2 + 98, 2) = 4,950 monomials of
+        # degree at most 98 in x1, x2 (the product has those of degree 49
+        # to 98)
+        ("(x1 + x2)^49*(x1 + x2 + 1)^49", 3725),
+    ])
+    def test_product_bound_admits(self, text, terms):
+        assert len(L(text).num.terms) == terms <= MAX_POWER_TERMS
+
+    @pytest.mark.parametrize("text", [
+        "(x1 + 1)^4*(x2 + 1)^1000",        # 5 * 1001 = 5,005 terms
+        "(x1 + x2)^49*(x1 + x2 + 1)^50",   # C(2 + 99, 2) = 5,050 monomials
+        "x1*(x1 + x2 + 1)^60*(x1 + x2 + 1)^60",
+    ])
+    def test_product_bound_refuses_at_the_star(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 2, Q)
+        assert err.value.position == text.rindex("*") + 1
+        assert f"more than {MAX_POWER_TERMS}" in str(err.value)
+
+    @pytest.mark.parametrize("text, position", [
+        ("9" * (MAX_DIGITS + 1), 1),
+        ("x1^" + "9" * (MAX_DIGITS + 1), 4),
+        ("x1 + x" + "1" * (MAX_DIGITS + 1), 6),
+    ])
+    def test_long_digit_runs_refused_with_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 2, Q)
+        assert err.value.position == position
+        assert f"{MAX_DIGITS + 1} digits" in str(err.value)
+
+    def test_longest_digit_run_is_read(self):
+        assert L("1" * MAX_DIGITS) == L("1" * MAX_DIGITS + "*1")
 
     def test_truncated_input(self):
         with pytest.raises(ParseError):
