@@ -14,8 +14,8 @@ _EXPORTS = {
         "StructureReport", "builtin_matrix", "builtin_seed",
         "cyclic_a3_matrix", "d_matrix", "e_matrix",
         "enumerate_cluster_variables", "exchange_polynomial",
-        "find_skew_symmetrizer", "hypersurface_relation",
-        "hypersurface_relation_check", "kronecker_matrix", "linear_a_matrix",
+        "find_skew_symmetrizer", "hypersurface_relation_check",
+        "kronecker_matrix", "linear_a_matrix",
         "load_seed_file", "rank2_matrix", "seed_from_dict",
         "structure_report", "verify_laurent_property"),
     "factoriality": (

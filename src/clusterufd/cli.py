@@ -150,13 +150,14 @@ def _max_seeds(args) -> int:
     return args.max_seeds
 
 
-def _matrix_rows(matrix) -> list[list[int]]:
-    return [list(row) for row in matrix.rows]
-
-
-def _cover_list(certificate) -> list[dict]:
-    return [{"inside": list(inside), "outside": list(outside), **rule.to_json()}
-            for inside, outside, rule in certificate.cubes]
+def _set_cover(report: _Report, certificate):
+    """Set "cover"; a JSON report up to ``MAX_CERTIFICATE_N`` gets the listing."""
+    from .factoriality import MAX_CERTIFICATE_N
+    report.set("cover", [{"inside": list(inside), "outside": list(outside),
+                          **rule.to_json()}
+                         for inside, outside, rule in certificate.cubes])
+    if report.as_json and certificate.n <= MAX_CERTIFICATE_N:
+        report.certificate = certificate
 
 
 def _problem(verdict) -> str:
@@ -191,11 +192,11 @@ def _cmd_mutate(args, report: _Report) -> int:
     mutated = seed.mutate_sequence(indices)
     report.set("sequence", indices)
     report.set("order", "applied left to right (first index first)")
-    report.set("matrix", _matrix_rows(mutated.matrix))
+    report.set("matrix", [list(row) for row in mutated.matrix.rows])
     report.set("cluster", [str(entry) for entry in mutated.cluster])
     report.text(f"applied mutations {indices} (left to right)")
     report.text("matrix:")
-    for row in _matrix_rows(mutated.matrix):
+    for row in mutated.matrix.rows:
         report.text("  " + " ".join(f"{b:3d}" for b in row))
     for i, entry in enumerate(mutated.cluster, start=1):
         report.text(f"entry {i}: {entry}")
@@ -217,13 +218,7 @@ def _cmd_structure(args, report: _Report) -> int:
     from .cluster import structure_report
     seed = _load_seed(args)
     rep = structure_report(seed.matrix)
-    report.set("n", rep.n)
-    report.set("m", rep.m)
-    report.set("skew_symmetrizer", list(rep.skew_symmetrizer))
-    report.set("connected", rep.connected)
-    report.set("acyclic", rep.acyclic)
-    report.set("sources", list(rep.sources))
-    report.set("sinks", list(rep.sinks))
+    report.payload.update(rep._asdict())
     report.set("neighbors", {str(i + 1): list(ns)
                              for i, ns in enumerate(rep.neighbors)})
     report.text(f"n = {rep.n}, m = {rep.m}")
@@ -323,18 +318,15 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
             report.text(verdict.reason)
         return report.emit("inconclusive")
     certificate = verdict.certificate
-    cover = _cover_list(certificate)
-    report.set("cover", cover)
+    _set_cover(report, certificate)
     report.set("supports", len(certificate))
     if certificate.n > MAX_CERTIFICATE_N:
         report.text(f"certificate covers {len(certificate)} supports "
-                    f"with {len(cover)} cubes:")
+                    f"with {len(certificate.cubes)} cubes:")
         for inside, outside, rule in certificate.cubes:
             report.text(f"  in {list(inside)}, out {list(outside)}: "
                         f"{rule.to_json()}")
-    elif report.as_json:
-        report.certificate = certificate
-    else:
+    elif not report.as_json:
         report.text(f"certificate covers {len(certificate)} supports:")
         rules = [rule.to_json() for _, _, rule in certificate.cubes]
         for support, first in certificate.listing(range(1, certificate.n + 1)):
@@ -344,16 +336,14 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
 
 def _cmd_verdict(args, report: _Report) -> int:
     seed = _load_seed(args)
-    from .factoriality import (MAX_CERTIFICATE_N, UFD, ExchangeIdeals,
-                               Inconclusive, NotUFD, ufd_verdict)
+    from .factoriality import (UFD, ExchangeIdeals, Inconclusive, NotUFD,
+                               ufd_verdict)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     verdict = ufd_verdict(ideals, degree_bound=args.bound, budget=_budget(args))
     report.set("field", seed.field.value)
     if isinstance(verdict, UFD):
         certificate = verdict.certificate
-        report.set("cover", _cover_list(certificate))
-        if report.as_json and certificate.n <= MAX_CERTIFICATE_N:
-            report.certificate = certificate
+        _set_cover(report, certificate)
         report.set("cross_checked_bound", verdict.cross_checked_bound)
         if verdict.notes:
             report.set("notes", verdict.notes)

@@ -125,9 +125,9 @@ class ExchangeMatrix:
     def mutate(self, k: int) -> "ExchangeMatrix":
         """Matrix mutation in direction k (mutable, 1-based).
 
-        b'_ij = -b_ij if i = k or j = k, else
-        b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2; a row other than k with
-        b_ik = 0 is therefore unchanged and is reused as it is.
+        b'_ij = -b_ij if i = k or j = k, else b_ij + |b_ik| b_kj when
+        b_ik b_kj > 0 and b_ij otherwise; a row other than k with b_ik = 0 is
+        therefore unchanged and is reused as it is.
         """
         if not 1 <= k <= self.n:
             raise ValueError(f"mutation index {k} outside 1..{self.n}")
@@ -138,12 +138,9 @@ class ExchangeMatrix:
             bik = row[kp]
             if i == kp:
                 row = tuple([-b for b in row])
-            elif bik > 0:   # b_ij + b_ik [b_kj]_+
-                row = [b + bik * bkj if bkj > 0 else b for b, bkj in zip(row, row_k)]
-                row[kp] = -bik
-                row = tuple(row)
-            elif bik < 0:   # b_ij - |b_ik| [-b_kj]_+
-                row = [b - bik * bkj if bkj < 0 else b for b, bkj in zip(row, row_k)]
+            elif bik:
+                row = [b + abs(bik) * bkj if bik * bkj > 0 else b
+                       for b, bkj in zip(row, row_k)]
                 row[kp] = -bik
                 row = tuple(row)
             new_rows.append(row)
@@ -152,7 +149,7 @@ class ExchangeMatrix:
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Mutable indices j with b_ij != 0, for any row index i in 1..m."""
         row = self.rows[i - 1]
-        return tuple(j for j in range(1, self.n + 1) if row[j - 1] != 0 and j != i)
+        return tuple(j for j in range(1, self.n + 1) if row[j - 1] != 0)
 
     def is_source(self, i: int) -> bool:
         """No arrow points into i: column i is non-positive (all m rows)."""
@@ -192,12 +189,10 @@ def exchange_polynomial(matrix: ExchangeMatrix, j: int,
 def is_connected(matrix: ExchangeMatrix) -> bool:
     """Whether the rows 1..m are connected by the nonzero entries b_ij."""
     m, n = matrix.m, matrix.n
-    if m == 1:
-        return True
     adj = [set() for _ in range(m)]
     for i in range(m):
         for j in range(n):
-            if i != j and matrix.rows[i][j] != 0:
+            if matrix.rows[i][j] != 0:
                 adj[i].add(j)
                 adj[j].add(i)
     seen = {0}
@@ -244,9 +239,7 @@ class StructureReport(NamedTuple):
 
 
 def structure_report(matrix: ExchangeMatrix) -> StructureReport:
-    symmetrizer, refutation = find_skew_symmetrizer(matrix.principal())
-    if refutation is not None:  # unreachable for a validated matrix
-        raise ValueError(refutation)
+    symmetrizer, _ = find_skew_symmetrizer(matrix.principal())
     sources = tuple(i for i in range(1, matrix.n + 1) if matrix.is_source(i))
     sinks = tuple(i for i in range(1, matrix.n + 1) if matrix.is_sink(i))
     return StructureReport(
@@ -292,8 +285,8 @@ class Seed:
         The new entry is f_k evaluated at the cluster, divided exactly by the
         old entry; the Laurent phenomenon makes that quotient Laurent.
 
-        ``exchanges``, when given, maps each exchange relation already
-        evaluated to its new entry, and ``enumerate_cluster_variables`` keeps
+        ``exchanges``, a fresh dict unless given, maps each exchange relation
+        already evaluated to its new entry; ``enumerate_cluster_variables`` keeps
         one for the length of a search.  A relation is keyed by the old entry
         x_k and the unordered pair of its monomial sides, each the set of
         pairs (c_i, |b_ik|) over the rows, frozen ones included, with
@@ -303,23 +296,21 @@ class Seed:
         edge skip, the cache rests on no theorem about cluster algebras.
         The matrix mutation and the frozen-denominator check run either way.
         """
+        exchanges = {} if exchanges is None else exchanges
         matrix = self.matrix.mutate(k)
         old = self.cluster[k - 1]
-        new_entry = None
-        if exchanges is not None:
-            column = self.matrix.column(k)
-            positive = frozenset([(c, b) for c, b in zip(self.cluster, column) if b > 0])
-            negative = frozenset([(c, -b) for c, b in zip(self.cluster, column) if b < 0])
-            key = (old, frozenset((positive, negative)))
-            new_entry = exchanges.get(key)
+        column = self.matrix.column(k)
+        positive = frozenset([(c, b) for c, b in zip(self.cluster, column) if b > 0])
+        negative = frozenset([(c, -b) for c, b in zip(self.cluster, column) if b < 0])
+        key = (old, frozenset((positive, negative)))
+        new_entry = exchanges.get(key)
         if new_entry is None:
             total = exchange_polynomial(self.matrix, k, self.field).substitute(self.cluster)
             try:
                 new_entry = total / old
             except ValueError as exc:
                 raise LaurentViolation(f"exchange quotient is not Laurent: {exc}") from None
-            if exchanges is not None:
-                exchanges[key] = new_entry
+            exchanges[key] = new_entry
         if any(new_entry.den[p] for p in range(self.matrix.n, self.matrix.m)):
             raise LaurentViolation(
                 f"mutated entry {new_entry} has a frozen variable in its denominator")
@@ -410,20 +401,18 @@ def verify_laurent_property(seed: Seed, max_seeds: int = 1_000) -> tuple[Enumera
     to be empty; a violation would be a bug, not a mathematical discovery).
     """
     result = enumerate_cluster_variables(seed, max_seeds)
-    n = seed.matrix.n
-    field = seed.field
-    problems = []
-    for v in result.variables:
-        if any(v.den[p] for p in range(n, seed.matrix.m)):
-            problems.append(f"{v}: denominator involves a frozen variable")
-        if not all(field.is_integer_scalar(c) for c in v.num.terms.values()):
-            problems.append(f"{v}: non-integer coefficient")
-    return result, problems
+    integer = seed.field.is_integer_scalar
+    return result, [f"{v}: non-integer coefficient" for v in result.variables
+                    if not all(integer(c) for c in v.num.terms.values())]
 
 
 # -- builtin families --------------------------------------------------------
 
+MAX_BUILTIN_RANK = 256  # the largest n of A_n and D_n; see the README
+
 def _matrix_from_arrows(n: int, arrows: Iterable[tuple[int, int]]) -> ExchangeMatrix:
+    if n > MAX_BUILTIN_RANK:
+        raise ValueError(f"rank {n} is above the largest builtin rank {MAX_BUILTIN_RANK}")
     rows = [[0] * n for _ in range(n)]
     for i, j in arrows:
         rows[i - 1][j - 1] = 1
@@ -550,32 +539,21 @@ def load_seed_file(path: str, field_override: Optional[FieldTag] = None) -> Seed
 
 # -- hypersurface relations --------------------------------------------------
 
-def hypersurface_relation(n: int) -> Polynomial:
-    """The polynomial relating x_1 and the once-mutated entries of linear A_n.
-
-    Lives in n+1 variables: position 1 is x_1, positions 2..n+1 are the
-    entries obtained by mutating the initial seed once at 1, ..., n.
-    """
-    if n < 2:
-        raise ValueError("hypersurface relations need n >= 2")
-    m2 = n + 1
-    field = FieldTag.Q
-    x1 = Polynomial.variable(1, m2, field)
-    primed = [None] + [Polynomial.variable(i + 1, m2, field) for i in range(1, n + 1)]
-    relations: dict[int, Polynomial] = {}
-    relations[2] = x1 * primed[1] * primed[2] - x1 - primed[2] - 1
-    if n >= 3:
-        relations[3] = (x1 * primed[1] * primed[2] * primed[3]
-                        - primed[2] * primed[3] - x1 * primed[3] - x1 * primed[1])
-    for k in range(4, n + 1):
-        relations[k] = (primed[k] * relations[k - 1] + primed[k]
-                        - relations[k - 2] - 2)
-    return relations[n]
+def _relation(x1, primed):
+    """R_n(x1, x'_1..x'_n) of linear A_n, n = len(primed), in any ring:
+    R_0 = x1 - 1, R_1 = x1 x'_1 - 2, R_k = x'_k R_{k-1} + x'_k - R_{k-2} - 2
+    (Berenstein-Fomin-Zelevinsky, Cluster algebras III, Duke 2005)."""
+    before, relation = x1 - 1, x1 * primed[0] - 2
+    for value in primed[1:]:
+        before, relation = relation, value * relation + value - before - 2
+    return relation
 
 
 def hypersurface_relation_check(n: int) -> bool:
-    """Substitute the actual mutated entries and confirm the relation vanishes."""
+    """Evaluate R_n at x1 and the entries of linear A_n mutated once at
+    1..n, and confirm it vanishes; R_k evaluates to x_{k+1} - 1 for k < n."""
+    if n < 2:
+        raise ValueError("hypersurface relations need n >= 2")
     seed = Seed.initial(linear_a_matrix(n))
-    values = [seed.cluster[0]] + [seed.mutate(i).cluster[i - 1]
-                                  for i in range(1, n + 1)]
-    return hypersurface_relation(n).substitute(values).is_zero
+    primed = [seed.mutate(k).cluster[k - 1] for k in range(1, n + 1)]
+    return _relation(seed.cluster[0], primed).is_zero

@@ -21,14 +21,14 @@ numerator of at most min(t1 * t2, C(m + d1 + d2, m)) terms, the second
 count being that of the monomials of degree at most d1 + d2 in x1..xm.  So
 a short input cannot ask for minutes of arithmetic.  A number, literal or
 variable index, of more than ``MAX_DIGITS`` digits is refused where it
-stands.  The symbol ``i`` needs the field Qi.
+stands, and a coefficient grown past it at its operator.  ``i`` needs Qi.
 """
 from __future__ import annotations
 
 import re
 from math import comb
 
-from .fields import FieldTag
+from .fields import FieldTag, GaussianRational
 from .poly import LaurentPolynomial, Polynomial
 
 
@@ -44,6 +44,7 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 5000
 MAX_DIGITS = 4300  # Python's default limit on int() of a decimal string
+_DIGIT_BOUND = 10 ** MAX_DIGITS  # the least number of MAX_DIGITS + 1 digits
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(i)|([-+*/^()]))")
 
@@ -116,11 +117,12 @@ class _Parser:
         if negate:
             value = -value
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
+                value = self.check_digits(
+                    value + rhs if text == "+" else value - rhs, pos)
             else:
                 return value
 
@@ -133,7 +135,7 @@ class _Parser:
                 rhs = self.factor()
                 if text == "*":
                     self.check_product(value, rhs, pos)
-                    value = value * rhs
+                    value = self.check_digits(value * rhs, pos)
                 else:
                     if rhs.is_zero:
                         raise ParseError("division by zero", pos)
@@ -141,7 +143,7 @@ class _Parser:
                         raise ParseError(
                             "division requires a divisor that reduces to a "
                             "single term", pos)
-                    value = value / rhs
+                    value = self.check_digits(value / rhs, pos)
             else:
                 return value
 
@@ -157,6 +159,15 @@ class _Parser:
                 f"a product of {len(a.num.terms)}-term and "
                 f"{len(b.num.terms)}-term factors may have {bound} terms, "
                 f"more than {MAX_POWER_TERMS}", star)
+
+    def check_digits(self, value: LaurentPolynomial, op: int):
+        """Refuse a numerator or denominator past ``MAX_DIGITS`` digits."""
+        for c in value.num.terms.values():
+            for p in (c.re, c.im) if isinstance(c, GaussianRational) else (c,):
+                if max(abs(p.numerator), p.denominator) >= _DIGIT_BOUND:
+                    raise ParseError(
+                        f"a coefficient has more than {MAX_DIGITS} digits", op)
+        return value
 
     def factor(self) -> LaurentPolynomial:
         value = self.atom()
@@ -177,7 +188,7 @@ class _Parser:
                 raise ParseError(
                     f"a {t}-term base to the power {k} may have {bound} "
                     f"terms, more than {MAX_POWER_TERMS}", caret)
-            value = value ** k
+            value = self.check_digits(value ** k, caret)
         return value
 
     def atom(self) -> LaurentPolynomial:

@@ -10,6 +10,7 @@ from itertools import combinations, combinations_with_replacement, islice
 from clusterufd.cluster import Seed
 from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
                                      SinkSourceSplit)
+from clusterufd.fields import FieldTag
 from clusterufd.groebner import (DEFAULT_BUDGET, GroebnerBasis, GroebnerBudget,
                                  Ideal, normal_form)
 from clusterufd.poly import MonomialOrder, Polynomial
@@ -196,3 +197,26 @@ def enumerate_every_direction(seed: Seed, max_seeds: int):
     expanded."""
     *_, last = islice(every_direction_search(seed), max_seeds)
     return last
+
+
+def hypersurface_relation(n: int) -> Polynomial:
+    """The polynomial relating x_1 and the once-mutated entries of linear A_n.
+
+    Lives in n+1 variables: position 1 is x_1, positions 2..n+1 are the
+    entries obtained by mutating the initial seed once at 1, ..., n.
+    """
+    if n < 2:
+        raise ValueError("hypersurface relations need n >= 2")
+    m2 = n + 1
+    field = FieldTag.Q
+    x1 = Polynomial.variable(1, m2, field)
+    primed = [None] + [Polynomial.variable(i + 1, m2, field) for i in range(1, n + 1)]
+    relations: dict[int, Polynomial] = {}
+    relations[2] = x1 * primed[1] * primed[2] - x1 - primed[2] - 1
+    if n >= 3:
+        relations[3] = (x1 * primed[1] * primed[2] * primed[3]
+                        - primed[2] * primed[3] - x1 * primed[3] - x1 * primed[1])
+    for k in range(4, n + 1):
+        relations[k] = (primed[k] * relations[k - 1] + primed[k]
+                        - relations[k - 2] - 2)
+    return relations[n]

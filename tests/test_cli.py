@@ -303,6 +303,18 @@ class TestMemberAndNormalForm:
         assert code == 3 and body["verdict"] == "error"
         assert body["error"].endswith(f"(at position {position})")
 
+    @pytest.mark.parametrize("command, tail", [
+        ("member", ""), ("normal-form", " + 1")])
+    def test_coefficient_past_the_digit_limit(self, capsys, command, tail):
+        # (10^4000 - 1)^3 has 12,000 digits, which Python will not print;
+        # the parser refuses it at the '^' that makes it
+        expr = "9" * 4000 + "^3*x1" + tail
+        code, body = run_json(capsys, command, "--builtin", "A:2",
+                              "--expr", expr)
+        assert code == 3 and body["verdict"] == "error"
+        assert body["error"] == ("a coefficient has more than 4300 digits "
+                                 "(at position 4001)")
+
 
 class TestHypersurface:
     def test_holds(self, capsys):
@@ -312,6 +324,18 @@ class TestHypersurface:
     def test_bad_n(self, capsys):
         code, body = run_json(capsys, "hypersurface", "--n", "1")
         assert code == 3
+
+    def test_past_the_rank_cap(self, capsys):
+        code, body = run_json(capsys, "hypersurface", "--n", "257")
+        assert code == 3 and body["verdict"] == "error"
+        assert body["error"] == "rank 257 is above the largest builtin rank 256"
+
+
+@pytest.mark.parametrize("name", ["A:257", "D:257", "A:100000"])
+def test_builtin_past_the_rank_cap(capsys, name):
+    code, body = run_json(capsys, "structure", "--builtin", name)
+    assert code == 3 and body["verdict"] == "error"
+    assert body["error"].endswith("is above the largest builtin rank 256")
 
 
 class TestContract:

@@ -13,7 +13,8 @@ from itertools import islice
 import pytest
 
 from conftest import random_acyclic_seed, random_skew_symmetrizable
-from oracles import enumerate_every_direction, every_direction_search
+from oracles import (enumerate_every_direction, every_direction_search,
+                     hypersurface_relation)
 from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_expression
 from clusterufd.poly import (LaurentPolynomial, MonomialOrder, Polynomial,
@@ -31,7 +32,6 @@ from clusterufd.cluster import (
     enumerate_cluster_variables,
     exchange_polynomial,
     find_skew_symmetrizer,
-    hypersurface_relation,
     hypersurface_relation_check,
     is_acyclic,
     kronecker_matrix,
@@ -408,6 +408,13 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_matrix(bad)
 
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_rank_cap(self, family):
+        largest = builtin_matrix(f"{family}:{cluster.MAX_BUILTIN_RANK}")
+        assert largest.n == cluster.MAX_BUILTIN_RANK
+        with pytest.raises(ValueError, match="above the largest builtin rank"):
+            builtin_matrix(f"{family}:{cluster.MAX_BUILTIN_RANK + 1}")
+
     def test_families_are_acyclic_and_connected(self):
         for name in ("A:1", "A:6", "D:4", "D:6", "E:6", "E:7", "E:8",
                      "rank2:3,1", "kronecker"):
@@ -483,8 +490,9 @@ class TestHypersurface:
             assert hypersurface_relation_check(n)
 
     def test_wrong_relation_fails(self, monkeypatch):
-        monkeypatch.setattr(cluster, "hypersurface_relation",
-                            lambda n: hypersurface_relation(n) + 1)
+        relation = cluster._relation
+        monkeypatch.setattr(cluster, "_relation",
+                            lambda x1, primed: relation(x1, primed) + 1)
         assert not hypersurface_relation_check(4)
 
     def test_rank2_shape(self):
@@ -498,8 +506,34 @@ class TestHypersurface:
         assert r4.total_degree() == 5
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            hypersurface_relation(1)
+        for n in (-1, 0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                hypersurface_relation_check(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_recursion_expands_to_the_oracle(self, n):
+        variables = [Polynomial.variable(i, n + 1, Q) for i in range(1, n + 2)]
+        assert cluster._relation(variables[0], variables[1:]) \
+            == hypersurface_relation(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_check_agrees_with_the_substituted_oracle(self, n):
+        seed = Seed.initial(linear_a_matrix(n))
+        values = [seed.cluster[0]] + [seed.mutate(k).cluster[k - 1]
+                                      for k in range(1, n + 1)]
+        evaluated = cluster._relation(values[0], values[1:])
+        assert evaluated == hypersurface_relation(n).substitute(values)
+        assert hypersurface_relation_check(n) == evaluated.is_zero
+
+    def test_each_shorter_relation_is_the_next_entry_minus_one(self):
+        # R_k = x_{k+1} - 1 at the mutated entries, so the evaluation never
+        # meets the exponentially many terms of the expanded R_n
+        n = 7
+        seed = Seed.initial(linear_a_matrix(n))
+        primed = [seed.mutate(k).cluster[k - 1] for k in range(1, n + 1)]
+        for k in range(1, n):
+            assert cluster._relation(seed.cluster[0], primed[:k]) \
+                == seed.cluster[k] - 1
 
 
 def _adjacency_from_rows(mat: ExchangeMatrix):

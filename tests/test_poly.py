@@ -476,6 +476,26 @@ class TestRenderParse:
         assert err.value.position == position
         assert f"{MAX_DIGITS + 1} digits" in str(err.value)
 
+    @pytest.mark.parametrize("text, operator, field", [
+        ("9" * MAX_DIGITS + " + 1", "+", Q),           # 10^4300
+        ("-" + "9" * MAX_DIGITS + " - 1", "- 1", Q),
+        ("9" * 2200 + "*" + "9" * 2200, "*", Q),
+        ("1/" + "9" * 2200 + " + 1/" + "9" * 2199 + "8", "+ 1/", Q),
+        ("x1/(" + "9" * 2200 + " + i)", "/", FieldTag.QI),  # norm 10^4400
+        ("(" + "9" * 1500 + "*x1 + 1)^3", "^", Q),
+    ], ids=["sum", "difference", "product", "fraction_sum",
+            "gaussian_quotient", "power"])
+    def test_long_coefficients_refused_at_their_operator(self, text,
+                                                         operator, field):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 2, field)
+        assert f"more than {MAX_DIGITS} digits" in str(err.value)
+        assert err.value.position == text.index(operator) + 1
+
+    def test_longest_coefficient_is_kept(self):
+        value = L("9" * MAX_DIGITS + " + 0")
+        assert str(value) == "9" * MAX_DIGITS
+
     def test_longest_digit_run_is_read(self):
         assert L("1" * MAX_DIGITS) == L("1" * MAX_DIGITS + "*1")
 
