@@ -31,8 +31,8 @@ _EXPORTS = {
         "ufd_verdict"),
     "fields": ("FieldTag", "GaussianRational"),
     "groebner": (
-        "BudgetExceeded", "DEFAULT_BUDGET", "GroebnerBasis", "GroebnerBudget",
-        "Ideal", "buchberger", "ideal_intersection",
+        "BudgetExceeded", "DEFAULT_BUDGET", "GroebnerBasis", "Ideal",
+        "buchberger", "ideal_intersection",
         "ideal_intersection_many", "ideal_membership", "ideal_product",
         "normal_form"),
     "parse": ("ParseError", "parse_expression", "parse_polynomial"),

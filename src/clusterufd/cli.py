@@ -134,20 +134,11 @@ def _load_seed(args):
     return load_seed_file(args.seed, field_override=field)
 
 
-def _budget(args):
-    """The --budget as a GroebnerBudget; None means the default budget."""
-    if args.budget is None:
-        return None
-    if args.budget < 1:
-        raise ValueError("--budget must be positive")
-    from .groebner import GroebnerBudget
-    return GroebnerBudget(max_reductions=args.budget)
-
-
-def _max_seeds(args) -> int:
-    if args.max_seeds < 1:
-        raise ValueError("--max-seeds must be positive")
-    return args.max_seeds
+def _positive(value, flag: str):
+    """``value`` unless it is below 1; None passes through."""
+    if value is not None and value < 1:
+        raise ValueError(f"{flag} must be positive")
+    return value
 
 
 def _set_cover(report: _Report, certificate):
@@ -233,7 +224,8 @@ def _cmd_structure(args, report: _Report) -> int:
 def _cmd_enumerate(args, report: _Report) -> int:
     from .cluster import enumerate_cluster_variables
     seed = _load_seed(args)
-    result = enumerate_cluster_variables(seed, max_seeds=_max_seeds(args))
+    result = enumerate_cluster_variables(
+        seed, max_seeds=_positive(args.max_seeds, "--max-seeds"))
     report.set("count", result.count)
     report.set("complete", result.complete)
     report.set("seeds", result.seeds_seen)
@@ -248,7 +240,8 @@ def _cmd_enumerate(args, report: _Report) -> int:
 def _cmd_verify_laurent(args, report: _Report) -> int:
     from .cluster import verify_laurent_property
     seed = _load_seed(args)
-    result, problems = verify_laurent_property(seed, max_seeds=_max_seeds(args))
+    result, problems = verify_laurent_property(
+        seed, max_seeds=_positive(args.max_seeds, "--max-seeds"))
     report.set("count", result.count)
     report.set("complete", result.complete)
     report.set("violations", problems)
@@ -264,17 +257,16 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
     from .factoriality import (ExchangeIdeals, conjecture_check,
                                conjecture_sweep, gate)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
-    budget = _budget(args)
+    budget = _positive(args.budget, "--budget")
     if (args.index is None) == (args.max_total_degree is None):
         raise ValueError("pass exactly one of --index or --max-total-degree")
+    _positive(args.max_total_degree, "--max-total-degree")
     if args.index is not None:
         try:
             a = tuple(int(tok) for tok in args.index.split(","))
         except ValueError:
             raise ValueError(f"--index must be comma-separated integers, "
                              f"got {args.index!r}")
-    elif args.max_total_degree < 1:
-        raise ValueError("--max-total-degree must be positive")
     stop = None if args.override_assumptions else gate(ideals)
     if stop is not None:
         raise ValueError(f"{_problem(stop)}; pass --override-assumptions "
@@ -318,16 +310,17 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
             report.text(verdict.reason)
         return report.emit("inconclusive")
     certificate = verdict.certificate
+    supports = (1 << certificate.n) - 1  # past len()'s range from n = 64
     _set_cover(report, certificate)
-    report.set("supports", len(certificate))
+    report.set("supports", supports)
     if certificate.n > MAX_CERTIFICATE_N:
-        report.text(f"certificate covers {len(certificate)} supports "
+        report.text(f"certificate covers {supports} supports "
                     f"with {len(certificate.cubes)} cubes:")
         for inside, outside, rule in certificate.cubes:
             report.text(f"  in {list(inside)}, out {list(outside)}: "
                         f"{rule.to_json()}")
     elif not report.as_json:
-        report.text(f"certificate covers {len(certificate)} supports:")
+        report.text(f"certificate covers {supports} supports:")
         rules = [rule.to_json() for _, _, rule in certificate.cubes]
         for support, first in certificate.listing(range(1, certificate.n + 1)):
             report.text(f"  {list(support)}: {rules[first]}")
@@ -339,7 +332,8 @@ def _cmd_verdict(args, report: _Report) -> int:
     from .factoriality import (UFD, ExchangeIdeals, Inconclusive, NotUFD,
                                ufd_verdict)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
-    verdict = ufd_verdict(ideals, degree_bound=args.bound, budget=_budget(args))
+    verdict = ufd_verdict(ideals, degree_bound=args.bound,
+                          budget=_positive(args.budget, "--budget"))
     report.set("field", seed.field.value)
     if isinstance(verdict, UFD):
         certificate = verdict.certificate
@@ -347,7 +341,7 @@ def _cmd_verdict(args, report: _Report) -> int:
         report.set("cross_checked_bound", verdict.cross_checked_bound)
         if verdict.notes:
             report.set("notes", verdict.notes)
-        report.text(f"UFD: certificate covers {len(certificate)} "
+        report.text(f"UFD: certificate covers {(1 << certificate.n) - 1} "
                     f"supports, cross-checked to weight "
                     f"{verdict.cross_checked_bound}")
         return report.emit("UFD")
@@ -386,7 +380,7 @@ def _cmd_member(args, report: _Report) -> int:
 def _cmd_normal_form(args, report: _Report) -> int:
     seed = _load_seed(args)
     from .factoriality import ExchangeIdeals, normal_form_element
-    from .parse import parse_polynomial
+    from .parse import check_digits, parse_polynomial
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     p = parse_polynomial(args.expr, seed.matrix.m, seed.field)
     certificate, problem = _require_certificate(ideals)
@@ -395,6 +389,8 @@ def _cmd_normal_form(args, report: _Report) -> int:
         report.text(str(problem))
         return report.emit("inconclusive")
     result = normal_form_element(ideals, p, certificate)
+    # over Q(i), dividing by the leading coefficient can double a denominator
+    check_digits(result.value, 1)
     report.set("value", str(result.value))
     report.set("normal_monomial", list(result.normal_monomial))
     report.set("irreducibility", result.irreducibility)

@@ -33,7 +33,7 @@ from .poly import GREVLEX, LaurentPolynomial, Polynomial, divide_exact
 # The Groebner kernel is imported where the ideals and the weight sweep use
 # it, so the certificate commands never load it.
 if TYPE_CHECKING:
-    from .groebner import GroebnerBudget, Ideal
+    from .groebner import Ideal
 
 
 class ConsistencyError(RuntimeError):
@@ -345,7 +345,7 @@ class ConjectureOutcome(NamedTuple):
 
 
 def conjecture_check(ideals: ExchangeIdeals, multi_index: Sequence[int],
-                     budget: Optional[GroebnerBudget] = None) -> ConjectureOutcome:
+                     budget: Optional[int] = None) -> ConjectureOutcome:
     """Does prod_i (x_i, f_i)^(a_i) equal the intersection of the powers?
 
     The containment product <= intersection is asserted unconditionally via
@@ -396,7 +396,7 @@ def multi_indices_of_weight(n: int, weight: int):
 
 
 def conjecture_sweep(ideals: ExchangeIdeals, degree_bound: int,
-                     budget: Optional[GroebnerBudget] = None) -> list[ConjectureOutcome]:
+                     budget: Optional[int] = None) -> list[ConjectureOutcome]:
     """``conjecture_check`` at every multi-index of weight 1..degree_bound,
     in order, stopping after the first outcome that does not hold."""
     outcomes = []
@@ -807,7 +807,7 @@ def certify(ideals: ExchangeIdeals) -> UFDVerdict:
 
 
 def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
-                budget: Optional[GroebnerBudget] = None) -> UFDVerdict:
+                budget: Optional[int] = None) -> UFDVerdict:
     """``certify``, then the direct weight sweep up to ``degree_bound``:
     how far it holds on an Inconclusive verdict, and a cross-validation of
     a UFD verdict.

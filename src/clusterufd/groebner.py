@@ -5,16 +5,17 @@ S-pairs kept in a heap keyed by (lcm degree, i, j) so the smallest lcm
 degree goes first and ties go to the lowest index pair; the
 coprime-leading-term and chain criteria; full tail reduction; and reduced
 monic output sorted by descending leading term, so identical inputs always
-produce identical bases.  A work budget bounds the number of S-pair
-reductions and the basis size; exceeding it raises ``BudgetExceeded``
-rather than silently truncating.  The sequence of S-pair reductions is part
-of that budget contract: a given input needs the same number of reductions
-on every run, so a budget that suffices once always suffices.
+produce identical bases.  Each Buchberger run counts its S-pair reductions
+against an integer budget and its basis size against the fixed cap
+``MAX_BASIS``; passing either raises ``BudgetExceeded`` rather than
+silently truncating.  The sequence of S-pair reductions is part of that
+budget contract: a given input needs the same number of reductions on every
+run, so a budget that suffices once always suffices.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .fields import FieldTag
 from .poly import (ELIMINATE_LAST, GREVLEX, MonomialOrder, Polynomial,
@@ -32,28 +33,8 @@ class BudgetExceeded(Exception):
         self.basis_size = basis_size
 
 
-class GroebnerBudget(NamedTuple):
-    """Work limits for a single Buchberger run."""
-
-    max_reductions: int = 1_000_000
-    max_basis: int = 10_000
-
-
-DEFAULT_BUDGET = GroebnerBudget()
-
-
-class _Work:
-    """Mutable budget accounting shared across one computation."""
-
-    def __init__(self, budget: GroebnerBudget):
-        self.budget = budget
-        self.reductions = 0
-
-    def spend_reduction(self, basis_size: int):
-        self.reductions += 1
-        if (self.reductions > self.budget.max_reductions
-                or basis_size > self.budget.max_basis):
-            raise BudgetExceeded(self.reductions, basis_size)
+DEFAULT_BUDGET = 1_000_000  # S-pair reductions per Buchberger run
+MAX_BASIS = 10_000  # basis elements per Buchberger run
 
 
 def _support_mask(exp) -> int:
@@ -141,9 +122,9 @@ def _s_terms(f: tuple, g: tuple, lcm) -> dict:
 
 
 def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
-               budget: GroebnerBudget = DEFAULT_BUDGET) -> "GroebnerBasis":
-    """Reduced Groebner basis of the given generators under ``order``."""
-    work = _Work(budget)
+               budget: int = DEFAULT_BUDGET) -> "GroebnerBasis":
+    """Reduced Groebner basis of the given generators under ``order``,
+    after at most ``budget`` S-pair reductions."""
     field = generators[0].field
     m = generators[0].m
     key = order.key
@@ -164,6 +145,7 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     # ``pairs`` mirrors the queue for the chain criterion's membership tests.
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple] = []
+    reductions = 0
 
     def add_pair(i, j):
         lcm = ev_max(reducers[i][0], reducers[j][0])
@@ -193,7 +175,9 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                 break
         if skip:
             continue
-        work.spend_reduction(len(reducers))
+        reductions += 1
+        if reductions > budget or len(reducers) > MAX_BASIS:
+            raise BudgetExceeded(reductions, len(reducers))
         s = _s_terms(reducers[i], reducers[j], lcm)
         if not s:
             continue
@@ -280,7 +264,7 @@ class Ideal:
         self.m = m
         self.field = field
 
-    def groebner_basis(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> GroebnerBasis:
+    def groebner_basis(self, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         """The reduced grevlex basis; runs Buchberger on each call."""
         return buchberger(self.generators, GREVLEX, budget)
 
@@ -289,7 +273,7 @@ class Ideal:
 
 
 def ideal_membership(p: Polynomial, ideal: Ideal,
-                     budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+                     budget: int = DEFAULT_BUDGET) -> bool:
     """Whether p lies in the ideal, by reduction to zero."""
     if p.is_zero:
         return True
@@ -302,7 +286,7 @@ def _lift(p: Polynomial, t_degree: int, m2: int, field: FieldTag) -> Polynomial:
 
 
 def ideal_intersection(left: Ideal, right: Ideal,
-                       budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+                       budget: int = DEFAULT_BUDGET) -> Ideal:
     """I ∩ J by elimination: t·I + (1-t)·J with t eliminated.
 
     t is appended as the last variable, x_{m+1}, and eliminated by
@@ -331,7 +315,7 @@ def ideal_intersection(left: Ideal, right: Ideal,
 
 
 def ideal_intersection_many(ideals: Sequence[Ideal],
-                            budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+                            budget: int = DEFAULT_BUDGET) -> Ideal:
     """Iterated pairwise intersection, left to right."""
     if not ideals:
         raise ValueError("need at least one ideal")

@@ -49,6 +49,18 @@ _DIGIT_BOUND = 10 ** MAX_DIGITS  # the least number of MAX_DIGITS + 1 digits
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(i)|([-+*/^()]))")
 
 
+def check_digits(value: LaurentPolynomial, position: int) -> LaurentPolynomial:
+    """``value``, after refusing a coefficient whose numerator or
+    denominator has more than ``MAX_DIGITS`` digits with a ParseError at
+    ``position``."""
+    for c in value.num.terms.values():
+        for p in (c.re, c.im) if isinstance(c, GaussianRational) else (c,):
+            if max(abs(p.numerator), p.denominator) >= _DIGIT_BOUND:
+                raise ParseError(
+                    f"a coefficient has more than {MAX_DIGITS} digits", position)
+    return value
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -121,7 +133,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                value = self.check_digits(
+                value = check_digits(
                     value + rhs if text == "+" else value - rhs, pos)
             else:
                 return value
@@ -135,7 +147,7 @@ class _Parser:
                 rhs = self.factor()
                 if text == "*":
                     self.check_product(value, rhs, pos)
-                    value = self.check_digits(value * rhs, pos)
+                    value = check_digits(value * rhs, pos)
                 else:
                     if rhs.is_zero:
                         raise ParseError("division by zero", pos)
@@ -143,7 +155,7 @@ class _Parser:
                         raise ParseError(
                             "division requires a divisor that reduces to a "
                             "single term", pos)
-                    value = self.check_digits(value / rhs, pos)
+                    value = check_digits(value / rhs, pos)
             else:
                 return value
 
@@ -159,15 +171,6 @@ class _Parser:
                 f"a product of {len(a.num.terms)}-term and "
                 f"{len(b.num.terms)}-term factors may have {bound} terms, "
                 f"more than {MAX_POWER_TERMS}", star)
-
-    def check_digits(self, value: LaurentPolynomial, op: int):
-        """Refuse a numerator or denominator past ``MAX_DIGITS`` digits."""
-        for c in value.num.terms.values():
-            for p in (c.re, c.im) if isinstance(c, GaussianRational) else (c,):
-                if max(abs(p.numerator), p.denominator) >= _DIGIT_BOUND:
-                    raise ParseError(
-                        f"a coefficient has more than {MAX_DIGITS} digits", op)
-        return value
 
     def factor(self) -> LaurentPolynomial:
         value = self.atom()
@@ -188,7 +191,7 @@ class _Parser:
                 raise ParseError(
                     f"a {t}-term base to the power {k} may have {bound} "
                     f"terms, more than {MAX_POWER_TERMS}", caret)
-            value = self.check_digits(value ** k, caret)
+            value = check_digits(value ** k, caret)
         return value
 
     def atom(self) -> LaurentPolynomial:

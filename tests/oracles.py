@@ -11,8 +11,7 @@ from clusterufd.cluster import Seed
 from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
                                      SinkSourceSplit)
 from clusterufd.fields import FieldTag
-from clusterufd.groebner import (DEFAULT_BUDGET, GroebnerBasis, GroebnerBudget,
-                                 Ideal, normal_form)
+from clusterufd.groebner import DEFAULT_BUDGET, GroebnerBasis, Ideal, normal_form
 from clusterufd.poly import MonomialOrder, Polynomial
 
 
@@ -76,7 +75,7 @@ def basis_is_unit(basis: GroebnerBasis) -> bool:
     return len(basis) == 1 and basis.polys[0].total_degree() == 0
 
 
-def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether the ideal is all of the ring (reduced basis {1})."""
     return basis_is_unit(ideal.groebner_basis(budget=budget))
 
@@ -97,7 +96,7 @@ def ideal_power(ideal: Ideal, k: int) -> Ideal:
 
 
 def ideal_equal(left: Ideal, right: Ideal,
-                budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+                budget: int = DEFAULT_BUDGET) -> bool:
     """Mutual containment via normal forms."""
     right_basis = right.groebner_basis(budget=budget)
     if not all(normal_form(g, right_basis).is_zero for g in left.generators):

@@ -315,6 +315,17 @@ class TestMemberAndNormalForm:
         assert body["error"] == ("a coefficient has more than 4300 digits "
                                  "(at position 4001)")
 
+    def test_normal_form_past_the_digit_limit(self, capsys):
+        # every input coefficient is under the limit, but dividing by the
+        # Gaussian leading coefficient c = 10^2200 - 1 + i puts |c|^2, of
+        # 4,400 digits, in the denominator of the normalized value
+        expr = "(" + "9" * 2200 + " + i)*x1 + 1"
+        code, body = run_json(capsys, "normal-form", "--builtin", "A:2",
+                              "--field", "Qi", "--expr", expr)
+        assert code == 3 and body["verdict"] == "error"
+        assert body["error"] == ("a coefficient has more than 4300 digits "
+                                 "(at position 1)")
+
 
 class TestHypersurface:
     def test_holds(self, capsys):
@@ -658,6 +669,14 @@ class TestPastTheListingCap:
         assert code == 0
         assert body["supports"] == 2 ** 20 - 1
         assert "certificate" not in body and len(body["cover"]) == 60
+
+    @pytest.mark.parametrize("command", ["prove-ufd", "verdict"])
+    def test_a70_counts_supports_past_the_index_range(self, capsys, command):
+        # 2^70 - 1 supports is more than len() can return; the JSON reports
+        # are golden cases
+        code, out, _ = run(capsys, command, "--builtin", "A:70")
+        assert code == 0
+        assert f"covers {2 ** 70 - 1} supports" in out
 
     def test_stuck_past_the_cap_names_a_stuck_support(self, capsys, tmp_path):
         n = MAX_CERTIFICATE_N + 4

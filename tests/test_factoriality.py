@@ -15,7 +15,7 @@ from oracles import RowsOracle, certificate_entries, power_membership_linear
 from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
-from clusterufd.groebner import GroebnerBudget, ideal_membership, normal_form
+from clusterufd.groebner import ideal_membership, normal_form
 from clusterufd.parse import parse_expression, parse_polynomial
 from clusterufd.poly import GREVLEX, Polynomial, divide_exact
 from clusterufd.factoriality import (
@@ -407,8 +407,7 @@ class TestConjecture:
 
     def test_budget_stops_politely(self):
         ideals = ideals_for("E:6")
-        outcome = conjecture_check(ideals, (1, 1, 1, 1, 1, 1),
-                                   budget=GroebnerBudget(max_reductions=10))
+        outcome = conjecture_check(ideals, (1, 1, 1, 1, 1, 1), budget=10)
         assert outcome.status == "inconclusive"
         assert outcome.detail
 
@@ -591,8 +590,7 @@ class TestVerdict:
         assert verdict.notes == "cross-check skipped (n > 8)"
 
     def test_budget_shortens_cross_check_but_keeps_verdict(self):
-        verdict = ufd_verdict(ideals_for("A:4"), degree_bound=2,
-                              budget=GroebnerBudget(max_reductions=3))
+        verdict = ufd_verdict(ideals_for("A:4"), degree_bound=2, budget=3)
         assert isinstance(verdict, UFD)
         assert verdict.cross_checked_bound == 1
         assert "budget" in verdict.notes
@@ -782,8 +780,7 @@ class TestConjectureSweep:
         outcomes = conjecture_sweep(ideals_for("cyclicA3"), 3)
         assert [o.status for o in outcomes] == ["holds"] * 4 + ["fails"]
         assert outcomes[-1].multi_index == (0, 1, 1)
-        budgeted = conjecture_sweep(ideals_for("A:4"), 2,
-                                    GroebnerBudget(max_reductions=3))
+        budgeted = conjecture_sweep(ideals_for("A:4"), 2, 3)
         assert budgeted[-1].status == "inconclusive"
         assert all(o.status == "holds" for o in budgeted[:-1])
 

@@ -21,9 +21,10 @@ from clusterufd.factoriality import ExchangeIdeals
 from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_polynomial
 from clusterufd.poly import ELIMINATE_LAST, GREVLEX, Polynomial, ev_divides
+from clusterufd import groebner
 from clusterufd.groebner import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
-    GroebnerBudget,
     Ideal,
     buchberger,
     ideal_intersection,
@@ -212,19 +213,19 @@ class TestIdealOperations:
 class TestBudget:
     def test_budget_exceeded_raises(self):
         gens = [P("x1^3 - 2*x1*x2"), P("x1^2*x2 - 2*x2^2 + x1")]
-        tiny = GroebnerBudget(max_reductions=2)
         with pytest.raises(BudgetExceeded) as err:
-            buchberger(gens, GREVLEX, tiny)
+            buchberger(gens, GREVLEX, 2)
         assert err.value.reductions >= 2
 
-    def test_basis_cap(self):
+    def test_basis_cap(self, monkeypatch):
         gens = [P("x1^3 - 2*x1*x2"), P("x1^2*x2 - 2*x2^2 + x1")]
+        monkeypatch.setattr(groebner, "MAX_BASIS", 1)
         with pytest.raises(BudgetExceeded):
-            buchberger(gens, GREVLEX, GroebnerBudget(max_basis=1))
+            buchberger(gens, GREVLEX)
 
     def test_generous_budget_suffices(self):
         gens = [P("x2^2 - x1"), P("x2^3 - x2")]
-        gb = buchberger(gens, ELIMINATE_LAST, GroebnerBudget())
+        gb = buchberger(gens, ELIMINATE_LAST, DEFAULT_BUDGET)
         assert len(gb) == 3
 
 
@@ -232,7 +233,7 @@ class TestReductionSequence:
     """The S-pair reduction count is part of the budget contract.
 
     Each count N was found with the linear-scan pair selection that predates
-    the heap-ordered queue, as the smallest ``max_reductions`` that lets the
+    the heap-ordered queue, as the smallest ``budget`` that lets the
     run finish.  A different pair order would change N, so a budget of N
     must succeed and N - 1 must raise.
     """
@@ -248,9 +249,9 @@ class TestReductionSequence:
 
     @staticmethod
     def assert_pinned(run, n):
-        run(GroebnerBudget(max_reductions=n))
+        run(n)
         with pytest.raises(BudgetExceeded) as err:
-            run(GroebnerBudget(max_reductions=n - 1))
+            run(n - 1)
         assert err.value.reductions == n
 
     @pytest.mark.parametrize("name, field, multi_index, n", [
