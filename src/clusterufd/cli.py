@@ -76,38 +76,37 @@ class _Report:
         self.lines.append(line)
 
     def emit(self, verdict: str) -> int:
-        """Print the report and return the verdict's exit code, also when
-        the reader closes standard output before the report is written."""
-        try:
-            if self.as_json:
-                body = dict(self.payload)
-                body["schema_version"] = SCHEMA_VERSION
-                body["command"] = self.command
-                body["verdict"] = verdict
-                if self.certificate is None:
-                    print(json.dumps(body, sort_keys=True, indent=2))
-                else:
-                    body["certificate"] = _LISTING_SLOT
-                    rendered = json.dumps(body, sort_keys=True, indent=2)
-                    head, _, tail = rendered.partition(json.dumps(_LISTING_SLOT))
-                    # three writes, so the listing is never copied into one string
-                    sys.stdout.write(head)
-                    sys.stdout.write(_listing_json(self.certificate))
-                    sys.stdout.write(tail + "\n")
+        """Print the report and return the verdict's exit code."""
+        if self.as_json:
+            body = dict(self.payload)
+            body["schema_version"] = SCHEMA_VERSION
+            body["command"] = self.command
+            body["verdict"] = verdict
+            if self.certificate is None:
+                _write(json.dumps(body, sort_keys=True, indent=2) + "\n")
             else:
-                sys.stdout.write("\n".join([*self.lines, f"verdict: {verdict}\n"]))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _discard_stdout()
+                body["certificate"] = _LISTING_SLOT
+                rendered = json.dumps(body, sort_keys=True, indent=2)
+                head, _, tail = rendered.partition(json.dumps(_LISTING_SLOT))
+                # three writes, so the listing is never copied into one string
+                _write(head, _listing_json(self.certificate), tail + "\n")
+        else:
+            _write("\n".join([*self.lines, f"verdict: {verdict}\n"]))
         return EXIT_CODES[verdict]
 
 
-def _discard_stdout():
-    """Point standard output at the null device once its reader is gone,
-    so the flush at interpreter exit does not raise again."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+def _write(*parts: str):
+    """Write ``parts`` to standard output and flush it.  Once the reader has
+    closed it, point standard output at the null device, so the flush at
+    interpreter exit does not raise again."""
+    try:
+        for part in parts:
+            sys.stdout.write(part)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_error(command: str, as_json: bool, message: str,
@@ -115,11 +114,7 @@ def _emit_error(command: str, as_json: bool, message: str,
     if as_json:
         body = {"schema_version": SCHEMA_VERSION, "command": command,
                 "verdict": verdict, "error": message}
-        try:
-            print(json.dumps(body, sort_keys=True, indent=2))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _discard_stdout()
+        _write(json.dumps(body, sort_keys=True, indent=2) + "\n")
     else:
         print(f"{verdict}: {message}", file=sys.stderr)
     return EXIT_CODES[verdict]

@@ -408,11 +408,11 @@ def verify_laurent_property(seed: Seed, max_seeds: int = 1_000) -> tuple[Enumera
 
 # -- builtin families --------------------------------------------------------
 
-MAX_BUILTIN_RANK = 256  # the largest n of A_n and D_n; see the README
+MAX_ROWS = 256  # the most rows m of a seed file, and n of A_n and D_n (README)
 
 def _matrix_from_arrows(n: int, arrows: Iterable[tuple[int, int]]) -> ExchangeMatrix:
-    if n > MAX_BUILTIN_RANK:
-        raise ValueError(f"rank {n} is above the largest builtin rank {MAX_BUILTIN_RANK}")
+    if n > MAX_ROWS:
+        raise ValueError(f"rank {n} is above the largest builtin rank {MAX_ROWS}")
     rows = [[0] * n for _ in range(n)]
     for i, j in arrows:
         rows[i - 1][j - 1] = 1
@@ -508,6 +508,8 @@ def seed_from_dict(data: dict, field_override: Optional[FieldTag] = None) -> See
             raise ValueError(f"{key}: expected an integer, got {value!r}")
     if n < 1 or m < n:
         raise ValueError(f"need integers 1 <= n <= m, got n={n!r}, m={m!r}")
+    if m > MAX_ROWS:
+        raise ValueError(f"m = {m} is above the largest number of rows {MAX_ROWS}")
     matrix = data["matrix"]
     if not isinstance(matrix, list) or len(matrix) != m:
         raise ValueError(f"matrix: expected {m} rows")

@@ -482,14 +482,9 @@ def _rule_cubes(matrix: ExchangeMatrix) -> dict[Justification, tuple[int, int]]:
     for i in range(1, n + 1):
         cubes[FreeIndex(i)] = (_bits((i,)), _bits(neighbors[i - 1]))
     for i in range(1, n + 1):
-        # the terms x_k of f_i: |b_ki| = 1 and no other entry of column i
-        # has that sign; k != i, since b_ii = 0 keeps x_i out of f_i
-        column = matrix.column(i)
-        pivots = []
-        for sign in (1, -1):
-            part = [k for k, b in enumerate(column, start=1) if sign * b > 0]
-            if len(part) == 1 and column[part[0] - 1] == sign:
-                pivots += part
+        # the terms x_k of f_i; k != i, since b_ii = 0 keeps x_i out of f_i
+        pivots = [e.index(1) + 1 for e in exchange_polynomial(matrix, i).terms
+                  if sum(e) == 1]
         for k in sorted(pivots):
             outside = [j for j in neighbors[k - 1] if j != i]
             if k <= n:
@@ -764,11 +759,6 @@ class Inconclusive(NamedTuple):
 
 UFDVerdict = Union[NotUFD, UFD, Inconclusive]
 
-# Why ``gate`` is Inconclusive on an oriented cycle; ``ufd_verdict``
-# recognizes that case by this text.
-_CYCLE_REASON = "the principal quiver has an oriented cycle"
-
-
 def gate(ideals: ExchangeIdeals) -> Optional[Union[NotUFD, Inconclusive]]:
     """The first two stages of ``certify``: NotUFD with the first necessary
     condition that fails, else Inconclusive (no stuck supports, bound 0)
@@ -780,7 +770,7 @@ def gate(ideals: ExchangeIdeals) -> Optional[Union[NotUFD, Inconclusive]]:
     if not is_connected(ideals.matrix):
         return Inconclusive("the exchange matrix is not connected", (), 0)
     if not is_acyclic(ideals.matrix):
-        return Inconclusive(_CYCLE_REASON, (), 0)
+        return Inconclusive("the principal quiver has an oriented cycle", (), 0)
     return None
 
 
@@ -837,8 +827,6 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
         notes = "" if stop is None else f"cross-check stopped by budget at {stop.multi_index}"
         return verdict._replace(cross_checked_bound=bound, notes=notes)
     reason = verdict.reason
-    if reason == _CYCLE_REASON:
-        reason += "; the certificate search needs an acyclic seed"
     if fails:
         reason += f"; ideal equality fails at {stop.multi_index} (witness {stop.witness})"
     elif stop is not None:

@@ -327,6 +327,4 @@ def ideal_intersection_many(ideals: Sequence[Ideal],
 
 def ideal_product(left: Ideal, right: Ideal) -> Ideal:
     """The product ideal, generated by all pairwise generator products."""
-    if left.m != right.m or left.field is not right.field:
-        raise ValueError("ideals live in different ambient rings")
     return Ideal(g * h for g in left.generators for h in right.generators)

@@ -433,10 +433,6 @@ class LaurentPolynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compatible(self, other: "LaurentPolynomial"):
-        if self.m != other.m or self.field is not other.field:
-            raise ValueError("Laurent polynomials live in different ambient rings")
-
     @staticmethod
     def _scale_num(p: Polynomial, shift: Exponent) -> Polynomial:
         if not any(shift):
@@ -449,8 +445,8 @@ class LaurentPolynomial:
             other = LaurentPolynomial.constant(other, self.m, self.field)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        self._check_compatible(other)
         den = ev_max(self.den, other.den)
+        # the numerators' + checks the ambient rings
         num = (self._scale_num(self.num, ev_sub(den, self.den))
                + self._scale_num(other.num, ev_sub(den, other.den)))
         return LaurentPolynomial(num, den)
@@ -475,7 +471,7 @@ class LaurentPolynomial:
             other = LaurentPolynomial.constant(other, self.m, self.field)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        self._check_compatible(other)
+        # the numerators' * checks the ambient rings
         return LaurentPolynomial(self.num * other.num, ev_add(self.den, other.den))
 
     __rmul__ = __mul__

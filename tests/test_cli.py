@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import clusterufd
 from clusterufd import factoriality
 from clusterufd.cli import main
-from clusterufd.cluster import builtin_matrix
+from clusterufd.cluster import MAX_ROWS, builtin_matrix
 from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
                                      ExchangeIdeals, inductive_prover)
 from clusterufd.groebner import BudgetExceeded
@@ -426,6 +426,31 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 0
         assert head.startswith(b"{") and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("argv, code, read", [
+        (("prove-ufd", "--builtin", "A:16", "--json"), 0, 250),
+        (("prove-ufd", "--builtin", "A:16"), 0, 0),
+        (("prove-ufd", "--builtin", "A:0", "--json"), 3, 0),
+    ], ids=["listing-splice", "text", "error-report"])
+    def test_every_write_site_survives_a_closed_reader(self, argv, code, read):
+        # the reader takes the first ``read`` bytes of the report, or leaves
+        # before it starts.  When the reader leaves in the middle of one
+        # large write, Python's buffered stdout drops the rest without
+        # raising, so the text report, one write, loses its reader first.
+        read_end, write_end = os.pipe()
+        if not read:
+            os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "clusterufd.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=python_env())
+        os.close(write_end)
+        if read:
+            assert os.read(read_end, read)
+            os.close(read_end)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert "Traceback" not in err, err
+
 
 class TestInternalErrors:
     """A bug must exit 4, never 1, which would read as "refuted"."""
@@ -790,8 +815,7 @@ class TestSweepBounds:
         code, body = run_json(capsys, "verdict", "--builtin", "cyclicA3",
                               "--bound", "0")
         assert code == 2
-        assert body["reason"] == ("the principal quiver has an oriented cycle; "
-                                  "the certificate search needs an acyclic seed")
+        assert body["reason"] == "the principal quiver has an oriented cycle"
         assert body["verified_bound"] == 0
         code, body = run_json(capsys, "verdict", "--builtin", "A:2",
                               "--bound", "0")
@@ -932,6 +956,24 @@ class TestSeedFileEntries:
             "1e400", "array", "string"])
     def test_fuzzed_seed_file(self, capsys, tmp_path, text, where):
         self.check(capsys, tmp_path, text, where)
+
+    @pytest.mark.parametrize("m", [MAX_ROWS + 1, 10_000])
+    def test_rows_past_the_cap(self, capsys, tmp_path, m):
+        start = time.perf_counter()
+        self.check(capsys, tmp_path, json.dumps(self.column(m)),
+                   f"m = {m} is above the largest number of rows {MAX_ROWS}")
+        assert time.perf_counter() - start < 1.0
+
+    def test_rows_at_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(self.column(MAX_ROWS)))
+        code, body = run_json(capsys, "structure", "--seed", str(path))
+        assert code == 0 and body["m"] == MAX_ROWS
+
+    @staticmethod
+    def column(m):
+        """One mutable index joined to m - 1 frozen rows."""
+        return {"n": 1, "m": m, "matrix": [[0]] + [[1]] * (m - 1)}
 
     @staticmethod
     def check(capsys, tmp_path, text, where):

@@ -410,10 +410,10 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("family", ["A", "D"])
     def test_rank_cap(self, family):
-        largest = builtin_matrix(f"{family}:{cluster.MAX_BUILTIN_RANK}")
-        assert largest.n == cluster.MAX_BUILTIN_RANK
+        largest = builtin_matrix(f"{family}:{cluster.MAX_ROWS}")
+        assert largest.n == cluster.MAX_ROWS
         with pytest.raises(ValueError, match="above the largest builtin rank"):
-            builtin_matrix(f"{family}:{cluster.MAX_BUILTIN_RANK + 1}")
+            builtin_matrix(f"{family}:{cluster.MAX_ROWS + 1}")
 
     def test_families_are_acyclic_and_connected(self):
         for name in ("A:1", "A:6", "D:4", "D:6", "E:6", "E:7", "E:8",

@@ -6,8 +6,10 @@ Reduced Groebner bases are canonical and the reports carry no timings, so
 any change to these bytes is a behavior change.  The frozen reports were
 recorded with the linear-scan pair selection that predates the heap-ordered
 queue.  Seed-file cases name an entry of the file's "seeds" table, which is
-written to a temporary file before the run.  After an intended output
-change, rewrite the reports with ``PYTHONPATH=src python tests/test_golden.py``.
+written to a temporary file before the run.  Each case also runs in text
+mode, which must exit the same way and end on the same verdict.  After an
+intended output change, rewrite the reports with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
 
@@ -28,7 +30,9 @@ with open(GOLDEN, encoding="utf-8") as fh:
     RECORD = json.load(fh)
 
 
-def run_case(argv: list[str], workdir: str) -> tuple[int, str]:
+def run_case(argv: list[str], workdir: str,
+             as_json: bool = True) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one case, in JSON or text mode."""
     argv = list(argv)
     if "--seed" in argv:
         k = argv.index("--seed") + 1
@@ -36,18 +40,33 @@ def run_case(argv: list[str], workdir: str) -> tuple[int, str]:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(RECORD["seeds"][argv[k]], fh)
         argv[k] = path
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv + ["--json"])
-    return code, out.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"] if as_json else argv)
+    return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("case", RECORD["cases"],
-                         ids=[" ".join(c["argv"]) for c in RECORD["cases"]])
+CASE_IDS = [" ".join(c["argv"]) for c in RECORD["cases"]]
+
+
+@pytest.mark.parametrize("case", RECORD["cases"], ids=CASE_IDS)
 def test_json_report_is_byte_identical(case, tmp_path):
-    code, stdout = run_case(case["argv"], str(tmp_path))
+    code, stdout, _ = run_case(case["argv"], str(tmp_path))
     assert code == case["exit"]
     assert stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", RECORD["cases"], ids=CASE_IDS)
+def test_text_report_agrees_with_the_json_verdict(case, tmp_path):
+    """Text mode, the default, exits as --json does; a report's last line
+    is its verdict, and an input error goes to stderr."""
+    code, stdout, stderr = run_case(case["argv"], str(tmp_path), as_json=False)
+    assert code == case["exit"]
+    if code == 3:
+        assert stderr.startswith("error: ")
+    else:
+        verdict = json.loads(case["stdout"])["verdict"]
+        assert stdout.splitlines()[-1] == f"verdict: {verdict}"
 
 
 # the first builtin-seed case of each of the 11 subcommands, replayed through
@@ -75,6 +94,6 @@ def test_every_subcommand_has_a_fresh_case():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         for case in RECORD["cases"]:
-            case["exit"], case["stdout"] = run_case(case["argv"], workdir)
+            case["exit"], case["stdout"], _ = run_case(case["argv"], workdir)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(RECORD, fh, indent=1, sort_keys=True, ensure_ascii=False)

@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials, Laurent fractions, orders and parsing."""
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -334,6 +335,18 @@ class TestLaurent:
             L("x1 + 1") / LaurentPolynomial.zero(2, Q)
         with pytest.raises(ZeroDivisionError):
             L("x1 + 1") / 0
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv],
+                             ids=["add", "sub", "mul", "truediv"])
+    @pytest.mark.parametrize("other", [L("(x2 + 1)/x1", m=3),
+                                       L("(x2 + 1)/x1", field=QI)],
+                             ids=["m", "field"])
+    def test_mixed_rings_are_refused(self, op, other):
+        value = L("(x2 + 1)/x1")
+        for a, b in ((value, other), (other, value)):
+            with pytest.raises(ValueError, match="different ambient rings"):
+                op(a, b)
 
     def test_polynomial_detection(self):
         assert L("x1 + x2").is_polynomial()
