@@ -7,16 +7,24 @@ any change to these bytes is a behavior change.  The frozen reports were
 recorded with the linear-scan pair selection that predates the heap-ordered
 queue.  Seed-file cases name an entry of the file's "seeds" table, which is
 written to a temporary file before the run.  Each case also runs in text
-mode, which must exit the same way and end on the same verdict.  After an
-intended output change, rewrite the reports with
-``PYTHONPATH=src python tests/test_golden.py``.
+mode, which must exit the same way and end on the same verdict.
+
+``golden_workloads.json`` pins every command of the benchmark's three
+workloads (``perfbench/workloads.py``) at workload seeds 1-3, in --json and
+in text mode: its exit code and the sha256 of its stdout, since the A:16
+certificate listing alone is 11.8 MB.  After an intended output change,
+rewrite both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import os
+import random
+import sys
 import tempfile
 
 import pytest
@@ -24,7 +32,10 @@ import pytest
 from clusterufd.cli import build_parser, main
 from conftest import run_python
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden_cli.json")
+WORKLOAD_PINS = os.path.join(HERE, "golden_workloads.json")
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 with open(GOLDEN, encoding="utf-8") as fh:
     RECORD = json.load(fh)
@@ -40,9 +51,14 @@ def run_case(argv: list[str], workdir: str,
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(RECORD["seeds"][argv[k]], fh)
         argv[k] = path
+    return run_main(argv + ["--json"] if as_json else argv)
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``cli.main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--json"] if as_json else argv)
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -91,9 +107,48 @@ def test_every_subcommand_has_a_fresh_case():
     assert sorted(FRESH_CASES) == sorted(commands.choices)
 
 
+def workload_outcomes(workloads, run: str, workdir: str) -> dict[str, list]:
+    """[exit code, sha256 of stdout] of each command of one pinned run,
+    named "<workload> <workload seed> <json|text>", by command key.  The
+    commands are built as ``perfbench/run.py`` builds them."""
+    name, seed, mode = run.split()
+    cmds = workloads.WORKLOADS[name](random.Random(f"{name}:{seed}"), workdir)
+    outcomes = {}
+    for cmd in cmds:
+        argv = list(cmd.argv)
+        if mode == "text":
+            argv.remove("--json")
+        code, stdout, _ = run_main(argv)
+        outcomes[cmd.key] = [code, hashlib.sha256(stdout.encode()).hexdigest()]
+    return outcomes
+
+
+with open(WORKLOAD_PINS, encoding="utf-8") as fh:
+    PINS = json.load(fh)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("run", sorted(PINS))
+def test_workload_output_is_pinned(run, workloads, tmp_path):
+    assert workload_outcomes(workloads, run, str(tmp_path)) == PINS[run]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         for case in RECORD["cases"]:
             case["exit"], case["stdout"], _ = run_case(case["argv"], workdir)
+        sys.path.insert(0, PERFBENCH)
+        pins = {f"{name} {seed} {mode}": workload_outcomes(
+                    importlib.import_module("workloads"),
+                    f"{name} {seed} {mode}", workdir)
+                for name in ("crosscheck", "mutation", "prover")
+                for seed in (1, 2, 3) for mode in ("json", "text")}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(RECORD, fh, indent=1, sort_keys=True, ensure_ascii=False)
+    with open(WORKLOAD_PINS, "w", encoding="utf-8") as fh:
+        json.dump(pins, fh, indent=1, sort_keys=True)
