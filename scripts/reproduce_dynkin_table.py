@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     for name, field_name in CASES:
-        field = FieldTag.from_name(field_name)
+        field = FieldTag(field_name)
         ideals = ExchangeIdeals(builtin_matrix(name), field)
         t0 = time.time()
         verdict = ufd_verdict(ideals, degree_bound=args.bound)

@@ -17,7 +17,7 @@ import sys
 
 # Each handler imports the layers it uses when it runs, so ``--help``, a
 # usage error and the mutation commands never load the Groebner kernel,
-# the factoriality pipeline or the parser.  Handlers load the seed first,
+# the factoriality pipeline or the parser.  ``main`` loads the seed first,
 # so a seed that fails to load never loads the pipeline either.
 
 SCHEMA_VERSION = 2
@@ -123,7 +123,7 @@ def _emit_error(command: str, as_json: bool, message: str,
 def _load_seed(args):
     from .cluster import builtin_seed, load_seed_file
     from .fields import FieldTag
-    field = FieldTag.from_name(args.field) if args.field else None
+    field = FieldTag(args.field) if args.field else None
     if args.builtin:
         return builtin_seed(args.builtin, field or FieldTag.Q)
     return load_seed_file(args.seed, field_override=field)
@@ -168,8 +168,7 @@ def _require_certificate(ideals):
 
 # -- command handlers --------------------------------------------------------
 
-def _cmd_mutate(args, report: _Report) -> int:
-    seed = _load_seed(args)
+def _cmd_mutate(args, seed, report: _Report) -> int:
     try:
         indices = [int(tok) for tok in args.sequence.split(",") if tok]
     except ValueError:
@@ -189,9 +188,8 @@ def _cmd_mutate(args, report: _Report) -> int:
     return report.emit("ok")
 
 
-def _cmd_exchange_polys(args, report: _Report) -> int:
+def _cmd_exchange_polys(args, seed, report: _Report) -> int:
     from .cluster import exchange_polynomial
-    seed = _load_seed(args)
     polys = [exchange_polynomial(seed.matrix, j, seed.field)
              for j in range(1, seed.matrix.n + 1)]
     report.set("exchange_polynomials", [str(f) for f in polys])
@@ -200,9 +198,8 @@ def _cmd_exchange_polys(args, report: _Report) -> int:
     return report.emit("ok")
 
 
-def _cmd_structure(args, report: _Report) -> int:
+def _cmd_structure(args, seed, report: _Report) -> int:
     from .cluster import structure_report
-    seed = _load_seed(args)
     rep = structure_report(seed.matrix)
     report.payload.update(rep._asdict())
     report.set("neighbors", {str(i + 1): list(ns)
@@ -216,9 +213,8 @@ def _cmd_structure(args, report: _Report) -> int:
     return report.emit("ok")
 
 
-def _cmd_enumerate(args, report: _Report) -> int:
+def _cmd_enumerate(args, seed, report: _Report) -> int:
     from .cluster import enumerate_cluster_variables
-    seed = _load_seed(args)
     result = enumerate_cluster_variables(
         seed, max_seeds=_positive(args.max_seeds, "--max-seeds"))
     report.set("count", result.count)
@@ -232,9 +228,8 @@ def _cmd_enumerate(args, report: _Report) -> int:
     return report.emit("complete" if result.complete else "incomplete")
 
 
-def _cmd_verify_laurent(args, report: _Report) -> int:
+def _cmd_verify_laurent(args, seed, report: _Report) -> int:
     from .cluster import verify_laurent_property
-    seed = _load_seed(args)
     result, problems = verify_laurent_property(
         seed, max_seeds=_positive(args.max_seeds, "--max-seeds"))
     report.set("count", result.count)
@@ -247,8 +242,7 @@ def _cmd_verify_laurent(args, report: _Report) -> int:
     return report.emit("violated" if problems else "laurent")
 
 
-def _cmd_check_conjecture(args, report: _Report) -> int:
-    seed = _load_seed(args)
+def _cmd_check_conjecture(args, seed, report: _Report) -> int:
     from .factoriality import (ExchangeIdeals, conjecture_check,
                                conjecture_sweep, gate)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
@@ -286,8 +280,7 @@ def _cmd_check_conjecture(args, report: _Report) -> int:
     return report.emit("holds")
 
 
-def _cmd_prove_ufd(args, report: _Report) -> int:
-    seed = _load_seed(args)
+def _cmd_prove_ufd(args, seed, report: _Report) -> int:
     from .factoriality import (MAX_CERTIFICATE_N, ExchangeIdeals,
                                Inconclusive, NotUFD, certify)
     verdict = certify(ExchangeIdeals(seed.matrix, seed.field))
@@ -322,8 +315,7 @@ def _cmd_prove_ufd(args, report: _Report) -> int:
     return report.emit("certified")
 
 
-def _cmd_verdict(args, report: _Report) -> int:
-    seed = _load_seed(args)
+def _cmd_verdict(args, seed, report: _Report) -> int:
     from .factoriality import (UFD, ExchangeIdeals, Inconclusive, NotUFD,
                                ufd_verdict)
     ideals = ExchangeIdeals(seed.matrix, seed.field)
@@ -334,11 +326,12 @@ def _cmd_verdict(args, report: _Report) -> int:
         certificate = verdict.certificate
         _set_cover(report, certificate)
         report.set("cross_checked_bound", verdict.cross_checked_bound)
-        if verdict.notes:
-            report.set("notes", verdict.notes)
         report.text(f"UFD: certificate covers {(1 << certificate.n) - 1} "
                     f"supports, cross-checked to weight "
                     f"{verdict.cross_checked_bound}")
+        if verdict.notes:
+            report.set("notes", verdict.notes)
+            report.text(f"note: {verdict.notes}")
         return report.emit("UFD")
     if isinstance(verdict, NotUFD):
         report.set("witness", verdict.witness.to_json())
@@ -353,8 +346,7 @@ def _cmd_verdict(args, report: _Report) -> int:
     return report.emit("Inconclusive")
 
 
-def _cmd_member(args, report: _Report) -> int:
-    seed = _load_seed(args)
+def _cmd_member(args, seed, report: _Report) -> int:
     from .factoriality import ExchangeIdeals, algebra_membership
     from .parse import parse_expression
     ideals = ExchangeIdeals(seed.matrix, seed.field)
@@ -372,8 +364,7 @@ def _cmd_member(args, report: _Report) -> int:
     return report.emit("member" if member else "non-member")
 
 
-def _cmd_normal_form(args, report: _Report) -> int:
-    seed = _load_seed(args)
+def _cmd_normal_form(args, seed, report: _Report) -> int:
     from .factoriality import ExchangeIdeals, normal_form_element
     from .parse import check_digits, parse_polynomial
     ideals = ExchangeIdeals(seed.matrix, seed.field)
@@ -506,7 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else EXIT_CODES["error"]
     report = _Report(args.command, args.json)
     try:
-        return args.handler(args, report)
+        if not hasattr(args, "builtin"):  # hypersurface reads no seed
+            return args.handler(args, report)
+        return args.handler(args, _load_seed(args), report)
     except ValueError as exc:  # ParseError included
         return _emit_error(args.command, args.json, str(exc))
     except Exception as exc:

@@ -112,10 +112,6 @@ class ExchangeMatrix:
         self.m = m
         return self
 
-    def entry(self, i: int, j: int) -> int:
-        """b_ij with 1-based row i in 1..m and column j in 1..n."""
-        return self.rows[i - 1][j - 1]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j - 1] for row in self.rows)
 
@@ -519,7 +515,7 @@ def seed_from_dict(data: dict, field_override: Optional[FieldTag] = None) -> See
     field_name = data.get("field", "Q")
     if field_name not in ("Q", "Qi"):
         raise ValueError(f"field: expected 'Q' or 'Qi', got {field_name!r}")
-    field = FieldTag.from_name(field_name)
+    field = FieldTag(field_name)
     if field_override is not None and field_override is not field:
         raise ValueError(
             f"--field {field_override.value} contradicts the seed file field "

@@ -82,8 +82,6 @@ class ExchangeIdeals:
         if a < 0:
             raise ValueError("powers must be non-negative")
         from .groebner import Ideal
-        if a == 0:
-            return Ideal([Polynomial.one(self.m, self.field)])
         cached = self._power_ideals.get((i, a))
         if cached is None:
             x = self.variable(i)

@@ -97,13 +97,7 @@ class GaussianRational:
             return NotImplemented
         if k < 0:
             return _quotient(1, 0, self.re, self.im) ** (-k)
-        out, base = 1, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k) if k else 1
 
     # -- structure ----------------------------------------------------------
 
@@ -152,6 +146,22 @@ def _gauss(re, im) -> "FieldElement":
     return _canonical(re)
 
 
+def power(base, k: int):
+    """``base ** k`` for k >= 1 by repeated squaring: bit_length(k) - 1
+    squarings and popcount(k) - 1 further products."""
+    while not k & 1:
+        base = base * base
+        k >>= 1
+    out = base
+    k >>= 1
+    while k:
+        base = base * base
+        if k & 1:
+            out = out * base
+        k >>= 1
+    return out
+
+
 def _quotient(a_re, a_im, b_re, b_im) -> "FieldElement":
     """(a_re + a_im*i) / (b_re + b_im*i), canonical, with no float."""
     n = b_re * b_re + b_im * b_im
@@ -169,13 +179,6 @@ class FieldTag(Enum):
 
     Q = "Q"
     QI = "Qi"
-
-    @classmethod
-    def from_name(cls, name: str) -> "FieldTag":
-        for tag in cls:
-            if tag.value == name:
-                return tag
-        raise ValueError(f"unknown field {name!r}; expected 'Q' or 'Qi'")
 
     def imaginary_unit(self) -> GaussianRational:
         if self is not FieldTag.QI:

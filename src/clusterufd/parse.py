@@ -234,4 +234,4 @@ def parse_polynomial(text: str, m: int, field: FieldTag) -> Polynomial:
     if not value.is_polynomial():
         raise ParseError(
             f"expression is not a polynomial: it reduces to {value}", 1)
-    return value.as_polynomial()
+    return value.num

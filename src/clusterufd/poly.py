@@ -22,7 +22,7 @@ from functools import reduce
 from operator import add, le, mul, neg, sub
 from typing import Optional, Sequence
 
-from .fields import FieldTag, GaussianRational, nonzero_terms
+from .fields import FieldTag, GaussianRational, nonzero_terms, power
 
 Exponent = tuple[int, ...]
 
@@ -257,18 +257,7 @@ class Polynomial:
             raise ValueError("polynomial powers take non-negative integer exponents")
         if not k:
             return Polynomial.one(self.m, self.field)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        out = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                out = out * base
-            k >>= 1
-        return out
+        return power(self, k)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -425,11 +414,6 @@ class LaurentPolynomial:
 
     def is_polynomial(self) -> bool:
         return not any(self.den)
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} has a nontrivial denominator")
-        return self.num
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -213,6 +213,18 @@ class TestVerdict:
         assert body["stuck_supports"] == [[2, 3]]
         assert body["verified_bound"] == 1
 
+    @pytest.mark.parametrize("argv, notes", [
+        (("--builtin", "A:9"), "cross-check skipped (n > 8)"),
+        (("--builtin", "A:4", "--budget", "3"),
+         "cross-check stopped by budget at (0, 0, 1, 1)"),
+    ])
+    def test_text_report_prints_the_notes(self, capsys, argv, notes):
+        code, body = run_json(capsys, "verdict", *argv)
+        assert (code, body["notes"]) == (0, notes)
+        code, out, _ = run(capsys, "verdict", *argv)
+        assert code == 0
+        assert out.splitlines()[-2:] == [f"note: {notes}", "verdict: UFD"]
+
     def test_single_vertex_rejected(self, capsys):
         code, body = run_json(capsys, "verdict", "--builtin", "A:1")
         assert code == 3

@@ -101,7 +101,7 @@ class TestExchangeMatrix:
     def test_accessors(self):
         mat = ExchangeMatrix([[0, 1], [-1, 0], [2, -3]])
         assert (mat.n, mat.m) == (2, 3)
-        assert mat.entry(3, 1) == 2
+        assert mat.rows[2][0] == 2
         assert mat.column(2) == (1, 0, -3)
         assert mat.principal() == ((0, 1), (-1, 0))
 

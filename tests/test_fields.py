@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterufd.fields import FieldTag, GaussianRational
+from clusterufd.fields import FieldTag, GaussianRational, power
+from clusterufd.poly import Polynomial
 
 HALF = Fraction(1, 2)
 I = GaussianRational(0, 1)
@@ -132,13 +133,38 @@ class TestGaussianRational:
         assert conjugate(a * b) == conjugate(a) * conjugate(b)
 
 
-class TestFieldTag:
-    def test_from_name(self):
-        assert FieldTag.from_name("Q") is FieldTag.Q
-        assert FieldTag.from_name("Qi") is FieldTag.QI
-        with pytest.raises(ValueError):
-            FieldTag.from_name("R")
+class TestPower:
+    """``power`` is the one repeated-squaring loop behind ``**`` of both
+    Gaussian rationals and polynomials."""
 
+    def test_powers_equal_repeated_products(self):
+        x1 = Polynomial.variable(1, 2, FieldTag.QI)
+        cases = [(gaussian(1, 2, -2, 3), 1),
+                 (x1 + 1, Polynomial.one(2, FieldTag.QI)),
+                 (x1 + I, Polynomial.one(2, FieldTag.QI))]
+        for base, product in cases:
+            for k in range(41):
+                assert base ** k == product, k
+                product = product * base
+
+    def test_multiplication_count(self):
+        class Counted:
+            calls = 0
+
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                Counted.calls += 1
+                return Counted(self.value * other.value)
+
+        for k in range(1, 41):
+            Counted.calls = 0
+            assert power(Counted(3), k).value == 3 ** k
+            assert Counted.calls == k.bit_length() - 1 + k.bit_count() - 1
+
+
+class TestFieldTag:
     def test_constants(self):
         assert FieldTag.QI.imaginary_unit() == I
         with pytest.raises(ValueError):
