@@ -143,11 +143,10 @@ if __name__ == "__main__":
         for case in RECORD["cases"]:
             case["exit"], case["stdout"], _ = run_case(case["argv"], workdir)
         sys.path.insert(0, PERFBENCH)
-        pins = {f"{name} {seed} {mode}": workload_outcomes(
-                    importlib.import_module("workloads"),
-                    f"{name} {seed} {mode}", workdir)
-                for name in ("crosscheck", "mutation", "prover")
-                for seed in (1, 2, 3) for mode in ("json", "text")}
+        workloads = importlib.import_module("workloads")
+        runs = [f"{name} {seed} {mode}" for name in sorted(workloads.WORKLOADS)
+                for seed in (1, 2, 3) for mode in ("json", "text")]
+        pins = {run: workload_outcomes(workloads, run, workdir) for run in runs}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(RECORD, fh, indent=1, sort_keys=True, ensure_ascii=False)
     with open(WORKLOAD_PINS, "w", encoding="utf-8") as fh:
