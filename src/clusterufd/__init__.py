@@ -23,7 +23,7 @@ _EXPORTS = {
         "ConsistencyError", "ExchangeIdeals", "FreeIndex", "FreeVariable",
         "Inconclusive", "NormalFormResult", "NotUFD", "ProverResult",
         "ReducibleExchangePolynomial", "SinkSourceSplit", "SupportCertificate",
-        "UFD", "algebra_membership",
+        "UFD", "Uncertified", "algebra_membership",
         "binomial_irreducible", "binomial_witness_factors",
         "brute_force_factor", "certify", "conjecture_check",
         "conjecture_sweep", "gate", "necessary_conditions",

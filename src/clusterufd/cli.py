@@ -156,16 +156,6 @@ def _problem(verdict) -> str:
     return verdict.reason
 
 
-def _require_certificate(ideals):
-    """``certify``'s verified certificate, or a reason string why none is
-    available."""
-    from .factoriality import UFD, certify
-    verdict = certify(ideals)
-    if isinstance(verdict, UFD):
-        return verdict.certificate, None
-    return None, _problem(verdict)
-
-
 # -- command handlers --------------------------------------------------------
 
 def _cmd_mutate(args, seed, report: _Report) -> int:
@@ -338,43 +328,47 @@ def _cmd_verdict(args, seed, report: _Report) -> int:
         report.text(f"not a UFD: {verdict.witness}")
         return report.emit("NotUFD")
     assert isinstance(verdict, Inconclusive)
+    stuck = [list(s) for s in verdict.stuck_supports]
     report.set("reason", verdict.reason)
-    report.set("stuck_supports", [list(s) for s in verdict.stuck_supports])
+    report.set("stuck_supports", stuck)
     report.set("verified_bound", verdict.verified_bound)
     report.text(f"inconclusive: {verdict.reason}")
+    if stuck:
+        report.text(f"stuck at supports {stuck}")
     report.text(f"direct checks verified all weights <= {verdict.verified_bound}")
     return report.emit("Inconclusive")
 
 
 def _cmd_member(args, seed, report: _Report) -> int:
-    from .factoriality import ExchangeIdeals, algebra_membership
+    from .factoriality import ExchangeIdeals, Uncertified, algebra_membership
     from .parse import parse_expression
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     value = parse_expression(args.expr, seed.matrix.m, seed.field)
-    certificate, problem = _require_certificate(ideals)
-    if certificate is None:
-        report.set("reason", f"{problem}; no verified certificate, so the "
-                             f"valuation test does not apply (use explicit "
-                             f"Groebner product-ideal membership instead)")
+    try:
+        member = algebra_membership(ideals, value)
+    except Uncertified as exc:
+        report.set("reason", f"{_problem(exc.args[0])}; no verified "
+                             f"certificate, so the valuation test does not "
+                             f"apply (use explicit Groebner product-ideal "
+                             f"membership instead)")
         report.text(report.payload["reason"])
         return report.emit("inconclusive")
-    member = algebra_membership(ideals, value, certificate)
     report.set("expression", str(value))
     report.text(f"{value}: {'member' if member else 'not a member'}")
     return report.emit("member" if member else "non-member")
 
 
 def _cmd_normal_form(args, seed, report: _Report) -> int:
-    from .factoriality import ExchangeIdeals, normal_form_element
+    from .factoriality import ExchangeIdeals, Uncertified, normal_form_element
     from .parse import check_digits, parse_polynomial
     ideals = ExchangeIdeals(seed.matrix, seed.field)
     p = parse_polynomial(args.expr, seed.matrix.m, seed.field)
-    certificate, problem = _require_certificate(ideals)
-    if certificate is None:
-        report.set("reason", str(problem))
-        report.text(str(problem))
+    try:
+        result = normal_form_element(ideals, p)
+    except Uncertified as exc:
+        report.set("reason", _problem(exc.args[0]))
+        report.text(report.payload["reason"])
         return report.emit("inconclusive")
-    result = normal_form_element(ideals, p, certificate)
     # over Q(i), dividing by the leading coefficient can double a denominator
     check_digits(result.value, 1)
     report.set("value", str(result.value))

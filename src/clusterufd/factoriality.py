@@ -13,9 +13,11 @@ certificate is a set of such cubes that covers every nonempty support; a
 complete certificate proves that products of the exchange ideals agree with
 their intersections for every multi-index, which is the criterion for the
 upper cluster algebra to be a UFD.  Certificates are re-checked, never
-trusted, and ``ufd_verdict`` additionally cross-validates a UFD verdict
-against direct Groebner computations at small multi-indices; disagreement
-there raises ``ConsistencyError`` because it can only mean a bug.
+trusted: once, in ``certify``, which ``algebra_membership`` and
+``normal_form_element`` call themselves.  ``ufd_verdict`` additionally
+cross-validates a UFD verdict against direct Groebner computations at
+small multi-indices; disagreement there raises ``ConsistencyError``
+because it can only mean a bug.
 """
 from __future__ import annotations
 
@@ -834,21 +836,23 @@ def ufd_verdict(ideals: ExchangeIdeals, degree_bound: int = 3,
 
 # -- membership and normal forms under a verified certificate ----------------
 
-def algebra_membership(ideals: ExchangeIdeals, value: LaurentPolynomial,
-                       certificate: SupportCertificate) -> bool:
+class Uncertified(Exception):
+    """``certify`` gave no certificate; the argument is its verdict."""
+
+
+def algebra_membership(ideals: ExchangeIdeals, value: LaurentPolynomial) -> bool:
     """Whether the Laurent value lies in the cluster algebra.
 
     Frozen variables are not inverted (the convention of Geiss, Leclerc and
     Schroer), so a frozen variable in the reduced denominator means
     non-member.  Valid only under a verified certificate (which makes
-    valuations detect membership exactly); without one, fall back to
-    explicit Groebner product-ideal computations.
+    valuations detect membership exactly): it runs ``certify`` first and
+    raises ``Uncertified`` without one, where only explicit Groebner
+    product-ideal computations decide membership.
     """
-    problems = certificate.verify(ideals.matrix)
-    if problems:
-        raise ValueError(
-            f"certificate does not verify ({problems[0]}); use the "
-            f"Groebner product-ideal membership test instead")
+    verdict = certify(ideals)
+    if not isinstance(verdict, UFD):
+        raise Uncertified(verdict)
     if value.m != ideals.m:
         raise ValueError("value lives in the wrong ambient ring")
     if value.is_zero:
@@ -870,12 +874,12 @@ class NormalFormResult(NamedTuple):
     irreducibility: str  # "irreducible" | "reducible" | "unverified"
 
 
-def normal_form_element(ideals: ExchangeIdeals, p: Polynomial,
-                        certificate: SupportCertificate) -> NormalFormResult:
-    """P / M(P) for a unit-normalized polynomial not divisible by any variable."""
-    problems = certificate.verify(ideals.matrix)
-    if problems:
-        raise ValueError(f"certificate does not verify ({problems[0]})")
+def normal_form_element(ideals: ExchangeIdeals, p: Polynomial) -> NormalFormResult:
+    """P / M(P) for a unit-normalized polynomial not divisible by any
+    variable; it runs ``certify`` first, as ``algebra_membership`` does."""
+    verdict = certify(ideals)
+    if not isinstance(verdict, UFD):
+        raise Uncertified(verdict)
     if p.is_zero or p.total_degree() < 1:
         raise ValueError("normal forms are defined for nonconstant polynomials")
     content = p.min_exponents()

@@ -213,6 +213,15 @@ class TestVerdict:
         assert body["stuck_supports"] == [[2, 3]]
         assert body["verified_bound"] == 1
 
+    def test_text_report_prints_the_stuck_supports(self, capsys,
+                                                   stuck_seed_file):
+        code, out, _ = run(capsys, "verdict", "--seed", stuck_seed_file,
+                           "--bound", "1")
+        assert code == 2
+        assert out.splitlines()[-3:] == [
+            "stuck at supports [[2, 3]]",
+            "direct checks verified all weights <= 1", "verdict: Inconclusive"]
+
     @pytest.mark.parametrize("argv, notes", [
         (("--builtin", "A:9"), "cross-check skipped (n > 8)"),
         (("--builtin", "A:4", "--budget", "3"),
@@ -869,6 +878,25 @@ class TestNecessaryConditionsOnce:
         assert code == 3
         assert body["verdict"] == "error"
         assert "column 2 is zero" in body["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", "--builtin", "A:4", "--expr", "x1"),
+    ("normal-form", "--builtin", "A:4", "--expr", "x1 + x2 + 1"),
+    ("prove-ufd", "--builtin", "A:4"),
+    ("verdict", "--builtin", "A:4", "--bound", "0")])
+def test_each_certificate_command_verifies_once(capsys, monkeypatch, argv):
+    calls = []
+    verify = factoriality.SupportCertificate.verify
+
+    def counted(self, matrix):
+        calls.append(matrix)
+        return verify(self, matrix)
+
+    monkeypatch.setattr(factoriality.SupportCertificate, "verify", counted)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")

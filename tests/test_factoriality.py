@@ -31,6 +31,7 @@ from clusterufd.factoriality import (
     SinkSourceSplit,
     SupportCertificate,
     UFD,
+    Uncertified,
     algebra_membership,
     binomial_irreducible,
     binomial_witness_factors,
@@ -654,78 +655,77 @@ class TestDynkinTable:
 
 @pytest.fixture(scope="module")
 def a2():
-    ideals = ideals_for("A:2")
-    return ideals, inductive_prover(ideals).certificate
+    return ideals_for("A:2")
+
+
+@pytest.fixture(scope="module", params=["A:3", "cyclicA3", "stuck 4-chain"])
+def uncertified(request):
+    """A NotUFD seed, one the gate leaves Inconclusive, and one whose
+    certificate search is stuck."""
+    if request.param == "stuck 4-chain":
+        return ExchangeIdeals(ExchangeMatrix(STUCK_ROWS))
+    return ideals_for(request.param)
 
 
 class TestAlgebraMembership:
     def test_members(self, a2):
-        ideals, cert = a2
         for text in ("x1", "x2", "5", "0", "x1*x2",
                      "(1 + x2)/x1", "(1 + x1)/x2", "(1 + x1 + x2)/(x1*x2)"):
             value = parse_expression(text, 2, Q)
-            assert algebra_membership(ideals, value, cert), text
+            assert algebra_membership(a2, value), text
 
     def test_non_members(self, a2):
-        ideals, cert = a2
         for text in ("1/x1", "x2/x1", "(1 + x1)/x1", "(1 + x2)/x1^2"):
             value = parse_expression(text, 2, Q)
-            assert not algebra_membership(ideals, value, cert), text
+            assert not algebra_membership(a2, value), text
 
     def test_frozen_denominators_are_not_inverted(self):
         matrix = ExchangeMatrix([[0, 1], [-1, 0], [1, 1]])
         ideals = ExchangeIdeals(matrix)
-        cert = inductive_prover(ideals).certificate
-        assert cert is not None
+        assert isinstance(certify(ideals), UFD)
         for text, member in (("1/x3", False), ("(x2 + x3)/x1", True),
                              ("x3*(x2 + x3)/x1", True), ("x3/x1", False),
                              ("(x2 + x3)/(x1*x3)", False)):
             value = parse_expression(text, 3, Q)
-            assert algebra_membership(ideals, value, cert) == member, text
+            assert algebra_membership(ideals, value) == member, text
 
     def test_bad_inputs(self, a2):
-        ideals, cert = a2
         with pytest.raises(ValueError):
-            algebra_membership(ideals, parse_expression("x1", 3, Q), cert)
-        # FreeIndex(1) is a rule of A:2, but its cube is (1,) in, (2,) out
-        broken = SupportCertificate([((1,), (), FreeIndex(1))], 2)
-        with pytest.raises(ValueError, match="certificate does not verify"):
-            algebra_membership(ideals, parse_expression("x1", 2, Q), broken)
-        with pytest.raises(ValueError, match="certificate does not verify"):
-            normal_form_element(ideals, P("1 + x2", 2), broken)
+            algebra_membership(a2, parse_expression("x1", 3, Q))
+
+    def test_uncertified_seeds_raise_certifys_verdict(self, uncertified):
+        value = parse_expression("x1", uncertified.m, Q)
+        with pytest.raises(Uncertified) as err:
+            algebra_membership(uncertified, value)
+        assert err.value.args == (certify(uncertified),)
 
 
 class TestNormalFormElement:
     def test_exchange_binomial(self, a2):
-        ideals, cert = a2
-        result = normal_form_element(ideals, P("1 + x2", 2), cert)
+        result = normal_form_element(a2, P("1 + x2", 2))
         assert str(result.value) == "(x2 + 1)/x1"
         assert result.normal_monomial == (1, 0)
         assert result.irreducibility == "irreducible"
 
     def test_last_cluster_variable(self, a2):
-        ideals, cert = a2
-        result = normal_form_element(ideals, P("1 + x1 + x2", 2), cert)
+        result = normal_form_element(a2, P("1 + x1 + x2", 2))
         assert str(result.value) == "(x1 + x2 + 1)/(x1*x2)"
         assert result.irreducibility == "irreducible"
 
     def test_scalar_normalization(self, a2):
-        ideals, cert = a2
-        doubled = normal_form_element(ideals, P("2 + 2*x2", 2), cert)
-        plain = normal_form_element(ideals, P("1 + x2", 2), cert)
+        doubled = normal_form_element(a2, P("2 + 2*x2", 2))
+        plain = normal_form_element(a2, P("1 + x2", 2))
         assert doubled.value == plain.value
 
     def test_reducible_product(self, a2):
-        ideals, cert = a2
         result = normal_form_element(
-            ideals, P("1 + x1 + x2 + x1*x2", 2), cert)
+            a2, P("1 + x1 + x2 + x1*x2", 2))
         assert result.irreducibility == "reducible"
         assert result.normal_monomial == (1, 1)
 
     def test_unverified_beyond_bound(self, a2):
-        ideals, cert = a2
         # degree 13, past the oracle's cap of 12, and no variable of degree one
-        result = normal_form_element(ideals, P("1 + x1^2 + x1^7*x2^6", 2), cert)
+        result = normal_form_element(a2, P("1 + x1^2 + x1^7*x2^6", 2))
         assert result.irreducibility == "unverified"
 
     def test_degree_one_lemma_runs_before_the_oracle(self, a2, monkeypatch):
@@ -733,18 +733,21 @@ class TestNormalFormElement:
             raise AssertionError("the factor oracle ran")
 
         monkeypatch.setattr(factoriality, "brute_force_factor", no_oracle)
-        ideals, cert = a2
         # past the oracle's degree cap, yet decided: x1 has degree one
-        result = normal_form_element(ideals, P("1 + x1 + x2^13", 2), cert)
+        result = normal_form_element(a2, P("1 + x1 + x2^13", 2))
         assert result.irreducibility == "irreducible"
 
     def test_rejected_inputs(self, a2):
-        ideals, cert = a2
         with pytest.raises(ValueError):
-            normal_form_element(ideals, P("7", 2), cert)
+            normal_form_element(a2, P("7", 2))
         with pytest.raises(ValueError) as err:
-            normal_form_element(ideals, P("x1 + x1*x2", 2), cert)
+            normal_form_element(a2, P("x1 + x1*x2", 2))
         assert "x1 divides" in str(err.value)
+
+    def test_uncertified_seeds_raise_certifys_verdict(self, uncertified):
+        with pytest.raises(Uncertified) as err:
+            normal_form_element(uncertified, P("x1 + 1", uncertified.m))
+        assert err.value.args == (certify(uncertified),)
 
 
 # -- the weight sweep and the verdict's stage order ---------------------------
