@@ -152,7 +152,8 @@ def _problem(verdict) -> str:
     if isinstance(verdict, NotUFD):
         return f"necessary conditions already fail: {verdict.witness}"
     if verdict.stuck_supports:
-        return f"certificate search stuck at supports {list(verdict.stuck_supports)}"
+        stuck = [list(s) for s in verdict.stuck_supports]
+        return f"certificate search stuck at supports {stuck}"
     return verdict.reason
 
 

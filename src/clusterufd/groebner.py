@@ -11,15 +11,32 @@ against an integer budget and its basis size against the fixed cap
 silently truncating.  The sequence of S-pair reductions is part of that
 budget contract: a given input needs the same number of reductions on every
 run, so a budget that suffices once always suffices.
+
+Monomials are packed.  For the length of one ``buchberger`` or
+``normal_form`` call each exponent vector is one Python int, with a field
+per variable and one for the total degree, laid out by
+``MonomialOrder.packing`` so that the order's key is an int function of the
+packed int (Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007).  The top bit of every
+field is a guard bit, clear in every valid monomial.  While the guard bits
+stay clear no field carries into its neighbour, so multiplying monomials is
+``+``, dividing is ``-``, and x^a divides x^b exactly when
+``((b | G) - a) & G == G`` for the mask G of guard bits.  A sum whose field
+reaches its guard bit is caught before it is used again (the degree field
+bounds every other field), and the call starts over with fields twice as
+wide, so a large exponent costs time, never a wrong basis.  Vectors are
+packed on entry and unpacked on exit only.  The pair order, both criteria
+and the first-divisor choice of reducer are those of tuple exponents, so
+the sequence of S-pair reductions is unchanged.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .fields import FieldTag
-from .poly import (ELIMINATE_LAST, GREVLEX, MonomialOrder, Polynomial,
-                   ev_add, ev_divides, ev_max, ev_sub)
+from .poly import ELIMINATE_LAST, GREVLEX, MonomialOrder, Polynomial
 
 
 class BudgetExceeded(Exception):
@@ -35,42 +52,97 @@ class BudgetExceeded(Exception):
 
 DEFAULT_BUDGET = 1_000_000  # S-pair reductions per Buchberger run
 MAX_BASIS = 10_000  # basis elements per Buchberger run
+FIELD_BITS = 5  # value bits per packed field at first: degrees up to 31
 
 
-def _support_mask(exp) -> int:
-    """The variables of the monomial x^exp as a bitmask: bit k for x_(k+1).
-    x^a can divide x^b only when mask(a) & ~mask(b) is zero, which is
-    cheaper to test than the divisibility itself."""
-    mask = 0
-    for k, e in enumerate(exp):
-        if e:
-            mask |= 1 << k
-    return mask
+class _Overflow(Exception):
+    """A packed monomial reached a guard bit; the call restarts wider."""
 
 
-def _reduce_full(terms: dict, reducers: Sequence[tuple], masks: Sequence[int],
-                 order: MonomialOrder) -> dict:
-    """Fully reduce a term dict modulo monic reducers [(lt_exp, terms)],
-    whose leading exponents have the support masks ``masks``.
+class _Packing:
+    """Exponent vectors of m variables packed into ints whose fields hold
+    ``bits`` value bits under a guard bit, in ``order``'s layout."""
+
+    __slots__ = ("bits", "shifts", "degree_shift", "key", "guards", "value",
+                 "variables", "ones", "top", "field")
+
+    def __init__(self, m: int, order: MonomialOrder, bits: int):
+        self.bits = bits
+        width = bits + 1
+        self.shifts, self.degree_shift, self.key = order.packing(m, width)
+        self.ones = sum(1 << (k * width) for k in range(m + 1))
+        self.guards = self.ones << bits
+        self.value = (1 << bits) - 1
+        self.variables = self.ones * self.value & ~(self.value << self.degree_shift)
+        self.top = m * width
+        self.field = (1 << width) - 1
+
+    def pack(self, terms: dict) -> dict:
+        shifts, degree_shift, value = self.shifts, self.degree_shift, self.value
+        out = {}
+        for e, c in terms.items():
+            degree = sum(e)
+            if degree > value:
+                raise _Overflow
+            out[sum(map(lshift, e, shifts)) + (degree << degree_shift)] = c
+        return out
+
+    def unpack(self, terms: dict) -> dict:
+        shifts, value = self.shifts, self.value
+        return {tuple(p >> s & value for s in shifts): c for p, c in terms.items()}
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the valid monomial a divides the valid monomial b."""
+        return ((b | self.guards) - a) & self.guards == self.guards
+
+    def lcm(self, a: int, b: int) -> tuple[int, int]:
+        """The lcm of two valid monomials and its total degree: the fieldwise
+        maximum of the variables, whose sum the multiplication by ``ones``
+        gathers in the top field."""
+        ge = ((a | self.guards) - b) & self.guards  # guard set where a >= b
+        larger = ge - (ge >> self.bits)  # value bits of those fields
+        lcm = (b ^ ((a ^ b) & larger)) & self.variables
+        degree = (lcm * self.ones >> self.top) & self.field
+        if degree > self.value:
+            raise _Overflow
+        return lcm | degree << self.degree_shift, degree
+
+
+def _widening(run, m: int, order: MonomialOrder):
+    """``run(packing)`` for m variables with ``FIELD_BITS`` value bits per
+    field, restarted with fields twice as wide while it overflows."""
+    bits = FIELD_BITS
+    while True:
+        try:
+            return run(_Packing(m, order, bits))
+        except _Overflow:
+            bits *= 2
+
+
+def _reduce_full(terms: dict, reducers: Sequence[tuple], packing: _Packing) -> dict:
+    """Fully reduce a packed term dict modulo monic packed reducers
+    [(lt, terms)], each term by the first reducer whose leading term
+    divides it.
 
     The result lists its terms in descending order, so its first key is the
-    leading exponent.  Each exponent's order key is computed once.
+    leading term.
     """
-    key = order.key
+    key, guards = packing.key, packing.guards
     rem = dict(terms)
-    keys = {exp: key(exp) for exp in rem}
     out: dict = {}
     while rem:
-        exp = max(rem, key=keys.__getitem__)
+        exp = max(rem, key=key)
+        if exp & guards:
+            raise _Overflow
         coeff = rem.pop(exp)
-        absent = ~_support_mask(exp)
-        for lt_mask, (lt_exp, g_terms) in zip(masks, reducers):
-            if not lt_mask & absent and ev_divides(lt_exp, exp):
-                shift = ev_sub(exp, lt_exp)
+        guarded = exp | guards
+        for lt, g_terms in reducers:
+            if (guarded - lt) & guards == guards:
+                shift = exp - lt
                 for e2, c2 in g_terms.items():
-                    if e2 == lt_exp:
+                    if e2 == lt:
                         continue
-                    tgt = ev_add(shift, e2)
+                    tgt = shift + e2
                     if tgt in rem:
                         s = rem[tgt] - coeff * c2
                         if s:
@@ -79,8 +151,6 @@ def _reduce_full(terms: dict, reducers: Sequence[tuple], masks: Sequence[int],
                             del rem[tgt]
                     else:
                         rem[tgt] = -coeff * c2
-                        if tgt not in keys:
-                            keys[tgt] = key(tgt)
                 break
         else:
             out[exp] = coeff
@@ -92,24 +162,35 @@ def _monic(terms: dict, lt_coeff, field: FieldTag) -> dict:
     return {e: div(c, lt_coeff) for e, c in terms.items()}
 
 
+def _leading_reducer(terms: dict, packing: _Packing, field: FieldTag) -> tuple:
+    """(lt, monic terms) of a nonzero packed term dict."""
+    lt = max(terms, key=packing.key)
+    return lt, _monic(terms, terms[lt], field)
+
+
 def normal_form(p: Polynomial, basis: "GroebnerBasis") -> Polynomial:
     """The fully reduced remainder of p modulo the basis (unique when reduced)."""
     if p.is_zero:
         return p
-    masks = [_support_mask(lt_exp) for lt_exp, _ in basis.reducers]
-    out = _reduce_full(p.terms, basis.reducers, masks, basis.order)
+
+    def run(packing):
+        reducers = [_leading_reducer(packing.pack(g.terms), packing, p.field)
+                    for g in basis]
+        return packing.unpack(_reduce_full(packing.pack(p.terms), reducers, packing))
+
+    out = _widening(run, p.m, basis.order)
     return Polynomial._raw(p.m, p.field, out)
 
 
-def _s_terms(f: tuple, g: tuple, lcm) -> dict:
-    """Terms of the S-polynomial of two monic reducers (lt_exp, terms)
-    whose leading exponents have least common multiple ``lcm``."""
-    f_exp, f_terms = f
-    g_exp, g_terms = g
-    f_shift, g_shift = ev_sub(lcm, f_exp), ev_sub(lcm, g_exp)
-    out = {ev_add(f_shift, e): c for e, c in f_terms.items()}
+def _s_terms(f: tuple, g: tuple, lcm: int) -> dict:
+    """Terms of the S-polynomial of two monic reducers (lt, terms) whose
+    leading terms have least common multiple ``lcm``."""
+    f_lt, f_terms = f
+    g_lt, g_terms = g
+    f_shift, g_shift = lcm - f_lt, lcm - g_lt
+    out = {f_shift + e: c for e, c in f_terms.items()}
     for e, c in g_terms.items():
-        tgt = ev_add(g_shift, e)
+        tgt = g_shift + e
         if tgt in out:
             s = out[tgt] - c
             if s:
@@ -125,18 +206,26 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                budget: int = DEFAULT_BUDGET) -> "GroebnerBasis":
     """Reduced Groebner basis of the given generators under ``order``,
     after at most ``budget`` S-pair reductions."""
+    polys = _widening(lambda packing: _buchberger(generators, packing, budget),
+                      generators[0].m, order)
+    return GroebnerBasis(polys, order)
+
+
+def _buchberger(generators: Sequence[Polynomial], packing: _Packing,
+                budget: int) -> tuple[Polynomial, ...]:
+    """The reduced basis's elements, computed on packed monomials."""
     field = generators[0].field
     m = generators[0].m
-    key = order.key
+    key, guards = packing.key, packing.guards
 
-    monic: dict[Polynomial, tuple] = {}  # monic generator -> lt_exp, first occurrences
+    # (lt, monic terms), one per distinct monic generator, first occurrences
+    firsts: dict[frozenset, tuple] = {}
     for g in generators:
         if not g.is_zero:
-            lt_exp, lt_coeff = g.leading(order)
-            monic.setdefault(Polynomial._raw(m, field, _monic(g.terms, lt_coeff, field)), lt_exp)
-    # (lt_exp, monic terms), one per basis element
-    reducers: list[tuple] = [(lt_exp, g.terms) for g, lt_exp in monic.items()]
-    masks = [_support_mask(lt_exp) for lt_exp, _ in reducers]
+            lt, terms = _leading_reducer(packing.pack(g.terms), packing, field)
+            firsts.setdefault(frozenset(terms.items()), (lt, terms))
+    reducers: list[tuple] = list(firsts.values())
+    leads = [lt for lt, _ in reducers]
 
     if not reducers:
         raise ValueError("cannot compute a basis for the zero ideal")
@@ -148,9 +237,9 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     reductions = 0
 
     def add_pair(i, j):
-        lcm = ev_max(reducers[i][0], reducers[j][0])
+        lcm, degree = packing.lcm(leads[i], leads[j])
         pairs.add((i, j))
-        heappush(queue, (sum(lcm), i, j, lcm))
+        heappush(queue, (degree, i, j, lcm))
 
     for j in range(len(reducers)):
         for i in range(j):
@@ -160,20 +249,14 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         _, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
         # coprime leading terms: S-polynomial reduces to zero
-        if not masks[i] & masks[j]:
+        if lcm == leads[i] + leads[j]:
             continue
-        # chain criterion; the lcm's variables are those of either lead
-        absent = ~(masks[i] | masks[j])
-        skip = False
-        for k in range(len(reducers)):
-            if k in (i, j) or masks[k] & absent:
-                continue
-            if (ev_divides(reducers[k][0], lcm)
-                    and (min(i, k), max(i, k)) not in pairs
-                    and (min(j, k), max(j, k)) not in pairs):
-                skip = True
-                break
-        if skip:
+        # chain criterion
+        guarded = lcm | guards
+        if any(k != i and k != j and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in [k for k, lead in enumerate(leads)
+                         if (guarded - lead) & guards == guards]):
             continue
         reductions += 1
         if reductions > budget or len(reducers) > MAX_BASIS:
@@ -181,48 +264,44 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         s = _s_terms(reducers[i], reducers[j], lcm)
         if not s:
             continue
-        reduced = _reduce_full(s, reducers, masks, order)
+        reduced = _reduce_full(s, reducers, packing)
         if not reduced:
             continue
-        lt_exp = next(iter(reduced))
+        lt = next(iter(reduced))
         new_index = len(reducers)
-        reducers.append((lt_exp, _monic(reduced, reduced[lt_exp], field)))
-        masks.append(_support_mask(lt_exp))
+        reducers.append((lt, _monic(reduced, reduced[lt], field)))
+        leads.append(lt)
         for k in range(new_index):
             add_pair(k, new_index)
 
     # minimalize: drop elements whose leading term another one divides
+    divides = packing.divides
     keep = []
-    for i, (lt, _) in enumerate(reducers):
-        if any(ev_divides(reducers[j][0], lt) for j in keep if j != i):
+    for i, lt in enumerate(leads):
+        if any(divides(leads[j], lt) for j in keep):
             continue
-        keep = [j for j in keep if not ev_divides(lt, reducers[j][0])]
+        keep = [j for j in keep if not divides(lt, leads[j])]
         keep.append(i)
 
     # inter-reduce tails; the leading terms survive, so sort by them
-    reduced = []
-    for i in sorted(keep, key=lambda i: key(reducers[i][0]), reverse=True):
-        others = [j for j in keep if j != i]
-        lt_exp, terms = reducers[i]
+    out = []
+    for i in sorted(keep, key=lambda i: key(leads[i]), reverse=True):
+        others = [reducers[j] for j in keep if j != i]
+        terms = reducers[i][1]
         if others:
-            terms = _reduce_full(terms, [reducers[j] for j in others],
-                                 [masks[j] for j in others], order)
-        reduced.append((lt_exp, terms))
-    return GroebnerBasis(tuple(Polynomial._raw(m, field, terms) for _, terms in reduced),
-                         order, reduced)
+            terms = _reduce_full(terms, others, packing)
+        out.append(Polynomial._raw(m, field, packing.unpack(terms)))
+    return tuple(out)
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its monomial order;
-    ``reducers`` pairs each element's leading exponent with its terms."""
+    """A reduced, monic Groebner basis together with its monomial order."""
 
-    __slots__ = ("polys", "order", "reducers")
+    __slots__ = ("polys", "order")
 
-    def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder,
-                 reducers: list[tuple]):
+    def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder):
         self.polys = polys
         self.order = order
-        self.reducers = reducers
 
     def __iter__(self):
         return iter(self.polys)

@@ -787,6 +787,38 @@ class TestConjectureSweep:
         assert budgeted[-1].status == "inconclusive"
         assert all(o.status == "holds" for o in budgeted[:-1])
 
+    def test_one_elimination_per_multi_index(self, monkeypatch):
+        """Each multi-index of the sweep extends one checked before it, so
+        E:6 to weight 3 runs 65 eliminations, one per multi-index with two
+        or more active indices (85 without the intersection cache), and 65
+        product bases; the reduced bases agree, so no normal form runs."""
+        from clusterufd import groebner
+        calls = {"buchberger": 0, "normal_form": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(groebner, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(groebner, name, counted)
+        outcomes = conjecture_sweep(ideals_for("E:6"), 3)
+        assert len(outcomes) == 83 and {o.status for o in outcomes} == {"holds"}
+        assert calls == {"buchberger": 130, "normal_form": 0}
+
+    def test_intersection_cache(self):
+        from clusterufd.groebner import BudgetExceeded, ideal_intersection_many
+        ideals = ideals_for("E:6")
+        powers = ((1, 1), (2, 2), (4, 1))
+        # a run past its budget caches nothing
+        with pytest.raises(BudgetExceeded):
+            ideals.power_intersection(powers[:2], 1)
+        with pytest.raises(BudgetExceeded):
+            ideals.power_intersection(powers[:2], 1)
+        meet = ideals.power_intersection(powers, 1_000)
+        assert meet.generators == ideal_intersection_many(
+            [ideals.power_ideal(i, a) for i, a in powers]).generators
+        # cached, so returned whatever the budget
+        assert ideals.power_intersection(powers, 1) is meet
+        assert ideals.power_intersection(powers[:1], 1) is ideals.power_ideal(1, 1)
+
     def test_empty_and_gated(self):
         assert conjecture_sweep(ideals_for("A:2"), 0) == []
         # a seed the gate stops is probed all the same

@@ -20,7 +20,7 @@ from clusterufd.cluster import builtin_matrix
 from clusterufd.factoriality import ExchangeIdeals
 from clusterufd.fields import FieldTag
 from clusterufd.parse import parse_polynomial
-from clusterufd.poly import ELIMINATE_LAST, GREVLEX, Polynomial, ev_divides
+from clusterufd.poly import ELIMINATE_LAST, GREVLEX, Polynomial, ev_divides, ev_max
 from clusterufd import groebner
 from clusterufd.groebner import (
     DEFAULT_BUDGET,
@@ -48,6 +48,37 @@ def random_ideal(rng: random.Random, m: int = 2, gens: int = 2) -> Ideal:
         if not p.is_zero:
             out.append(p)
     return Ideal(out)
+
+
+def assert_basis_of(gens, gb):
+    """gb is a reduced Groebner basis of the ideal the generators span: each
+    generator and each S-polynomial of gb reduces to zero, and no term of an
+    element is divisible by another element's leading term."""
+    for g in gens:
+        assert normal_form(g, gb).is_zero
+    polys = list(gb)
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            s = s_polynomial(polys[i], polys[j], gb.order)
+            assert normal_form(s, gb).is_zero
+    leads = [g.leading(gb.order)[0] for g in polys]
+    for i, g in enumerate(polys):
+        for exp in g.terms:
+            assert not any(ev_divides(lead, exp) for j, lead in enumerate(leads)
+                           if j != i or exp != leads[i])
+
+
+# The largest total degree a packed field holds at the first width, and
+# binomials whose first run overflows it: "at" in the lcm of a pair (grevlex)
+# or in a reduction (ELIMINATE_LAST), "past" when the input is packed,
+# "crossing" and "grows" in the lcm of inputs below it.
+TOP = 2 ** groebner.FIELD_BITS - 1
+EDGE_GENERATORS = {
+    "at": [P(f"x1^{TOP} - x2"), P(f"x1*x2^{TOP - 1} - x1")],
+    "past": [P(f"x1^{TOP + 1} - x2"), P("x2^3 - x1")],
+    "crossing": [P(f"x1^{TOP // 2 + 1}*x2 - 1"), P(f"x1*x2^{TOP // 2 + 1} - x2")],
+    "grows": [P(f"x1^{TOP - 2}*x2^2 - x2"), P(f"x1^3 - x2^{TOP - 3}")],
+}
 
 
 class TestBuchberger:
@@ -78,18 +109,31 @@ class TestBuchberger:
         # so y^2 - 1 cannot lie in the ideal.
         assert not ideal_membership(P("x2^2 - 1"), ideal)
 
-    def test_random_bases_satisfy_definition(self):
+    def test_random_bases_satisfy_definition(self, monkeypatch):
+        """Random grevlex bases, bases of generators at and past the packed
+        field's edge under both orders, and the elimination bases that
+        ``ideal_intersection`` computes."""
         rng = random.Random(67)
+        runs = []
         for _ in range(25):
             ideal = random_ideal(rng)
-            gb = ideal.groebner_basis()
-            for g in ideal.generators:
-                assert normal_form(g, gb).is_zero
-            polys = list(gb)
-            for i in range(len(polys)):
-                for j in range(i + 1, len(polys)):
-                    s = s_polynomial(polys[i], polys[j], GREVLEX)
-                    assert normal_form(s, gb).is_zero
+            runs.append((ideal.generators, ideal.groebner_basis()))
+        for gens in EDGE_GENERATORS.values():
+            runs += [(gens, buchberger(gens, order))
+                     for order in (GREVLEX, ELIMINATE_LAST)]
+        original = groebner.buchberger
+
+        def recording(gens, order, budget=DEFAULT_BUDGET):
+            gb = original(gens, order, budget)
+            runs.append((gens, gb))
+            return gb
+
+        monkeypatch.setattr(groebner, "buchberger", recording)
+        for _ in range(10):
+            ideal_intersection(random_ideal(rng), random_ideal(rng))
+        assert sum(gb.order is ELIMINATE_LAST for _, gb in runs) == 14
+        for gens, gb in runs:
+            assert_basis_of(gens, gb)
 
     def test_reduced_and_monic(self):
         rng = random.Random(71)
@@ -116,6 +160,59 @@ class TestBuchberger:
         assert basis_is_unit(Ideal([P("x1"), P("x1 + 1")]).groebner_basis())
         assert is_unit_ideal(Ideal([P("3")]))
         assert not is_unit_ideal(Ideal([P("x1"), P("x2")]))
+
+
+class TestPacking:
+    """Packed monomials order, divide and overflow as exponent tuples do."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, ELIMINATE_LAST])
+    def test_key_lcm_and_divisibility_match_tuples(self, order):
+        rng = random.Random(61)
+        packing = groebner._Packing(3, order, groebner.FIELD_BITS)
+        exps = [(TOP, 0, 0), (0, TOP, 0), (0, 0, TOP), (0, 0, 0)]
+        exps += [tuple(rng.randint(0, TOP // 3) for _ in range(3)) for _ in range(60)]
+        exps = list(dict.fromkeys(exps))
+        packed = list(packing.pack({e: 1 for e in exps}))
+        assert packing.unpack(dict.fromkeys(packed, 1)) == dict.fromkeys(exps, 1)
+        assert ([packing.unpack({p: 1}) for p in sorted(packed, key=packing.key)]
+                == [{e: 1} for e in sorted(exps, key=order.key)])
+        for a, pa in zip(exps, packed):
+            for b, pb in zip(exps, packed):
+                assert packing.divides(pa, pb) == ev_divides(a, b)
+                if sum(max(x, y) for x, y in zip(a, b)) <= TOP:
+                    lcm, degree = packing.lcm(pa, pb)
+                    assert packing.unpack({lcm: 1}) == {ev_max(a, b): 1}
+                    assert degree == sum(ev_max(a, b))
+
+    def test_a_field_past_its_edge_overflows(self):
+        packing = groebner._Packing(2, GREVLEX, groebner.FIELD_BITS)
+        with pytest.raises(groebner._Overflow):
+            packing.pack({(TOP, 1): 1})
+        (a,), (b,) = packing.pack({(TOP, 0): 1}), packing.pack({(0, 1): 1})
+        with pytest.raises(groebner._Overflow):
+            packing.lcm(a, b)
+
+    @pytest.mark.parametrize("bits", [1, 64])
+    def test_the_first_width_never_changes_a_basis(self, monkeypatch, bits):
+        """Starting from one value bit, nearly every run overflows and starts
+        over; starting from 64, none does.  Either way every basis and every
+        normal form is the one the default width gives."""
+        rng = random.Random(67)
+        pairs = [(random_ideal(rng), random_ideal(rng)) for _ in range(5)]
+        extra = P("x1^40*x2 + x1*x2 - 1")
+
+        def results():
+            out = [list(buchberger(gens, order)) for gens in EDGE_GENERATORS.values()
+                   for order in (GREVLEX, ELIMINATE_LAST)]
+            out += [ideal_intersection(left, right).generators for left, right in pairs]
+            for left, _ in pairs:
+                gb = left.groebner_basis()
+                out.append([normal_form(extra, gb), normal_form(extra * extra, gb)])
+            return out
+
+        expected = results()
+        monkeypatch.setattr(groebner, "FIELD_BITS", bits)
+        assert results() == expected
 
 
 class TestNormalForm:
@@ -286,3 +383,10 @@ class TestReductionSequence:
         ideals = ExchangeIdeals(builtin_matrix(name), Q)
         lhs, rhs = ideals.power_ideal(*left), ideals.power_ideal(*right)
         self.assert_pinned(lambda b: ideal_intersection(lhs, rhs, b), n)
+
+    def test_from_the_narrowest_width(self, monkeypatch):
+        """Runs that overflow and start over wider count their reductions
+        afresh: the pinned counts hold from a one-bit first width."""
+        monkeypatch.setattr(groebner, "FIELD_BITS", 1)
+        self.test_product_ideal_basis("A:4", Q, (1, 2, 1, 0), 24)
+        self.test_intersection("E:6", (1, 1), (2, 2), 20)

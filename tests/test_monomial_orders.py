@@ -18,8 +18,9 @@ for _name in sorted(os.listdir(PACKAGE)):
             TREES[_name] = ast.parse(_fh.read())
 
 # the functions that run under either order
-TAKE_AN_ORDER = {"groebner.buchberger", "groebner._reduce_full",
-                 "poly.Polynomial.leading", "groebner.GroebnerBasis.__init__"}
+TAKE_AN_ORDER = {"groebner.buchberger", "groebner._widening",
+                 "groebner._Packing.__init__", "poly.Polynomial.leading",
+                 "groebner.GroebnerBasis.__init__"}
 
 
 def functions(node, prefix: str):

@@ -162,8 +162,8 @@ class TestRealCoefficientsOverQi:
             if all(p.is_zero for p in polys):
                 return
             bases[field] = buchberger(polys, GREVLEX)
-        assert ([(lt, typed_terms(terms)) for lt, terms in bases[Q].reducers]
-                == [(lt, typed_terms(terms)) for lt, terms in bases[QI].reducers])
+        assert ([typed_terms(g.terms) for g in bases[Q]]
+                == [typed_terms(g.terms) for g in bases[QI]])
 
     def test_conjecture_sweep_agrees_across_fields(self):
         def outcomes(name, field):
