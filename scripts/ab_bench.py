@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in the root of each checkout, N times each, with ``PYTHONDONTWRITEBYTECODE=1``
-so that every process compiles what it imports from source.  Pair k runs
-the parent first when k is even and the change first when k is odd, so
-neither side always runs on a warmer or a busier machine.  Every run's four
-end-to-end metrics and its ``failed`` count are printed as the run ends;
-then, for each metric, both medians, the parent's quartiles, and in how
-many pairs the change was better (lower).
+so that every process compiles what it imports from source.  ``--workload``
+takes a comma-separated list; each pair runs every listed workload on both
+sides.  Pair k runs the parent first when k is even and the change first
+when k is odd, so neither side always runs on a warmer or a busier machine.
+Every run's four end-to-end metrics and its ``failed`` count are printed as
+the run ends; then, one block per workload, for each metric, both medians,
+the parent's quartiles, and in how many pairs the change was better (lower).
 
 Usage:
-    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload crosscheck \\
-        --pairs 10 --seed 1 [--seconds 32]
+    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR \\
+        --workload crosscheck,mutation,prover --pairs 10 --seed 1 [--seconds 32]
 
 The benchmark keeps its scratch files under each checkout's
 ``.bench_build/``; this script writes no file, and with bytecode off
@@ -55,39 +56,43 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the parent checkout")
     parser.add_argument("change", help="root of the changed checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=32)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = args.workload.split(",")
 
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    runs = {(w, side): [] for w in workloads for side in sides}
     failed = 0
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, args.seed, args.seconds)
-            values = {name: result["metrics"][name]["value"] for name in METRICS}
-            runs[side].append(values)
-            failed += result["failed"]
-            print(f"pair {k + 1} {side:6s} "
-                  + " ".join(f"{name} {values[name]:.4f}" for name in METRICS)
-                  + f" failed {result['failed']}", flush=True)
+        for workload in workloads:
+            for side in order:
+                result = run_once(sides[side], workload, args.seed, args.seconds)
+                values = {name: result["metrics"][name]["value"] for name in METRICS}
+                runs[workload, side].append(values)
+                failed += result["failed"]
+                print(f"pair {k + 1} {workload} {side:6s} "
+                      + " ".join(f"{name} {values[name]:.4f}" for name in METRICS)
+                      + f" failed {result['failed']}", flush=True)
 
-    print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs: parent median (quartiles) -> change median, "
-          f"pairs the change won")
-    for name in METRICS:
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        low, high = quartiles(parent)
-        won = sum(c < p for p, c in zip(parent, change))
-        print(f"{name:12s} {statistics.median(parent):.4f} ({low:.4f}-{high:.4f}) -> "
-              f"{statistics.median(change):.4f}  won {won}/{args.pairs}")
+    for workload in workloads:
+        print(f"# {workload}, seed {args.seed}, {args.pairs} pairs of "
+              f"{args.seconds:g} s runs: parent median (quartiles) -> change "
+              f"median, pairs the change won")
+        for name in METRICS:
+            parent = [r[name] for r in runs[workload, "parent"]]
+            change = [r[name] for r in runs[workload, "change"]]
+            low, high = quartiles(parent)
+            won = sum(c < p for p, c in zip(parent, change))
+            print(f"{name:12s} {statistics.median(parent):.4f} ({low:.4f}-{high:.4f})"
+                  f" -> {statistics.median(change):.4f}  won {won}/{args.pairs}")
     print(f"failed {failed}")
     return 1 if failed else 0
 

@@ -97,8 +97,9 @@ class _Report:
 
 def _write(*parts: str):
     """Write ``parts`` to standard output and flush it.  Once the reader has
-    closed it, point standard output at the null device, so the flush at
-    interpreter exit does not raise again."""
+    closed it, point standard output at the null device, so a later flush
+    (``entrypoint``'s, or the one at interpreter exit) does not raise
+    again."""
     try:
         for part in parts:
             sys.stdout.write(part)
@@ -509,7 +510,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint():
-    sys.exit(main(sys.argv[1:]))
+    """Run ``main`` as a process: flush the report, then end at once.
+
+    The report is complete once both streams are flushed, so the process
+    skips interpreter teardown (a final garbage collection and the clearing
+    of every module): no ``atexit`` handler runs.  An exception that escapes
+    ``main`` ends the process the usual way.  As at interpreter exit, a
+    reader that closed standard error does not change the exit code."""
+    code = main(sys.argv[1:])
+    _write()
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

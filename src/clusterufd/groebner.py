@@ -25,7 +25,9 @@ stay clear no field carries into its neighbour, so multiplying monomials is
 reaches its guard bit is caught before it is used again (the degree field
 bounds every other field), and the call starts over with fields twice as
 wide, so a large exponent costs time, never a wrong basis.  Vectors are
-packed on entry and unpacked on exit only.  The pair order, both criteria
+packed on entry and unpacked on exit only.  A basis keeps the packed
+reducers of the run that made it, so ``normal_form`` packs only its input
+while that input fits their fields.  The pair order, both criteria
 and the first-divisor choice of reducer are those of tuple exponents, so
 the sequence of S-pair reductions is unchanged.
 """
@@ -108,10 +110,9 @@ class _Packing:
         return lcm | degree << self.degree_shift, degree
 
 
-def _widening(run, m: int, order: MonomialOrder):
-    """``run(packing)`` for m variables with ``FIELD_BITS`` value bits per
-    field, restarted with fields twice as wide while it overflows."""
-    bits = FIELD_BITS
+def _widening(run, m: int, order: MonomialOrder, bits: int):
+    """``run(packing)`` for m variables with ``bits`` value bits per field,
+    restarted with fields twice as wide while it overflows."""
     while True:
         try:
             return run(_Packing(m, order, bits))
@@ -169,17 +170,23 @@ def _leading_reducer(terms: dict, packing: _Packing, field: FieldTag) -> tuple:
 
 
 def normal_form(p: Polynomial, basis: "GroebnerBasis") -> Polynomial:
-    """The fully reduced remainder of p modulo the basis (unique when reduced)."""
+    """The fully reduced remainder of p modulo the basis (unique when reduced).
+
+    The reduction runs on the basis's own packed reducers while p fits
+    their packing, and packs both again, wider, once it does not."""
     if p.is_zero:
         return p
+    packing, reducers = basis.packed
+    try:
+        out = _reduce_full(packing.pack(p.terms), reducers, packing)
+    except _Overflow:
+        def run(packing):
+            reducers = [_leading_reducer(packing.pack(g.terms), packing, p.field)
+                        for g in basis]
+            return _reduce_full(packing.pack(p.terms), reducers, packing), packing
 
-    def run(packing):
-        reducers = [_leading_reducer(packing.pack(g.terms), packing, p.field)
-                    for g in basis]
-        return packing.unpack(_reduce_full(packing.pack(p.terms), reducers, packing))
-
-    out = _widening(run, p.m, basis.order)
-    return Polynomial._raw(p.m, p.field, out)
+        out, packing = _widening(run, p.m, basis.order, packing.bits * 2)
+    return Polynomial._raw(p.m, p.field, packing.unpack(out))
 
 
 def _s_terms(f: tuple, g: tuple, lcm: int) -> dict:
@@ -206,14 +213,16 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                budget: int = DEFAULT_BUDGET) -> "GroebnerBasis":
     """Reduced Groebner basis of the given generators under ``order``,
     after at most ``budget`` S-pair reductions."""
-    polys = _widening(lambda packing: _buchberger(generators, packing, budget),
-                      generators[0].m, order)
-    return GroebnerBasis(polys, order)
+    polys, packed = _widening(
+        lambda packing: _buchberger(generators, packing, budget),
+        generators[0].m, order, FIELD_BITS)
+    return GroebnerBasis(polys, order, packed)
 
 
 def _buchberger(generators: Sequence[Polynomial], packing: _Packing,
-                budget: int) -> tuple[Polynomial, ...]:
-    """The reduced basis's elements, computed on packed monomials."""
+                budget: int) -> tuple[tuple[Polynomial, ...], tuple]:
+    """The reduced basis's elements, computed on packed monomials, and
+    ``(packing, reducers)``: its monic packed reducers [(lt, terms)]."""
     field = generators[0].field
     m = generators[0].m
     key, guards = packing.key, packing.guards
@@ -284,24 +293,29 @@ def _buchberger(generators: Sequence[Polynomial], packing: _Packing,
         keep.append(i)
 
     # inter-reduce tails; the leading terms survive, so sort by them
-    out = []
+    out, packed = [], []
     for i in sorted(keep, key=lambda i: key(leads[i]), reverse=True):
         others = [reducers[j] for j in keep if j != i]
         terms = reducers[i][1]
         if others:
             terms = _reduce_full(terms, others, packing)
+        packed.append((leads[i], terms))
         out.append(Polynomial._raw(m, field, packing.unpack(terms)))
-    return tuple(out)
+    return tuple(out), (packing, tuple(packed))
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its monomial order."""
+    """A reduced, monic Groebner basis together with its monomial order and
+    ``packed``, the ``(packing, reducers)`` of the Buchberger run that made
+    it, which ``normal_form`` reduces by."""
 
-    __slots__ = ("polys", "order")
+    __slots__ = ("polys", "order", "packed")
 
-    def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder):
+    def __init__(self, polys: tuple[Polynomial, ...], order: MonomialOrder,
+                 packed: tuple):
         self.polys = polys
         self.order = order
+        self.packed = packed
 
     def __iter__(self):
         return iter(self.polys)

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: exit codes, JSON schema, determinism."""
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -17,7 +19,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import clusterufd
-from clusterufd import factoriality
+from clusterufd import cli, factoriality
 from clusterufd.cli import main
 from clusterufd.cluster import MAX_ROWS, builtin_matrix
 from clusterufd.factoriality import (MAX_CERTIFICATE_N, ConsistencyError,
@@ -473,6 +475,113 @@ class TestClosedStdout:
         assert "Traceback" not in err, err
 
 
+BROKEN_VERDICT = """
+import sys
+from clusterufd import cli, factoriality
+def broken(*args, **kwargs):
+    raise factoriality.ConsistencyError("certificate contradicts a direct check")
+factoriality.ufd_verdict = broken
+sys.argv[1:] = {argv!r}
+cli.entrypoint()
+"""
+
+
+class TestProcessExit:
+    """``entrypoint`` ends the process with ``os._exit`` once the report is
+    flushed; what the reader gets is what in-process ``main`` writes."""
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, code", [
+        (("verdict", "--builtin", "A:2"), 0),
+        (("verdict", "--builtin", "A:3"), 1),
+        (("prove-ufd", "--builtin", "cyclicA3"), 2),
+        (("prove-ufd", "--builtin", "A:0"), 3),
+        (("--help",), 0),
+        (("verdict", "--builtin", "A:2", "--no-such-option"), 3),
+    ], ids=["holds", "refuted", "inconclusive", "input-error", "help", "usage-error"])
+    def test_fresh_process_matches_main(self, capsys, argv, code, mode):
+        expected = run(capsys, *argv, *mode)
+        proc = run_python("-m", "clusterufd.cli", *argv, *mode)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert expected[0] == code
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_internal_error_reaches_the_reader(self, mode):
+        argv = ["verdict", "--builtin", "A:2", *mode]
+        proc = run_python("-c", BROKEN_VERDICT.format(argv=argv))
+        assert proc.returncode == 4
+        message = "ConsistencyError: certificate contradicts a direct check"
+        if mode:
+            body = json.loads(proc.stdout)
+            assert (body["verdict"], body["error"]) == ("internal-error", message)
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"internal-error: {message}\n")
+        assert "Traceback (most recent call last):" in proc.stderr
+        assert "in broken" in proc.stderr
+        assert proc.stderr.endswith(f"factoriality.{message}\n")
+
+    class Stream:
+        def __init__(self, name, log, fd, flush_error=None):
+            self.name, self.log, self.fd = name, log, fd
+            self.flush_error = flush_error
+
+        def flush(self):
+            self.log.append((self.name, "flush"))
+            if self.flush_error:
+                raise self.flush_error
+
+        def fileno(self):
+            return self.fd
+
+    class Exited(Exception):
+        pass
+
+    def run_entrypoint(self, monkeypatch, tmp_path, broken=None):
+        """The calls ``entrypoint`` makes, in order, with ``main`` returning
+        1 and the stream named ``broken`` raising ``BrokenPipeError`` on
+        flush; the standard streams' descriptors are a scratch file's."""
+        log = []
+
+        def fake_exit(code):
+            log.append(("exit", code))
+            raise self.Exited
+
+        with open(tmp_path / "stream", "w") as scratch:
+            fd = scratch.fileno()
+            for name in ("stdout", "stderr"):
+                monkeypatch.setattr(sys, name, self.Stream(
+                    name, log, fd, BrokenPipeError() if name == broken else None))
+            monkeypatch.setattr(sys, "argv", ["clusterufd", "verdict"])
+            monkeypatch.setattr(cli, "main",
+                                lambda argv: log.append(("main", argv)) or 1)
+            monkeypatch.setattr(os, "_exit", fake_exit)
+            with pytest.raises(self.Exited):
+                cli.entrypoint()
+        return log
+
+    def test_streams_are_flushed_before_exit(self, monkeypatch, tmp_path):
+        assert self.run_entrypoint(monkeypatch, tmp_path) == [
+            ("main", ["verdict"]), ("stdout", "flush"), ("stderr", "flush"),
+            ("exit", 1)]
+
+    @pytest.mark.parametrize("broken", ["stdout", "stderr"])
+    def test_a_closed_reader_keeps_the_verdicts_code(self, monkeypatch, tmp_path,
+                                                     broken):
+        log = self.run_entrypoint(monkeypatch, tmp_path, broken)
+        assert log[-1] == ("exit", 1)
+
+    def test_only_entrypoint_exits_the_process(self):
+        tree = ast.parse(inspect.getsource(cli))
+        entry = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "entrypoint")
+
+        def exits(node):
+            return [n for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and n.attr == "_exit"]
+        assert exits(entry) and exits(tree) == exits(entry)
+
+
 class TestInternalErrors:
     """A bug must exit 4, never 1, which would read as "refuted"."""
 
@@ -758,6 +867,48 @@ def test_script_runs(script):
     proc = run_python(os.path.join(SCRIPTS_DIR, script),
                       *SCRIPT_ARGS.get(script, ()), timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+# Stands in for a checkout's benchmark: logs which side ran which workload,
+# and reports every metric as 2 on the parent and 1 on the change, times the
+# workload's position; a checkout holding a file named after a workload
+# reports one failed command there.
+FAKE_BENCHMARK = """
+import json, os, sys
+workload = sys.argv[sys.argv.index("--workload") + 1]
+side = os.path.basename(os.getcwd())
+with open(os.path.join("..", "log"), "a") as log:
+    log.write(f"{side} {workload}\\n")
+value = {"parent": 2, "change": 1}[side] * ("crosscheck", "prover").index(workload) + 1
+print(json.dumps({"failed": int(os.path.exists(workload)), "metrics": {
+    name: {"value": value} for name in ("setup_s", "wall_s", "cmd_p50_s", "peak_rss_mb")}}))
+"""
+
+
+def test_ab_bench_alternates_sides_over_every_workload(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_BENCHMARK)
+
+    def ab_bench():
+        return run_python(os.path.join(SCRIPTS_DIR, "ab_bench.py"),
+                          str(tmp_path / "parent"), str(tmp_path / "change"),
+                          "--workload", "crosscheck,prover", "--pairs", "2")
+
+    proc = ab_bench()
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "log").read_text().split() == (
+        "parent crosscheck change crosscheck parent prover change prover "
+        "change crosscheck parent crosscheck change prover parent prover").split()
+    summary = proc.stdout.split("\n# ")[1:]
+    assert [block.split(",")[0] for block in summary] == ["crosscheck", "prover"]
+    assert "wall_s       1.0000 (1.0000-1.0000) -> 1.0000  won 0/2" in summary[0]
+    assert "wall_s       3.0000 (3.0000-3.0000) -> 2.0000  won 2/2" in summary[1]
+    assert proc.stdout.endswith("failed 0\n")
+
+    (tmp_path / "change" / "prover").touch()
+    proc = ab_bench()
+    assert proc.returncode == 1 and proc.stdout.endswith("failed 2\n")
 
 
 DISCONNECTED_SEEDS = {

@@ -235,6 +235,23 @@ class TestNormalForm:
             member = h * ideal.generators[0]
             assert normal_form(p + member, gb) == normal_form(p, gb)
 
+    def test_reduces_by_the_packing_of_its_basis(self, monkeypatch):
+        """A polynomial that fits the basis's packing is reduced by the
+        basis's own packed reducers; one past it packs both again, wider."""
+        ideal = Ideal([P("x1^2 - x2"), P("x1^3 - x1")])
+        fits, past = P("x1^3*x2 + x2^2 + 1"), P(f"x1^{TOP}*x2 + x1")
+        with monkeypatch.context() as wide:
+            wide.setattr(groebner, "FIELD_BITS", 64)
+            gb = ideal.groebner_basis()
+            expected = [normal_form(fits, gb), normal_form(past, gb)]
+        gb = ideal.groebner_basis()
+        packing, made = gb.packed[0], []
+        monkeypatch.setattr(groebner, "_Packing", lambda *args: made.append(
+            args[2]) or type(packing)(*args))
+        assert normal_form(fits, gb) == expected[0] and made == []
+        assert normal_form(past, gb) == expected[1]
+        assert made == [2 * packing.bits] and gb.packed[0] is packing
+
 
 class TestIdealConstruction:
     def test_rejects_empty_and_zero(self):
