@@ -10,6 +10,8 @@ when k is odd, so neither side always runs on a warmer or a busier machine.
 Every run's four end-to-end metrics and its ``failed`` count are printed as
 the run ends; then, one block per workload, for each metric, both medians,
 the parent's quartiles, and in how many pairs the change was better (lower).
+Last, before the ``failed`` total, the line counts of ``src/clusterufd/*.py``
+in both checkouts, in total and per module (0 where a checkout has none).
 
 Usage:
     python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR \\
@@ -23,6 +25,7 @@ reports a failed command.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -43,6 +46,15 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def source_lines(root: str) -> dict:
+    """Line count of each module of ``src/clusterufd`` under ``root``."""
+    counts = {}
+    for path in glob.glob(os.path.join(root, "src", "clusterufd", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            counts[os.path.basename(path)[:-3]] = sum(1 for _ in fh)
+    return counts
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -93,6 +105,10 @@ def main(argv=None) -> int:
             won = sum(c < p for p, c in zip(parent, change))
             print(f"{name:12s} {statistics.median(parent):.4f} ({low:.4f}-{high:.4f})"
                   f" -> {statistics.median(change):.4f}  won {won}/{args.pairs}")
+    parent, change = (source_lines(sides[side]) for side in ("parent", "change"))
+    print(f"src lines: total {sum(parent.values())} -> {sum(change.values())}"
+          + "".join(f", {module} {parent.get(module, 0)} -> {change.get(module, 0)}"
+                    for module in sorted({*parent, *change})))
     print(f"failed {failed}")
     return 1 if failed else 0
 

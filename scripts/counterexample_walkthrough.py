@@ -14,7 +14,7 @@ import sys
 
 from clusterufd.cluster import builtin_matrix, structure_report
 from clusterufd.factoriality import ExchangeIdeals, conjecture_check
-from clusterufd.groebner import ideal_intersection_many, ideal_membership, ideal_product
+from clusterufd.groebner import ideal_intersection_many, ideal_product, normal_form
 from clusterufd.poly import render_polynomial
 
 
@@ -35,8 +35,8 @@ def main() -> int:
           [render_polynomial(g) for g in meet.generators])
 
     product = ideal_product(ideal_product(powers[0], powers[1]), powers[2])
-    witnesses = [g for g in meet.generators
-                 if not ideal_membership(g, product)]
+    basis = product.groebner_basis()
+    witnesses = [g for g in meet.generators if not normal_form(g, basis).is_zero]
     print("intersection members missing from the product:",
           [render_polynomial(g) for g in witnesses])
 

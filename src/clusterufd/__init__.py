@@ -32,9 +32,8 @@ _EXPORTS = {
     "fields": ("FieldTag", "GaussianRational"),
     "groebner": (
         "BudgetExceeded", "DEFAULT_BUDGET", "GroebnerBasis", "Ideal",
-        "buchberger", "ideal_intersection",
-        "ideal_intersection_many", "ideal_membership", "ideal_product",
-        "normal_form"),
+        "buchberger", "ideal_intersection", "ideal_intersection_many",
+        "ideal_product", "normal_form"),
     "parse": ("ParseError", "parse_expression", "parse_polynomial"),
     "poly": (
         "ELIMINATE_LAST", "GREVLEX", "LaurentPolynomial", "MonomialOrder",

@@ -127,7 +127,11 @@ def _load_seed(args):
     field = FieldTag(args.field) if args.field else None
     if args.builtin:
         return builtin_seed(args.builtin, field or FieldTag.Q)
-    return load_seed_file(args.seed, field_override=field)
+    seed = load_seed_file(args.seed)
+    if field is not None and field is not seed.field:
+        raise ValueError(f"--field {field.value} contradicts the seed file "
+                         f"field {seed.field.value}")
+    return seed
 
 
 def _positive(value, flag: str):

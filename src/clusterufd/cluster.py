@@ -486,7 +486,7 @@ def builtin_seed(name: str, field: FieldTag = FieldTag.Q) -> Seed:
 
 # -- seed files --------------------------------------------------------------
 
-def seed_from_dict(data: dict, field_override: Optional[FieldTag] = None) -> Seed:
+def seed_from_dict(data: dict) -> Seed:
     """Build a seed from {"n", "m", "matrix", "field"?}, naming bad entries."""
     if not isinstance(data, dict):
         raise ValueError("seed file must contain a JSON object")
@@ -515,15 +515,10 @@ def seed_from_dict(data: dict, field_override: Optional[FieldTag] = None) -> See
     field_name = data.get("field", "Q")
     if field_name not in ("Q", "Qi"):
         raise ValueError(f"field: expected 'Q' or 'Qi', got {field_name!r}")
-    field = FieldTag(field_name)
-    if field_override is not None and field_override is not field:
-        raise ValueError(
-            f"--field {field_override.value} contradicts the seed file field "
-            f"{field.value}")
-    return Seed.initial(ExchangeMatrix(matrix), field)
+    return Seed.initial(ExchangeMatrix(matrix), FieldTag(field_name))
 
 
-def load_seed_file(path: str, field_override: Optional[FieldTag] = None) -> Seed:
+def load_seed_file(path: str) -> Seed:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -532,7 +527,7 @@ def load_seed_file(path: str, field_override: Optional[FieldTag] = None) -> Seed
     except ValueError as exc:
         # a JSONDecodeError, or an integer past Python's 4300-digit limit
         raise ValueError(f"seed file {path} cannot be read as JSON: {exc}") from None
-    return seed_from_dict(data, field_override)
+    return seed_from_dict(data)
 
 
 # -- hypersurface relations --------------------------------------------------

@@ -78,8 +78,6 @@ class ExchangeIdeals:
         return Polynomial.variable(i, self.m, self.field)
 
     def f_power(self, i: int, k: int) -> Polynomial:
-        if k == 1:
-            return self.exchange_poly(i)
         cached = self._f_powers.get((i, k))
         if cached is None:
             cached = self.exchange_poly(i) ** k
@@ -652,18 +650,6 @@ def _first_cubes(cubes: Sequence[tuple[int, int]], n: int) -> list[int]:
     return table
 
 
-def _listing(table: Sequence[int], labels: Sequence) -> Iterator[tuple[tuple, int]]:
-    """Every nonempty support of 1..n, n = len(labels), by size and then in
-    ``combinations`` order, with index i written as ``labels[i - 1]``, each
-    paired with its entry of a ``_first_cubes`` table."""
-    bits = [1 << i for i in range(len(labels))]
-    sizes = range(1, len(labels) + 1)
-    # each support and its bitmask, in the same order
-    supports = chain.from_iterable(combinations(labels, k) for k in sizes)
-    masks = chain.from_iterable(map(sum, combinations(bits, k)) for k in sizes)
-    return zip(supports, map(table.__getitem__, masks))
-
-
 # The per-support listing of a certificate has 2^n - 1 entries, so it is
 # rendered, and a stuck search lists every stuck support, up to here only.
 MAX_CERTIFICATE_N = 16
@@ -688,11 +674,18 @@ class SupportCertificate:
         self.n = n
 
     def listing(self, labels: Sequence) -> Iterator[tuple[tuple, int]]:
-        """Each nonempty support in ``_listing`` order, index i written as
-        ``labels[i - 1]``, with the position in ``cubes`` of its first cube
-        (``len(cubes)`` when none holds); for n <= ``MAX_CERTIFICATE_N``."""
+        """Each nonempty support of 1..n, by size and then in
+        ``combinations`` order, index i written as ``labels[i - 1]``, with
+        the position in ``cubes`` of its first cube (``len(cubes)`` when
+        none holds); for n <= ``MAX_CERTIFICATE_N``."""
         cubes = [(_bits(inside), _bits(outside)) for inside, outside, _ in self.cubes]
-        return _listing(_first_cubes(cubes, self.n), labels)
+        table = _first_cubes(cubes, self.n)
+        bits = [1 << i for i in range(self.n)]
+        sizes = range(1, self.n + 1)
+        # each support and its bitmask, in the same order
+        supports = chain.from_iterable(combinations(labels, k) for k in sizes)
+        masks = chain.from_iterable(map(sum, combinations(bits, k)) for k in sizes)
+        return zip(supports, map(table.__getitem__, masks))
 
     def verify(self, matrix: ExchangeMatrix) -> list[str]:
         """A list of problems; empty means the certificate checks out."""

@@ -14,22 +14,22 @@ run, so a budget that suffices once always suffices.
 
 Monomials are packed.  For the length of one ``buchberger`` or
 ``normal_form`` call each exponent vector is one Python int, with a field
-per variable and one for the total degree, laid out by
-``MonomialOrder.packing`` so that the order's key is an int function of the
-packed int (Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", CASC 2007).  The top bit of every
-field is a guard bit, clear in every valid monomial.  While the guard bits
-stay clear no field carries into its neighbour, so multiplying monomials is
-``+``, dividing is ``-``, and x^a divides x^b exactly when
-``((b | G) - a) & G == G`` for the mask G of guard bits.  A sum whose field
-reaches its guard bit is caught before it is used again (the degree field
-bounds every other field), and the call starts over with fields twice as
-wide, so a large exponent costs time, never a wrong basis.  Vectors are
-packed on entry and unpacked on exit only.  A basis keeps the packed
-reducers of the run that made it, so ``normal_form`` packs only its input
-while that input fits their fields.  The pair order, both criteria
-and the first-divisor choice of reducer are those of tuple exponents, so
-the sequence of S-pair reductions is unchanged.
+per variable and one for the total degree, laid out by ``_Packing`` so that
+the order's key is an int function of the packed int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  The top bit of every field is a guard bit, clear in
+every valid monomial.  While the guard bits stay clear no field carries
+into its neighbour, so multiplying monomials is ``+``, dividing is ``-``,
+and x^a divides x^b exactly when ``((b | G) - a) & G == G`` for the mask G
+of guard bits.  A sum whose field reaches its guard bit is caught before it
+is used again (the degree field bounds every other field), and the call
+starts over with fields twice as wide, so a large exponent costs time,
+never a wrong basis.  Vectors are packed on entry and unpacked on exit
+only.  A basis keeps the packed reducers of the run that made it, so
+``normal_form`` packs only its input while that input fits their
+fields.  The pair order, both criteria and the first-divisor choice of
+reducer are those of tuple exponents, so the sequence of S-pair reductions
+is unchanged.
 """
 from __future__ import annotations
 
@@ -63,7 +63,13 @@ class _Overflow(Exception):
 
 class _Packing:
     """Exponent vectors of m variables packed into ints whose fields hold
-    ``bits`` value bits under a guard bit, in ``order``'s layout."""
+    ``bits`` value bits under a guard bit, laid out so that ``key``, an int
+    function of the packed int, sorts as ``order.key`` does.
+
+    Grevlex puts the degree field on top, then x_m down to x_1, and its key
+    complements every field below the degree, so among monomials of one
+    degree the smaller last exponent wins.  ``ELIMINATE_LAST`` moves x_m
+    above the degree field and complements the fields below it."""
 
     __slots__ = ("bits", "shifts", "degree_shift", "key", "guards", "value",
                  "variables", "ones", "top", "field")
@@ -71,7 +77,12 @@ class _Packing:
     def __init__(self, m: int, order: MonomialOrder, bits: int):
         self.bits = bits
         width = bits + 1
-        self.shifts, self.degree_shift, self.key = order.packing(m, width)
+        shifts = [k * width for k in range(m)]
+        degree_shift = m * width
+        if order.eliminate_last:
+            shifts[-1], degree_shift = degree_shift, shifts[-1]
+        self.shifts, self.degree_shift = tuple(shifts), degree_shift
+        self.key = ((1 << degree_shift) - 1).__xor__
         self.ones = sum(1 << (k * width) for k in range(m + 1))
         self.guards = self.ones << bits
         self.value = (1 << bits) - 1
@@ -363,14 +374,6 @@ class Ideal:
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
-
-
-def ideal_membership(p: Polynomial, ideal: Ideal,
-                     budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether p lies in the ideal, by reduction to zero."""
-    if p.is_zero:
-        return True
-    return normal_form(p, ideal.groebner_basis(budget)).is_zero
 
 
 def _lift(p: Polynomial, t_degree: int, m2: int, field: FieldTag) -> Polynomial:

@@ -12,8 +12,8 @@ Two monomial orders are fixed here: ``GREVLEX`` on x1..xm, used for
 leading terms, division, rendering and ideal bases, and ``ELIMINATE_LAST``,
 which compares the last exponent first and breaks ties by grevlex on the
 others.  ``groebner.ideal_intersection`` appends its auxiliary variable t
-last, so ``ELIMINATE_LAST`` eliminates it.  ``MonomialOrder.packing`` gives
-each order's layout of the packed exponents of the Groebner kernel.
+last, so ``ELIMINATE_LAST`` eliminates it.  ``MonomialOrder.key`` defines
+each order; the Groebner kernel lays out its packed exponents to match.
 """
 from __future__ import annotations
 
@@ -69,24 +69,6 @@ class MonomialOrder:
             # rev starts with -t, a constant once t ties
             return (exp[-1], sum(exp) - exp[-1], rev)
         return (sum(exp), rev)
-
-    def packing(self, m: int, width: int):
-        """The layout of an m-variable exponent packed into one int of
-        ``width``-bit fields, one per variable and one for the total degree,
-        under which this order is an int function of the packed int: the
-        shift of each variable's field, the shift of the degree field, and
-        that key.
-
-        Grevlex puts the degree field on top, then x_m down to x_1, and its
-        key complements every field below the degree, so among monomials of
-        one degree the smaller last exponent wins.  ``ELIMINATE_LAST`` moves
-        x_m above the degree field and complements the fields below it.
-        """
-        shifts = [k * width for k in range(m)]
-        degree_shift = m * width
-        if self.eliminate_last:
-            shifts[-1], degree_shift = degree_shift, shifts[-1]
-        return tuple(shifts), degree_shift, ((1 << degree_shift) - 1).__xor__
 
 
 GREVLEX = MonomialOrder(False)

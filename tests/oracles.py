@@ -80,6 +80,14 @@ def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     return basis_is_unit(ideal.groebner_basis(budget=budget))
 
 
+def ideal_membership(p: Polynomial, ideal: Ideal,
+                     budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether p lies in the ideal, by reduction to zero."""
+    if p.is_zero:
+        return True
+    return normal_form(p, ideal.groebner_basis(budget)).is_zero
+
+
 def ideal_power(ideal: Ideal, k: int) -> Ideal:
     """I^k; by convention I^0 is the unit ideal."""
     if k < 0:

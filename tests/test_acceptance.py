@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import conftest
 from conftest import random_skew_symmetrizable
-from oracles import is_unit_ideal
+from oracles import ideal_membership, is_unit_ideal
 from clusterufd.cli import main as cli_main
 from clusterufd.cluster import (
     ExchangeMatrix,
@@ -40,7 +40,6 @@ from clusterufd.fields import FieldTag
 from clusterufd.groebner import (
     Ideal,
     ideal_intersection_many,
-    ideal_membership,
     ideal_product,
 )
 from clusterufd.parse import parse_polynomial

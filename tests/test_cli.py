@@ -413,13 +413,33 @@ class TestContract:
         assert code == 3 and "matrix[1][0]" in body["error"]
 
     def test_field_conflict(self, capsys, tmp_path):
+        # with --seed, --field must name the field of the file
         seed = tmp_path / "seed.json"
         seed.write_text(json.dumps({"n": 2, "m": 2,
                                     "matrix": [[0, 1], [-1, 0]],
                                     "field": "Q"}))
+        argv = ("structure", "--seed", str(seed), "--field")
+        code, body = run_json(capsys, *argv, "Q")
+        assert code == 0 and body["verdict"] == "ok"
+        code, out, _ = run(capsys, *argv, "Q")
+        assert code == 0 and "verdict: ok" in out
+        code, body = run_json(capsys, *argv, "Qi")
+        assert code == 3
+        assert body["error"] == "--field Qi contradicts the seed file field Q"
+        code, _, err = run(capsys, *argv, "Qi")
+        assert code == 3
+        assert err == "error: --field Qi contradicts the seed file field Q\n"
+
+    def test_field_is_checked_after_the_seed_file_loads(self, capsys, tmp_path):
+        # a file whose matrix is invalid reports that, whatever --field says
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"n": 2, "m": 2,
+                                    "matrix": [[0, 1], [1, 0]],
+                                    "field": "Q"}))
         code, body = run_json(capsys, "structure", "--seed", str(seed),
                               "--field", "Qi")
-        assert code == 3 and "contradicts" in body["error"]
+        assert code == 3
+        assert body["error"].startswith("principal part is not skew-symmetrizable")
 
     def test_bad_budget(self, capsys):
         code, body = run_json(capsys, "verdict", "--builtin", "A:2",
@@ -904,7 +924,7 @@ def test_ab_bench_alternates_sides_over_every_workload(tmp_path):
     assert [block.split(",")[0] for block in summary] == ["crosscheck", "prover"]
     assert "wall_s       1.0000 (1.0000-1.0000) -> 1.0000  won 0/2" in summary[0]
     assert "wall_s       3.0000 (3.0000-3.0000) -> 2.0000  won 2/2" in summary[1]
-    assert proc.stdout.endswith("failed 0\n")
+    assert proc.stdout.endswith("\nsrc lines: total 0 -> 0\nfailed 0\n")
 
     (tmp_path / "change" / "prover").touch()
     proc = ab_bench()

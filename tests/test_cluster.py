@@ -439,11 +439,6 @@ class TestSeedFiles:
         del data["field"]
         assert seed_from_dict(data).field is Q
 
-    def test_field_override_must_match(self):
-        with pytest.raises(ValueError):
-            seed_from_dict(self.good(), field_override=FieldTag.QI)
-        assert seed_from_dict(self.good(), field_override=Q).field is Q
-
     def test_error_names_entry(self):
         data = self.good()
         data["matrix"][2][1] = "x"

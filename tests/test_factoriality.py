@@ -11,11 +11,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_acyclic_seed, random_polynomial
-from oracles import RowsOracle, certificate_entries, power_membership_linear
+from oracles import (RowsOracle, certificate_entries, ideal_membership,
+                     power_membership_linear)
 from clusterufd import factoriality
 from clusterufd.cluster import ExchangeMatrix, builtin_matrix
 from clusterufd.fields import FieldTag
-from clusterufd.groebner import ideal_membership, normal_form
+from clusterufd.groebner import normal_form
 from clusterufd.parse import parse_expression, parse_polynomial
 from clusterufd.poly import GREVLEX, Polynomial, divide_exact
 from clusterufd.factoriality import (

@@ -14,8 +14,8 @@ import random
 import pytest
 
 from conftest import random_polynomial
-from oracles import (basis_is_unit, ideal_equal, ideal_power, is_unit_ideal,
-                     s_polynomial)
+from oracles import (basis_is_unit, ideal_equal, ideal_membership, ideal_power,
+                     is_unit_ideal, s_polynomial)
 from clusterufd.cluster import builtin_matrix
 from clusterufd.factoriality import ExchangeIdeals
 from clusterufd.fields import FieldTag
@@ -29,7 +29,6 @@ from clusterufd.groebner import (
     buchberger,
     ideal_intersection,
     ideal_intersection_many,
-    ideal_membership,
     ideal_product,
     normal_form,
 )

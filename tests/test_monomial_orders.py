@@ -1,7 +1,8 @@
 """The package has two monomial orders, ``poly.GREVLEX`` and
 ``poly.ELIMINATE_LAST``, and only ``poly`` builds them.  Only the functions
 that run under both orders take one as a parameter; everything else is
-grevlex."""
+grevlex.  Only ``MonomialOrder.key`` and the Groebner kernel's packed layout
+ask which order they have."""
 from __future__ import annotations
 
 import ast
@@ -45,6 +46,17 @@ def test_orders_are_built_only_in_poly():
                 and getattr(node.func, "id", getattr(node.func, "attr", None))
                 == "MonomialOrder"}
     assert building == {"poly.py"}
+
+
+def test_packed_layout_lives_in_the_kernel():
+    """Only the order's tuple key and the Groebner kernel's packed layout
+    read which order they have."""
+    reading = {name for module, tree in TREES.items()
+               for name, fn in functions(tree, module[:-3])
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and node.attr == "eliminate_last"
+               and isinstance(node.ctx, ast.Load)}
+    assert reading == {"poly.MonomialOrder.key", "groebner._Packing.__init__"}
 
 
 def test_order_parameters():
