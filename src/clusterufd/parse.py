@@ -47,6 +47,7 @@ MAX_DIGITS = 4300  # Python's default limit on int() of a decimal string
 _DIGIT_BOUND = 10 ** MAX_DIGITS  # the least number of MAX_DIGITS + 1 digits
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(i)|([-+*/^()]))")
+_KINDS = (None, "int", "var", "imag", "op")  # by the group that matched
 
 
 def check_digits(value: LaurentPolynomial, position: int) -> LaurentPolynomial:
@@ -72,19 +73,13 @@ def _tokenize(text: str):
                 break
             bad_at = len(text) - len(stripped) + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
+        group = match.lastindex
         digits = (match.group(1) or match.group(2) or "").lstrip("x")
         if len(digits) > MAX_DIGITS:
             raise ParseError(
                 f"a number of {len(digits)} digits is longer than "
-                f"{MAX_DIGITS} digits", match.start(match.lastindex) + 1)
-        if match.group(1) is not None:
-            tokens.append(("int", match.group(1), match.start(1) + 1))
-        elif match.group(2) is not None:
-            tokens.append(("var", match.group(2), match.start(2) + 1))
-        elif match.group(3) is not None:
-            tokens.append(("imag", "i", match.start(3) + 1))
-        else:
-            tokens.append(("op", match.group(4), match.start(4) + 1))
+                f"{MAX_DIGITS} digits", match.start(group) + 1)
+        tokens.append((_KINDS[group], match.group(group), match.start(group) + 1))
         pos = match.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens

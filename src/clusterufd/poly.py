@@ -4,12 +4,13 @@ Polynomials over Q or Q(i) are stored as dicts mapping exponent tuples to
 nonzero coefficients.  A Laurent polynomial is a polynomial numerator plus a
 monomial denominator exponent vector, kept reduced so that no variable
 divides both.  ``/`` on Laurent polynomials is exact division: it raises
-``ValueError`` unless the quotient is again Laurent.  Variables are
-addressed 1-based (x1..xm) in every public signature; exponent tuples are
-0-indexed internally.
+``ValueError`` unless the quotient is again Laurent.  A scalar may stand on
+either side of ``+`` and ``*``, and only on the right of ``-`` and ``/``.
+Variables are addressed 1-based (x1..xm) in every public signature;
+exponent tuples are 0-indexed internally.
 
 Two monomial orders are fixed here: ``GREVLEX`` on x1..xm, used for
-leading terms, division, rendering and ideal bases, and ``ELIMINATE_LAST``,
+leading terms, rendering and ideal bases, and ``ELIMINATE_LAST``,
 which compares the last exponent first and breaks ties by grevlex on the
 others.  ``groebner.ideal_intersection`` appends its auxiliary variable t
 last, so ``ELIMINATE_LAST`` eliminates it.  ``MonomialOrder.key`` defines
@@ -101,9 +102,7 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exp}")
             c = field.coerce(coeff)
             if c:
-                clean[exp] = clean[exp] + c if exp in clean else c
-                if not clean[exp]:
-                    del clean[exp]
+                clean[exp] = c
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
@@ -183,14 +182,9 @@ class Polynomial:
         return Polynomial._raw(self.m, self.field, out)
 
     def min_exponents(self) -> Exponent:
-        """Componentwise minimum exponent over all terms (the monomial content)."""
-        if not self.terms:
-            return (0,) * self.m
-        it = iter(self.terms)
-        acc = next(it)
-        for exp in it:
-            acc = ev_min(acc, exp)
-        return acc
+        """Componentwise minimum exponent over all terms (the monomial
+        content); empty for the zero polynomial."""
+        return tuple(map(min, zip(*self.terms)))
 
     def constant_coefficient(self):
         return self.terms.get((0,) * self.m, 0)
@@ -232,9 +226,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -299,12 +290,19 @@ class Polynomial:
 def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
     """The quotient p/q when q divides p exactly, else None.
 
-    Single-divisor multivariate division under grevlex: whenever a term
-    would land in the remainder the division cannot be exact, so we stop
-    early.
+    Single-divisor multivariate division under the order of the exponent
+    tuples themselves, that is lex with x1 > x2 > ... > xm.  No other order
+    would give another answer:
 
-    Each term is keyed once, when it enters the remainder, into a queue
-    sorted by key.  Every term a step adds lies below the leading term it
+    - if q divides p, every remainder is a multiple of q, so its largest
+      term under any monomial order is divisible by q's largest term;
+      whenever a term would land in the remainder the division cannot be
+      exact, so we stop early;
+    - tuple order is a monomial order, so the division terminates;
+    - the exact quotient is unique, so it is the same under every order.
+
+    Each term enters a queue sorted by exponent once, when it enters the
+    remainder.  Every term a step adds lies below the leading term it
     cancels, so the largest queued term still in the remainder is the
     leading term; a queued term that has since cancelled is skipped when it
     comes up.
@@ -314,13 +312,14 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return Polynomial.zero(p.m, p.field)
-    q_exp, q_coeff = q.leading(GREVLEX)
+    q_exp = max(q.terms)
+    q_coeff = q.terms[q_exp]
     q_terms = list(q.terms.items())
-    key, div = GREVLEX.key, p.field.div
+    div = p.field.div
     rem, quot = dict(p.terms), {}
-    queue = sorted((key(e), e) for e in rem)
+    queue = sorted(rem)
     while rem:
-        exp = queue.pop()[1]
+        exp = queue.pop()
         if exp not in rem:
             continue
         if not ev_divides(q_exp, exp):
@@ -338,7 +337,7 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
                     del rem[tgt]
             else:
                 rem[tgt] = -factor * c2
-                insort(queue, (key(tgt), tgt))
+                insort(queue, tgt)
     return Polynomial._raw(p.m, p.field, quot)
 
 
@@ -448,9 +447,6 @@ class LaurentPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = LaurentPolynomial.constant(other, self.m, self.field)
@@ -485,12 +481,6 @@ class LaurentPolynomial:
             raise ValueError(f"{g} does not divide {self.num}")
         return LaurentPolynomial(self._scale_num(h, other.den),
                                  ev_add(self.den, w))
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = LaurentPolynomial.constant(other, self.m, self.field)
-            return other / self
-        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

@@ -3,16 +3,19 @@ what the package computes, kept out of the package because nothing but the
 tests uses them."""
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
+from typing import Optional
 
 from clusterufd.cluster import Seed
 from clusterufd.factoriality import (ExchangeIdeals, FreeIndex, FreeVariable,
                                      SinkSourceSplit)
 from clusterufd.fields import FieldTag
 from clusterufd.groebner import DEFAULT_BUDGET, GroebnerBasis, Ideal, normal_form
-from clusterufd.poly import MonomialOrder, Polynomial
+from clusterufd.poly import (GREVLEX, MonomialOrder, Polynomial, ev_add,
+                             ev_divides, ev_sub)
 
 
 def power_membership_linear(ideals: ExchangeIdeals, p: Polynomial, i: int,
@@ -53,6 +56,54 @@ def power_membership_linear(ideals: ExchangeIdeals, p: Polynomial, i: int,
         if min(e[i - 1] for e in a_r.terms) < a - r:
             return False
     return True
+
+
+# The package's ``divide_exact`` as it stood when it divided under grevlex,
+# kept as the reference that the order-free division must agree with.
+def divide_exact_grevlex(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
+    """The quotient p/q when q divides p exactly, else None.
+
+    Single-divisor multivariate division under grevlex: whenever a term
+    would land in the remainder the division cannot be exact, so we stop
+    early.
+
+    Each term is keyed once, when it enters the remainder, into a queue
+    sorted by key.  Every term a step adds lies below the leading term it
+    cancels, so the largest queued term still in the remainder is the
+    leading term; a queued term that has since cancelled is skipped when it
+    comes up.
+    """
+    p._check_compatible(q)
+    if q.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    if p.is_zero:
+        return Polynomial.zero(p.m, p.field)
+    q_exp, q_coeff = q.leading(GREVLEX)
+    q_terms = list(q.terms.items())
+    key, div = GREVLEX.key, p.field.div
+    rem, quot = dict(p.terms), {}
+    queue = sorted((key(e), e) for e in rem)
+    while rem:
+        exp = queue.pop()[1]
+        if exp not in rem:
+            continue
+        if not ev_divides(q_exp, exp):
+            return None
+        factor = div(rem[exp], q_coeff)
+        shift = ev_sub(exp, q_exp)
+        quot[shift] = factor
+        for e2, c2 in q_terms:
+            tgt = ev_add(shift, e2)
+            if tgt in rem:
+                s = rem[tgt] - factor * c2
+                if s:
+                    rem[tgt] = s
+                else:
+                    del rem[tgt]
+            else:
+                rem[tgt] = -factor * c2
+                insort(queue, (key(tgt), tgt))
+    return Polynomial._raw(p.m, p.field, quot)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:

@@ -159,6 +159,14 @@ class TestConjecture:
                          "--index", "1,1", "--max-total-degree", "2")
         assert code == 3
 
+    def test_malformed_index(self, capsys):
+        argv = ("check-conjecture", "--builtin", "A:2", "--index", "1,a")
+        error = "--index must be comma-separated integers, got '1,a'"
+        code, body = run_json(capsys, *argv)
+        assert code == 3 and body["verdict"] == "error"
+        assert body["error"] == error
+        assert run(capsys, *argv) == (3, "", f"error: {error}\n")
+
 
 class TestProveUfd:
     def test_certified(self, capsys):
@@ -289,6 +297,16 @@ class TestMemberAndNormalForm:
                               "--expr", "x1 + + x2")
         assert code == 3
         assert "position" in body["error"]
+
+    @pytest.mark.parametrize("expr, error", [
+        ("x1 x2", "unexpected 'x2' (at position 4)"),
+        ("x1^-1", "exponent must be a non-negative integer (at position 4)"),
+        ("x1^x2", "exponent must be a non-negative integer (at position 4)")])
+    def test_misplaced_token_is_an_input_error(self, capsys, expr, error):
+        code, body = run_json(capsys, "member", "--builtin", "A:2",
+                              "--expr", expr)
+        assert code == 3 and body["verdict"] == "error"
+        assert body["error"] == error
 
     @pytest.mark.parametrize("command", ["member", "normal-form"])
     def test_deep_nesting_is_an_input_error(self, capsys, command):

@@ -98,6 +98,15 @@ class TestExchangeMatrix:
         with pytest.raises(ValueError):
             ExchangeMatrix([[0, 1], [-1]])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1]], "principal part is not skew-symmetrizable: diagonal entry "
+                "b[1][1] = 1 is nonzero"),
+        ([[], []], "matrix needs at least one column")])
+    def test_validation_messages(self, rows, message):
+        with pytest.raises(ValueError) as err:
+            ExchangeMatrix(rows)
+        assert str(err.value) == message
+
     def test_accessors(self):
         mat = ExchangeMatrix([[0, 1], [-1, 0], [2, -3]])
         assert (mat.n, mat.m) == (2, 3)
@@ -179,6 +188,11 @@ class TestExchangePolynomials:
     def test_isolated_vertex(self):
         assert str(exchange_polynomial(linear_a_matrix(1), 1, Q)) == "2"
 
+    def test_column_index_range(self):
+        with pytest.raises(ValueError) as err:
+            exchange_polynomial(linear_a_matrix(2), 3, Q)
+        assert str(err.value) == "column index 3 outside 1..2"
+
     def test_rank2_weights(self):
         mat = rank2_matrix(2, 3)
         assert str(exchange_polynomial(mat, 1, Q)) == "x2^3 + 1"
@@ -210,6 +224,12 @@ class TestExchangePolynomials:
 
 
 class TestSeedMutation:
+    def test_cluster_size_checked(self):
+        seed = builtin_seed("A:2")
+        with pytest.raises(ValueError) as err:
+            Seed(seed.matrix, seed.cluster[:1], seed.field)
+        assert str(err.value) == "cluster has 1 entries, expected 2"
+
     def test_short_type_a_chain(self):
         seed = builtin_seed("A:2")
         s1 = seed.mutate(1)
@@ -621,11 +641,13 @@ class TestMutationWork:
 
         monkeypatch.setattr(MonomialOrder, "key", counted_key)
         enumerate_cluster_variables(builtin_seed("A:6"))
-        # exact division keys each remainder term once, when it enters
+        # exact division keys nothing; all 83 keys render the numerators
+        # of the 27 variables that sorted(variables, key=str) orders
         # (44,407 keys when every step re-keyed the whole remainder,
-        # 21,307 while the search computed most edges from both ends, and
-        # 11,850 while every mutation divided its own exchange relation)
-        assert len(calls) == 1483
+        # 21,307 while the search computed most edges from both ends,
+        # 11,850 while every mutation divided its own exchange relation,
+        # and 1,483 while division keyed each remainder term under grevlex)
+        assert len(calls) == 83
 
     @pytest.mark.parametrize("name, relations", [("A:6", 126), ("E:6", 447)])
     def test_each_exchange_relation_evaluated_once(self, monkeypatch, name,

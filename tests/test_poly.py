@@ -10,14 +10,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent, random_polynomial
+from oracles import divide_exact_grevlex
 from clusterufd.fields import FieldTag, GaussianRational
 from clusterufd.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING,
-                              MAX_POWER_TERMS, ParseError, parse_expression,
-                              parse_polynomial)
+                              MAX_POWER_TERMS, ParseError, _tokenize,
+                              parse_expression, parse_polynomial)
 from clusterufd.poly import (
     ELIMINATE_LAST,
     GREVLEX,
     LaurentPolynomial,
+    MonomialOrder,
     Polynomial,
     divide_exact,
     ev_add,
@@ -96,6 +98,20 @@ class TestArithmetic:
         p = P("x1 + 1")
         assert 2 * p - p == p
         assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
+
+    @pytest.mark.parametrize("value", [P("x1 + 1"), L("(x1 + 1)/x2")])
+    def test_scalar_sides(self, value):
+        # a scalar may stand on either side of + and *, and only on the
+        # right of - and /
+        assert 1 + value == value + 1
+        assert 2 * value == value * 2 == value + value
+        assert value - 1 == value + -1
+        with pytest.raises(TypeError):
+            1 - value
+        with pytest.raises(TypeError):
+            1 / value
+        if isinstance(value, LaurentPolynomial):
+            assert value / 2 == value * Fraction(1, 2)
 
     def test_power(self):
         assert P("x1 + x2") ** 2 == P("x1^2 + 2*x1*x2 + x2^2")
@@ -286,6 +302,44 @@ class TestDivideExact:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divide_exact(P("x1"), Polynomial.zero(2, Q))
+
+    @given(st.data())
+    @seed(20261021)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_grevlex_division(self, data):
+        # p = a*q + b with b often zero covers exact and inexact pairs
+        field, m = data.draw(FIELDS), data.draw(st.integers(1, 4))
+        a, b = data.draw(polynomials(field, m)), data.draw(polynomials(field, m))
+        q = data.draw(polynomials(field, m, nonzero=True))
+        assert divide_exact(a * q, q) == a
+        for p in (a * q + b, b):
+            assert divide_exact(p, q) == divide_exact_grevlex(p, q)
+
+    def test_uses_no_monomial_order(self, monkeypatch):
+        def refuse(order, exp):
+            raise AssertionError("divide_exact consulted a monomial order")
+
+        monkeypatch.setattr(MonomialOrder, "key", refuse)
+        cases = [(P("x1^2 - x2^2"), P("x1 + x2"), P("x1 - x2")),
+                 (P("x1^2 + 1"), P("x1 + 1"), None),
+                 (P("x1^2 + x2^2", field=QI), P("x1 + i*x2", field=QI),
+                  P("x1 - i*x2", field=QI))]
+        for p, q, quotient in cases:
+            assert divide_exact(p, q) == quotient
+
+
+FIELDS = st.sampled_from([Q, QI])
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def polynomials(field: FieldTag, m: int, nonzero: bool = False):
+    """Polynomials in x1..xm of at most four terms, exponents at most 3;
+    over Q(i) the coefficients are Gaussian rationals."""
+    coeffs = (st.builds(GaussianRational, FRACTIONS, FRACTIONS)
+              if field is QI else FRACTIONS).filter(bool)
+    exps = st.tuples(*[st.integers(0, 3)] * m)
+    return st.dictionaries(exps, coeffs, min_size=int(nonzero), max_size=4).map(
+        lambda terms: Polynomial(m, field, terms))
 
 
 # -- Laurent polynomials -----------------------------------------------------
@@ -526,6 +580,13 @@ class TestRenderParse:
         with pytest.raises(ParseError) as err:
             parse_expression("x1 + y", 2, Q)
         assert err.value.position == "x1 + y".index("y") + 1
+
+    def test_token_kinds_and_positions(self):
+        assert _tokenize(" 12*x3 - (i)^2") == [
+            ("int", "12", 2), ("op", "*", 4), ("var", "x3", 5),
+            ("op", "-", 8), ("op", "(", 10), ("imag", "i", 11),
+            ("op", ")", 12), ("op", "^", 13), ("int", "2", 14),
+            ("end", "", 15)]
 
 
 # -- exact powering and the coefficient representation ----------------------

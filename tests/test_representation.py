@@ -206,7 +206,6 @@ DIVISION_ALLOWED = {
     "cluster.find_skew_symmetrizer",
     "fields.FieldTag.div",
     "parse._Parser.term",
-    "poly.LaurentPolynomial.__rtruediv__",
     "poly.LaurentPolynomial.inverse",
 }
 
